@@ -26,7 +26,13 @@ from ..obs.trace import current_tracer
 from ..parallel.threadpool import ExecutionContext
 from ..peeling.base import PeelingCounters
 from ..peeling.update import peel_batch
-from .hybrid import peel_cost, recount_cost, recount_supports, should_recount
+from .hybrid import (
+    RecountCostBound,
+    peel_cost,
+    recount_cost,
+    recount_supports,
+    should_recount,
+)
 from .ranges import AdaptiveRangeTargeter, find_range_upper_bound
 
 __all__ = ["CoarseDecompositionResult", "coarse_grained_decomposition"]
@@ -114,7 +120,10 @@ def coarse_grained_decomposition(
         to the peel cost.  The paper compares raw wedge bounds (factor 1);
         a factor above one accounts for the higher per-wedge constant of the
         counting kernel relative to the vectorised batch peel in this
-        Python implementation.
+        Python implementation.  Must be ``>= 0`` (``ValueError``
+        otherwise): the round-to-round lower bound on the re-count cost
+        (:class:`~repro.core.hybrid.RecountCostBound`) only answers the
+        comparison exactly for a non-negative factor.
     adaptive_targets:
         Use the two-way adaptive range determination of Sec. 3.1.1 (dynamic
         per-subset targets plus overshoot scaling).  When ``False`` every
@@ -138,6 +147,8 @@ def coarse_grained_decomposition(
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
+    if not huc_cost_factor >= 0:
+        raise ValueError(f"huc_cost_factor must be >= 0, got {huc_cost_factor}")
     context = context or ExecutionContext()
     workspace = workspace_or_default(workspace)
     counters = PeelingCounters()
@@ -158,6 +169,7 @@ def coarse_grained_decomposition(
         adjacency = PeelableAdjacency(graph, "U", enable_dgm=enable_dgm,
                                       narrow_ids=workspace.narrow_ids)
         alive = adjacency.alive_mask()
+        cost_bound = RecountCostBound(graph) if enable_huc else None
 
         targeter = AdaptiveRangeTargeter(n_partitions=n_partitions)
         static_target = float(wedge_work.sum()) / n_partitions
@@ -198,12 +210,15 @@ def coarse_grained_decomposition(
                 cost_of_peeling = peel_cost(wedge_work, active_set)
                 use_recount = False
                 if enable_huc:
-                    cost_of_recounting = recount_cost(
-                        graph, alive & ~_mask_of(active_set, n_u)
-                    )
-                    use_recount = should_recount(
-                        cost_of_peeling, huc_cost_factor * cost_of_recounting
-                    )
+                    # The bound decides most rounds; the exact O(|E|) cost is
+                    # computed only when it cannot, and then resets the bound.
+                    cost_bound.remove(active_set)
+                    if not cost_bound.peel_is_cheaper(cost_of_peeling, huc_cost_factor):
+                        cost_of_recounting = recount_cost(graph, cost_bound.residual)
+                        cost_bound.lower = cost_of_recounting
+                        use_recount = should_recount(
+                            cost_of_peeling, huc_cost_factor * cost_of_recounting
+                        )
 
                 with tracer.span("cd.peel_iteration") as iteration_span:
                     if use_recount:
@@ -303,9 +318,3 @@ def coarse_grained_decomposition(
         iteration_records=iteration_records,
         targeter_history=targeter.history,
     )
-
-
-def _mask_of(vertices: np.ndarray, size: int) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[vertices] = True
-    return mask

@@ -3,8 +3,9 @@
 FD receives the vertex subsets and tip-number ranges produced by CD and
 computes exact tip numbers.  Each subset is processed completely
 independently: a subgraph is induced on the subset (plus the whole ``V``
-side), supports are initialised from the ``⋈init`` snapshot, and sequential
-bottom-up peeling runs inside the subgraph.  The work is expressed as
+side), supports are initialised from the ``⋈init`` snapshot, and the
+subgraph is peeled bottom-up one support level per batch
+(:func:`~repro.peeling.bup.peel_levels`).  The work is expressed as
 picklable task descriptors (:mod:`repro.engine.tasks`) handed to the
 execution context's backend — serial, thread pool, or a multiprocess worker
 pool over a shared-memory graph store — through a workload-aware dynamic
@@ -81,9 +82,9 @@ def fine_grained_decomposition(
     cd_result:
         Output of :func:`~repro.core.cd.coarse_grained_decomposition`.
     enable_dgm:
-        Whether the per-subset sequential peels compact their induced
-        adjacency (the induced subgraphs are small, so the paper leaves this
-        off by default; it is exposed for ablations).
+        Whether the per-subset peels compact their induced adjacency (the
+        induced subgraphs are small, so the paper leaves this off by
+        default; it is exposed for ablations).
     context:
         Execution context; its configured backend (``serial`` / ``thread`` /
         ``process``) executes the task queue, and FD records a single
@@ -92,10 +93,10 @@ def fine_grained_decomposition(
         Sort the task queue by decreasing estimated work (WaS).  Disabling
         it reproduces the "original order" schedule of Fig. 3.
     peel_kernel:
-        Support-update kernel for the per-subset sequential peels
-        (``"batched"`` or ``"reference"``); each pop consumes one batched
-        :class:`~repro.peeling.update.SupportUpdate` through the shared
-        kernel layer.
+        Support-update kernel for the per-subset peels (``"batched"`` or
+        ``"reference"``); each support level's batch is one
+        :func:`~repro.peeling.update.peel_batch` through the shared kernel
+        layer.
     wedge_budget, narrow_ids:
         Memory policy forwarded into every task's per-worker
         :class:`~repro.kernels.workspace.WedgeWorkspace`; the maximum task

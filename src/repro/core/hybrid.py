@@ -15,6 +15,14 @@ The cost comparison uses
 * ``C_rcnt = sum_{(u, v) in E, u alive} min(d_u, d_v')`` where ``d_v'`` is
   the residual degree of the center vertex — the traversal bound of
   vertex-priority counting on the residual graph.
+
+The decision only needs to know which side of ``C_peel`` the re-count cost
+falls on, so CD does not evaluate ``C_rcnt`` (an O(|E|) pass) every round:
+:class:`RecountCostBound` carries a lower bound ``LB <= C_rcnt`` through the
+rounds in time proportional to the removed vertices' edges, and CD peels
+outright whenever ``C_peel <= f * LB``.  Only when the bound cannot decide
+does CD call :func:`recount_cost`, and the exact value becomes the new
+bound, so every decision equals the one the exact test makes.
 """
 
 from __future__ import annotations
@@ -25,9 +33,16 @@ import numpy as np
 
 from ..butterfly.counting import count_per_vertex_priority
 from ..graph.bipartite import BipartiteGraph
-from ..kernels.csr import int_bincount
+from ..kernels.csr import gather_rows
 
-__all__ = ["RecountOutcome", "peel_cost", "recount_cost", "should_recount", "recount_supports"]
+__all__ = [
+    "RecountCostBound",
+    "RecountOutcome",
+    "peel_cost",
+    "recount_cost",
+    "should_recount",
+    "recount_supports",
+]
 
 
 @dataclass(frozen=True)
@@ -59,20 +74,57 @@ def recount_cost(graph: BipartiteGraph, alive_mask: np.ndarray) -> int:
 
     The residual graph keeps all ``V`` vertices and only the alive ``U``
     vertices; the bound is ``sum over residual edges of min(d_u,
-    residual d_v)``.
+    residual d_v)``.  The residual edges are read from the ``U``-side CSR,
+    where every alive vertex's edges form one contiguous row.
     """
     alive_mask = np.asarray(alive_mask, dtype=bool)
-    if not alive_mask.any():
+    offsets, neighbors = graph.csr("U")
+    degrees_u = np.diff(offsets)
+    residual_v = neighbors[np.repeat(alive_mask, degrees_u)]
+    if residual_v.size == 0:
         return 0
-    edges = graph.edge_array()
-    keep = alive_mask[edges[:, 0]]
-    if not keep.any():
-        return 0
-    residual_u = edges[keep, 0]
-    residual_v = edges[keep, 1]
-    degrees_u = graph.degrees_u().astype(np.int64)
-    residual_center_degree = int_bincount(residual_v, None, graph.n_v)
-    return int(np.minimum(degrees_u[residual_u], residual_center_degree[residual_v]).sum())
+    alive_degrees = degrees_u[alive_mask]
+    residual_center_degree = np.bincount(residual_v, minlength=graph.n_v)
+    return int(np.minimum(
+        np.repeat(alive_degrees, alive_degrees), residual_center_degree[residual_v]
+    ).sum())
+
+
+class RecountCostBound:
+    """Residual center degrees plus a lower bound on ``C_rcnt``, kept per round.
+
+    Tracks the residual set ``R`` (the ``U`` vertices neither peeled nor
+    about to be), the exact residual center degrees ``d_v'`` and a bound
+    :attr:`lower` with ``lower <= recount_cost(graph, residual)``.  It
+    starts exact for ``R = U``.  :meth:`remove` shrinks ``R`` by a batch
+    ``A`` in O(sum of ``d_a``): the removed edges' exact terms
+    ``min(d_a, d_v')`` leave the sum, and a remaining edge ``(u, v)`` loses at
+    most ``Δ_v`` (the drop of ``d_v'``), so subtracting ``Δ_v * d_v'(new)``
+    per center keeps the bound valid without touching the remaining edges.
+    """
+
+    def __init__(self, graph: BipartiteGraph):
+        self._offsets, self._neighbors = graph.csr("U")
+        self.residual = np.ones(graph.n_u, dtype=bool)
+        self.residual_degrees = graph.degrees_v().astype(np.int64)
+        self.lower = recount_cost(graph, self.residual)
+
+    def remove(self, vertices: np.ndarray) -> None:
+        """Drop ``vertices`` (residual, no repeats) from ``R``; lower the bound."""
+        self.residual[vertices] = False
+        centers, degrees = gather_rows(self._offsets, self._neighbors, vertices)
+        if centers.size == 0:
+            return
+        removed_terms = int(np.minimum(
+            np.repeat(degrees, degrees), self.residual_degrees[centers]
+        ).sum())
+        np.subtract.at(self.residual_degrees, centers, 1)
+        # Each center appears Δ_v times among the removed edges.
+        self.lower -= removed_terms + int(self.residual_degrees[centers].sum())
+
+    def peel_is_cheaper(self, cost_of_peeling: int, cost_factor: float) -> bool:
+        """Whether ``C_peel <= f * LB`` already rules out a re-count (``f >= 0``)."""
+        return cost_of_peeling <= cost_factor * self.lower
 
 
 def should_recount(cost_of_peeling: int, cost_of_recounting: int) -> bool:

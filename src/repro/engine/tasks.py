@@ -25,7 +25,7 @@ from ..graph.bipartite import BipartiteGraph
 from ..kernels.workspace import WedgeWorkspace
 from ..obs.trace import NOOP_TRACER, Tracer
 from ..peeling.base import PeelingCounters
-from ..peeling.bup import peel_sequential
+from ..peeling.bup import peel_levels
 
 __all__ = ["FdJob", "FdTask", "FdTaskResult", "build_fd_tasks", "execute_fd_task"]
 
@@ -89,7 +89,7 @@ class FdJob:
         The ``⋈init`` vector of CD, indexed by parent-graph ``U`` id.
     enable_dgm, peel_kernel:
         Per-subset peel configuration, forwarded to
-        :func:`~repro.peeling.bup.peel_sequential`.
+        :func:`~repro.peeling.bup.peel_levels`.
     wedge_budget, narrow_ids:
         Memory policy of the per-task
         :class:`~repro.kernels.workspace.WedgeWorkspace`: the wedge budget
@@ -152,9 +152,10 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
     """Peel one FD subset to completion (the body of Alg. 4's task loop).
 
     Induces the subgraph on the subset (plus the whole ``V`` side),
-    initialises supports from the ``⋈init`` snapshot and runs the sequential
-    bottom-up peel.  Pure function of ``(job, task)`` — every backend calls
-    exactly this, in-process or in a worker.
+    initialises supports from the ``⋈init`` snapshot and peels it bottom-up
+    one support level per batch (:func:`~repro.peeling.bup.peel_levels`).
+    Pure function of ``(job, task)`` — every backend calls exactly this,
+    in-process or in a worker.
     """
     subset = job.subsets_flat[task.start:task.stop]
     if subset.size == 0:
@@ -181,12 +182,13 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
 
         # A fresh arena per task keeps peak accounting exact regardless of
         # which worker (thread, process, or the caller itself) runs the task;
-        # within the task every pop of the subset peel reuses its buffers.
+        # within the task every level batch of the subset peel reuses its
+        # buffers.
         workspace = WedgeWorkspace(
             wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids
         )
         local_counters = PeelingCounters()
-        local_tips, local_counters, _ = peel_sequential(
+        local_tips, local_counters = peel_levels(
             induced_graph, "U", initial_supports,
             enable_dgm=job.enable_dgm, counters=local_counters,
             peel_kernel=job.peel_kernel, workspace=workspace,

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import GraphConstructionError, VertexSideError
+from ..kernels.csr import gather_rows, segment_ids, segment_offsets
 
 __all__ = ["BipartiteGraph", "opposite_side", "validate_side"]
 
@@ -362,6 +363,13 @@ class BipartiteGraph:
         full ``V``), while the selected ``U`` vertices are renumbered densely
         so that the induced subgraph is a standalone :class:`BipartiteGraph`.
 
+        Both CSR directions are built straight from this graph's (already
+        valid, sorted) ``U`` rows: the selected rows are gathered in subset
+        order, and one stable sort by ``V`` id yields the ``V`` rows with
+        their new ``U`` ids ascending — the same arrays the validating
+        constructor would build from the filtered edge list, in time linear
+        in the subset's edges plus one sort.
+
         Returns
         -------
         InducedSubgraph
@@ -370,21 +378,24 @@ class BipartiteGraph:
         selected = np.asarray(u_vertices, dtype=np.int64)
         if selected.size and (selected.min() < 0 or selected.max() >= self._n_u):
             raise GraphConstructionError("induced subset contains out-of-range U vertices")
-        if np.unique(selected).size != selected.size:
+
+        new_ids = np.arange(selected.size, dtype=np.int64)
+        new_of_old = np.full(self._n_u, -1, dtype=np.int64)
+        new_of_old[selected] = new_ids
+        # A repeated id maps back to only one of its positions, so the round
+        # trip breaks at the others.
+        if not np.array_equal(new_of_old[selected], new_ids):
             raise GraphConstructionError("induced subset contains duplicate U vertices")
 
-        new_of_old = np.full(self._n_u, -1, dtype=np.int64)
-        new_of_old[selected] = np.arange(selected.size, dtype=np.int64)
-
-        all_edges = self.edge_array()
-        keep = new_of_old[all_edges[:, 0]] >= 0
-        kept_edges = all_edges[keep]
-        edge_array = np.column_stack([new_of_old[kept_edges[:, 0]], kept_edges[:, 1]])
-
-        subgraph = BipartiteGraph(
+        u_neighbors, u_degrees = gather_rows(self._u_adj.offsets, self._u_adj.neighbors, selected)
+        by_center = np.argsort(u_neighbors, kind="stable")
+        subgraph = BipartiteGraph.from_csr_arrays(
             selected.size,
             self._n_v,
-            edge_array,
+            segment_offsets(u_degrees),
+            u_neighbors,
+            segment_offsets(np.bincount(u_neighbors, minlength=self._n_v)),
+            segment_ids(u_degrees)[by_center],
             name=f"{self.name}/induced" if self.name else "induced",
         )
         return InducedSubgraph(graph=subgraph, u_old_of_new=selected.copy(), u_new_of_old=new_of_old)

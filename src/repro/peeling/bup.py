@@ -1,10 +1,17 @@
-"""Sequential bottom-up peeling (BUP, Alg. 2) — the exact baseline.
+"""Bottom-up peeling (BUP, Alg. 2) — the exact baseline — and its level form.
 
 BUP initialises supports with per-vertex butterfly counts and repeatedly
 peels a vertex with minimum support, recording that support as its tip
 number and decrementing the supports of its 2-hop neighbours.  This is the
-algorithm of Sariyuce & Pinar and the sequential baseline of Table 3; it is
-also the kernel RECEIPT FD applies to every induced subgraph.
+algorithm of Sariyuce & Pinar and the sequential baseline of Table 3
+(:func:`peel_sequential`, one vertex per heap pop); streaming repair
+re-peels its regions with it too.
+
+:func:`peel_levels` is the kernel RECEIPT FD applies to every induced
+subgraph.  Every vertex popped while the minimum support is ``s`` gets
+θ = ``s``, because decrements clamp at ``s`` (Alg. 4, Lemma 2), so a whole
+level is peeled as one :func:`~repro.peeling.update.peel_batch` — ParB's
+round, inside one of CD's independent subsets — with the same tip numbers.
 """
 
 from __future__ import annotations
@@ -19,9 +26,29 @@ from ..kernels.workspace import WedgeWorkspace
 from ..obs.trace import current_tracer
 from .base import PeelingCounters, TipDecompositionResult
 from .minheap import LazyMinHeap
-from .update import peel_vertex
+from .update import peel_batch, peel_vertex
 
-__all__ = ["bup_decomposition", "peel_sequential"]
+__all__ = ["bup_decomposition", "peel_levels", "peel_sequential"]
+
+
+def _start_peel(
+    graph: BipartiteGraph,
+    side: str,
+    initial_supports: np.ndarray,
+    enable_dgm: bool,
+    workspace: WedgeWorkspace,
+) -> tuple[np.ndarray, PeelableAdjacency]:
+    """A checked, owned copy of the supports and a fresh adjacency view."""
+    side = validate_side(side)
+    n_side = graph.side_size(side)
+    supports = np.array(initial_supports, dtype=np.int64, copy=True)
+    if supports.shape[0] != n_side:
+        raise ValueError(
+            f"initial_supports has {supports.shape[0]} entries, expected {n_side}"
+        )
+    adjacency = PeelableAdjacency(graph, side, enable_dgm=enable_dgm,
+                                  narrow_ids=workspace.narrow_ids)
+    return supports, adjacency
 
 
 def peel_sequential(
@@ -36,17 +63,17 @@ def peel_sequential(
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, PeelingCounters, list[int]]:
-    """Core sequential peeling loop, reused by BUP and by RECEIPT FD.
+    """Core sequential peeling loop of BUP and of streaming region re-peels.
 
     Parameters
     ----------
     graph:
-        Graph to peel (for FD this is an induced subgraph).
+        Graph to peel (for a streaming region, an induced subgraph).
     side:
         Side being peeled.
     initial_supports:
         Supports at the start of peeling (butterfly counts for BUP, the
-        ``⋈init`` vector for FD subsets).
+        repaired supports of a streaming region).
     enable_dgm:
         Whether to compact adjacency lists periodically.
     counters:
@@ -69,19 +96,10 @@ def peel_sequential(
     -------
     (tip_numbers, counters, peel_order)
     """
-    side = validate_side(side)
-    n_side = graph.side_size(side)
     counters = counters if counters is not None else PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
-    supports = np.array(initial_supports, dtype=np.int64, copy=True)
-    if supports.shape[0] != n_side:
-        raise ValueError(
-            f"initial_supports has {supports.shape[0]} entries, expected {n_side}"
-        )
-
-    tip_numbers = np.zeros(n_side, dtype=np.int64)
-    adjacency = PeelableAdjacency(graph, side, enable_dgm=enable_dgm,
-                                  narrow_ids=workspace.narrow_ids)
+    supports, adjacency = _start_peel(graph, side, initial_supports, enable_dgm, workspace)
+    tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
     heap = LazyMinHeap(supports)
     peel_order: list[int] = []
 
@@ -115,6 +133,72 @@ def peel_sequential(
         counters.peak_scratch_bytes, workspace.peak_scratch_bytes
     )
     return tip_numbers, counters, peel_order
+
+
+def peel_levels(
+    graph: BipartiteGraph,
+    side: str,
+    initial_supports: np.ndarray,
+    *,
+    enable_dgm: bool = False,
+    counters: PeelingCounters | None = None,
+    peel_kernel: str = "batched",
+    workspace: WedgeWorkspace | None = None,
+) -> tuple[np.ndarray, PeelingCounters]:
+    """Bottom-up peeling one support level at a time (RECEIPT FD's subset peel).
+
+    While alive vertices remain, the minimum support ``s`` is the next
+    level: every alive vertex at ``s`` (in id order) gets θ = ``s`` and the
+    batch is peeled with ``threshold=s``; the vertices it drove down to
+    ``s`` form the next batch of the same level.  Tip numbers equal
+    :func:`peel_sequential`'s: both peel exactly the vertices whose support
+    reaches ``s`` before any support above it is the minimum, and clamped
+    decrements commute.
+
+    ``wedges_traversed`` equals the per-vertex loop's when DGM is off (each
+    peeled vertex traverses its full two-hop multiset either way); with DGM
+    on, compactions land at other points.  ``support_updates`` counts the
+    decrements that change a support, replayed in batch order, so it can
+    differ slightly in either direction: for example, a vertex peeled in a
+    later batch of a level may find a neighbour already driven to ``s``
+    (and peeled beside it), where the per-vertex loop popped it earlier
+    and still decremented that neighbour.  Parameters are those of
+    :func:`peel_sequential`.
+
+    Returns
+    -------
+    (tip_numbers, counters)
+    """
+    counters = counters if counters is not None else PeelingCounters()
+    workspace = workspace if workspace is not None else WedgeWorkspace()
+    supports, adjacency = _start_peel(graph, side, initial_supports, enable_dgm, workspace)
+    tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
+    alive = adjacency.alive_mask()
+    remaining = np.arange(supports.shape[0], dtype=np.int64)
+
+    while True:
+        remaining = remaining[alive[remaining]]
+        if remaining.size == 0:
+            break
+        level = int(supports[remaining].min())
+        batch = remaining[supports[remaining] == level]
+        while batch.size:
+            tip_numbers[batch] = level
+            counters.vertices_peeled += int(batch.size)
+            counters.synchronization_rounds += 1
+            update = peel_batch(adjacency, supports, batch, level, kernel=peel_kernel,
+                                workspace=workspace)
+            counters.wedges_traversed += update.wedges_traversed
+            counters.peeling_wedges += update.wedges_traversed
+            counters.support_updates += update.support_updates
+            dropped = update.updated_vertices
+            batch = np.sort(dropped[supports[dropped] == level])
+
+    counters.dgm_compactions += adjacency.compactions_performed
+    counters.peak_scratch_bytes = max(
+        counters.peak_scratch_bytes, workspace.peak_scratch_bytes
+    )
+    return tip_numbers, counters
 
 
 def bup_decomposition(

@@ -124,8 +124,8 @@ def peel_vertex(
         ``"reference"`` dispatches to the per-vertex reference formulation.
     workspace:
         Scratch arena the gather and sort temporaries are checked out of;
-        sequential peels (BUP, FD subsets) pass one arena for the whole
-        run so per-pop allocation churn disappears.
+        sequential peels (BUP, streaming region re-peels) pass one arena
+        for the whole run so per-pop allocation churn disappears.
     """
     if _validate_kernel(kernel) == "reference":
         from .reference import peel_vertex_reference

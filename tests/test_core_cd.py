@@ -5,6 +5,7 @@ import pytest
 
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
+from repro.core.hybrid import RecountCostBound, recount_cost
 from repro.graph.builders import complete_bipartite, star
 from repro.peeling.bup import bup_decomposition
 
@@ -149,3 +150,90 @@ class TestOptimizationToggles:
         without_dgm, _ = _run_cd(community_graph, enable_huc=False, enable_dgm=False)
         assert with_dgm.counters.wedges_traversed <= without_dgm.counters.wedges_traversed
         assert with_dgm.counters.dgm_compactions >= 0
+
+
+CD_COUNTERS = ("wedges_traversed", "counting_wedges", "peeling_wedges", "support_updates",
+               "synchronization_rounds", "vertices_peeled", "recount_invocations",
+               "dgm_compactions")
+
+
+@pytest.fixture
+def recount_cost_calls(monkeypatch):
+    """Count CD's calls to the exact re-count cost."""
+    import repro.core.cd as cd_module
+
+    calls = []
+
+    def counted_recount_cost(*args):
+        calls.append(1)
+        return recount_cost(*args)
+
+    monkeypatch.setattr(cd_module, "recount_cost", counted_recount_cost)
+    return calls
+
+
+class TestHucCostBound:
+    @pytest.mark.parametrize("factor", [-1.0, -1e-9, float("nan")])
+    def test_rejects_negative_or_nan_cost_factor(self, blocks_graph, factor):
+        with pytest.raises(ValueError):
+            _run_cd(blocks_graph, huc_cost_factor=factor)
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("n_partitions", [4, 20])
+    def test_lower_bound_never_exceeds_exact_cost(
+        self, medium_random_graph, monkeypatch, factor, n_partitions
+    ):
+        graph = medium_random_graph
+        edges = graph.edge_array()
+        original = RecountCostBound.peel_is_cheaper
+        checked = []
+
+        def checking(self, cost_of_peeling, cost_factor):
+            exact = recount_cost(graph, self.residual)
+            assert self.lower <= exact
+            residual_edges = edges[self.residual[edges[:, 0]]]
+            assert np.array_equal(
+                self.residual_degrees, np.bincount(residual_edges[:, 1], minlength=graph.n_v)
+            )
+            checked.append(exact)
+            return original(self, cost_of_peeling, cost_factor)
+
+        monkeypatch.setattr(RecountCostBound, "peel_is_cheaper", checking)
+        cd, _ = _run_cd(graph, n_partitions=n_partitions, huc_cost_factor=factor)
+        assert len(checked) == cd.counters.synchronization_rounds
+
+    @pytest.mark.parametrize("graph_name", ["blocks_graph", "community_graph",
+                                            "medium_random_graph"])
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("n_partitions", [4, 20])
+    def test_shortcut_matches_exact_test_every_round(
+        self, request, monkeypatch, recount_cost_calls, graph_name, factor, n_partitions
+    ):
+        graph = request.getfixturevalue(graph_name)
+        runs = {}
+        for variant in ("bound", "exact"):
+            if variant == "exact":
+                # Stub the shortcut out: every round then computes the exact
+                # cost and decides from it alone.
+                monkeypatch.setattr(RecountCostBound, "peel_is_cheaper",
+                                    lambda self, cost_of_peeling, cost_factor: False)
+            recount_cost_calls.clear()
+            cd, _ = _run_cd(graph, n_partitions=n_partitions, huc_cost_factor=factor)
+            runs[variant] = (cd, len(recount_cost_calls))
+        (bound, bound_calls), (exact, exact_calls) = runs["bound"], runs["exact"]
+
+        assert exact_calls == exact.counters.synchronization_rounds
+        assert bound_calls <= exact_calls
+        assert bound.iteration_records == exact.iteration_records
+        assert np.array_equal(bound.bounds, exact.bounds)
+        assert len(bound.subsets) == len(exact.subsets)
+        for ours, theirs in zip(bound.subsets, exact.subsets):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(bound.init_supports, exact.init_supports)
+        for name in CD_COUNTERS:
+            assert getattr(bound.counters, name) == getattr(exact.counters, name), name
+
+    def test_bound_skips_most_exact_costs(self, medium_random_graph, recount_cost_calls):
+        cd, _ = _run_cd(medium_random_graph, n_partitions=20, huc_cost_factor=3.0)
+        assert cd.counters.recount_invocations > 0
+        assert len(recount_cost_calls) < cd.counters.synchronization_rounds / 2

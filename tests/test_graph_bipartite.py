@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError, VertexSideError
 from repro.graph.bipartite import BipartiteGraph, opposite_side, validate_side
@@ -231,6 +233,38 @@ class TestInducedSubgraph:
     def test_induced_rejects_duplicates(self, tiny_graph):
         with pytest.raises(GraphConstructionError):
             tiny_graph.induced_on_u_subset(np.array([1, 1]))
+
+    @pytest.mark.parametrize("subset", [[-1], [2, 8], [3, 1, 3], [0, 5, 2, 5, 7]])
+    def test_induced_rejects_negative_and_scattered_duplicates(self, tiny_graph, subset):
+        with pytest.raises(GraphConstructionError):
+            tiny_graph.induced_on_u_subset(np.array(subset))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 8)),
+                       max_size=70, unique=True),
+        picks=st.lists(st.integers(0, 11), max_size=12, unique=True),
+    )
+    def test_induced_matches_validating_constructor(self, edges, picks):
+        # Built from the CSR, the induced graph must equal what the validating
+        # constructor builds from the filtered, renumbered edge list — in
+        # both CSR directions and both id maps, for any subset order.
+        graph = BipartiteGraph(12, 9, edges)
+        induced = graph.induced_on_u_subset(np.array(picks, dtype=np.int64))
+        new_of_old = {old: new for new, old in enumerate(picks)}
+        expected = BipartiteGraph(
+            len(picks), 9, [(new_of_old[u], v) for u, v in edges if u in new_of_old]
+        )
+        assert induced.graph.n_u == len(picks)
+        assert induced.graph.n_edges == expected.n_edges
+        actual_arrays = induced.graph.csr_arrays()
+        for key, array in expected.csr_arrays().items():
+            assert actual_arrays[key].dtype == np.int64, key
+            assert np.array_equal(actual_arrays[key], array), key
+        assert induced.u_old_of_new.tolist() == picks
+        expected_map = np.full(12, -1, dtype=np.int64)
+        expected_map[picks] = np.arange(len(picks))
+        assert np.array_equal(induced.u_new_of_old, expected_map)
 
     def test_induced_full_set_is_isomorphic(self, tiny_graph):
         induced = tiny_graph.induced_on_u_subset(np.arange(tiny_graph.n_u))
