@@ -49,9 +49,10 @@ and ``--log-level`` sets their threshold.
 
 ``decompose`` and ``compare`` accept ``--backend {serial,thread,process}``
 to pick the execution engine for RECEIPT FD's task fan-out: ``process``
-places the graph in shared memory and dispatches the per-subset peels to
-``--threads`` worker processes (bit-identical results, real wall-clock
-scaling on multicore hardware); ``serial`` is the single-process default.
+places the graph in shared memory and gives each of ``--threads`` worker
+processes one share of the subset peels (bit-identical results, real
+wall-clock scaling on multicore hardware); ``serial`` is the
+single-process default.
 ``compare`` forwards the same ``--peel-kernel`` / ``--partitions`` /
 ``--threads`` / ``--backend`` configuration to both algorithms so the
 comparison exercises exactly the configured kernels.

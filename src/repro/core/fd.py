@@ -1,16 +1,18 @@
 """RECEIPT Fine-grained Decomposition (RECEIPT FD, Alg. 4).
 
 FD receives the vertex subsets and tip-number ranges produced by CD and
-computes exact tip numbers.  Each subset is processed completely
-independently: a subgraph is induced on the subset (plus the whole ``V``
-side), supports are initialised from the ``⋈init`` snapshot, and the
-subgraph is peeled bottom-up one support level per batch
-(:func:`~repro.peeling.bup.peel_levels`).  The work is expressed as
-picklable task descriptors (:mod:`repro.engine.tasks`) handed to the
-execution context's backend — serial, thread pool, or a multiprocess worker
-pool over a shared-memory graph store — through a workload-aware dynamic
-task queue (largest estimated work first); workers only synchronise once,
-when the queue drains, and results are bit-identical across backends.
+computes exact tip numbers.  Subsets are independent (Lemma 2): a subset's
+peel only needs the subgraph induced on it (plus the whole ``V`` side) and
+its supports from the ``⋈init`` snapshot.  FD splits the subsets into one
+share per worker — an LPT schedule of their estimated work, one share on
+the serial backend — and each share is one picklable task descriptor
+(:mod:`repro.engine.tasks`) handed to the execution context's backend:
+serial, thread pool, or a multiprocess worker pool over a shared-memory
+graph store.  A task peels all its subsets in one lockstep level loop
+(:func:`~repro.peeling.bup.peel_levels`): every round, each subset peels
+its alive vertices at its own minimum support, and the round is one batch.
+Workers synchronise once, when every share is done, and results are
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -26,23 +28,28 @@ from ..obs.trace import current_tracer
 from ..parallel.threadpool import ExecutionContext
 from ..peeling.base import PeelingCounters
 from .cd import CoarseDecompositionResult
-from .scheduling import workload_aware_order
+from .scheduling import greedy_schedule, lpt_schedule
 
 __all__ = ["SubsetPeelRecord", "FineDecompositionResult", "fine_grained_decomposition"]
 
 
 @dataclass(frozen=True)
 class SubsetPeelRecord:
-    """Per-subset statistics gathered while FD peels it."""
+    """Per-subset statistics gathered while FD peels it.
+
+    A subset is peeled together with the rest of its worker's share, so
+    ``elapsed_seconds`` is the subset's part of its share's time, in
+    proportion to its wedges (evenly when the share has none): the records
+    of a share sum to the share's busy time.  Support updates and scratch
+    peaks belong to the share; they are in the FD counters.
+    """
 
     subset_index: int
     n_vertices: int
     induced_edges: int
     induced_wedge_work: int
     wedges_traversed: int
-    support_updates: int
     elapsed_seconds: float
-    peak_scratch_bytes: int = 0
 
 
 @dataclass
@@ -66,7 +73,6 @@ def fine_grained_decomposition(
     graph: BipartiteGraph,
     cd_result: CoarseDecompositionResult,
     *,
-    enable_dgm: bool = False,
     context: ExecutionContext | None = None,
     workload_aware: bool = True,
     peel_kernel: str = "batched",
@@ -81,20 +87,19 @@ def fine_grained_decomposition(
         The original graph whose ``U`` side is being decomposed.
     cd_result:
         Output of :func:`~repro.core.cd.coarse_grained_decomposition`.
-    enable_dgm:
-        Whether the per-subset peels compact their induced adjacency (the
-        induced subgraphs are small, so the paper leaves this off by
-        default; it is exposed for ablations).
     context:
         Execution context; its configured backend (``serial`` / ``thread`` /
-        ``process``) executes the task queue, and FD records a single
+        ``process``) runs one task per worker share (one share on the
+        serial backend, ``n_threads`` otherwise), and FD records a single
         synchronization round (the final barrier of the queue).
     workload_aware:
-        Sort the task queue by decreasing estimated work (WaS).  Disabling
-        it reproduces the "original order" schedule of Fig. 3.
+        Form the shares by the LPT rule: subsets in decreasing estimated
+        work (WaS), each to the least-loaded share.  Disabling it deals the
+        subsets in their original order, the "original order" schedule of
+        Fig. 3.
     peel_kernel:
-        Support-update kernel for the per-subset peels (``"batched"`` or
-        ``"reference"``); each support level's batch is one
+        Support-update kernel for the share peels (``"batched"`` or
+        ``"reference"``); each round is one
         :func:`~repro.peeling.update.peel_batch` through the shared kernel
         layer.
     wedge_budget, narrow_ids:
@@ -110,8 +115,7 @@ def fine_grained_decomposition(
     tracer = current_tracer()
     fd_span = tracer.timed("fd", n_subsets=len(cd_result.subsets))
     with fd_span:
-        n_u = graph.n_u
-        tip_numbers = np.zeros(n_u, dtype=np.int64)
+        tip_numbers = np.zeros(graph.n_u, dtype=np.int64)
         subset_records: list[SubsetPeelRecord] = []
 
         # Estimated work per subset: wedges (in G) of its vertices.  The paper
@@ -122,63 +126,64 @@ def fine_grained_decomposition(
             [float(wedge_work[subset].sum()) if subset.size else 0.0
              for subset in cd_result.subsets]
         )
+        n_shares = 1 if context.backend == "serial" else context.n_threads
         if workload_aware:
-            order = workload_aware_order(estimated_work)
+            schedule = lpt_schedule(estimated_work, n_shares)
         else:
-            order = np.arange(len(cd_result.subsets), dtype=np.int64)
+            schedule = greedy_schedule(estimated_work, n_shares)
 
-        # FD work as data: descriptors ranging into the flat subset array, plus
-        # one job holding the heavyweight shared inputs.  The process backend
-        # exports the job to shared memory; descriptors pickle in O(1).
-        subsets_flat, all_tasks = build_fd_tasks(cd_result.subsets, estimated_work)
+        # FD work as data: one descriptor per share, ranging into the flat
+        # subset array, plus one job holding the heavyweight shared inputs.
+        # The process backend exports the job to shared memory; descriptors
+        # pickle in O(subsets per share).
+        subsets_flat, tasks = build_fd_tasks(
+            cd_result.subsets, estimated_work, schedule.assignments
+        )
         job = FdJob(
             graph=graph,
             subsets_flat=subsets_flat,
             init_supports=np.ascontiguousarray(cd_result.init_supports, dtype=np.int64),
-            enable_dgm=enable_dgm,
             peel_kernel=peel_kernel,
             wedge_budget=resolve_wedge_budget(wedge_budget),
             narrow_ids=narrow_ids,
             trace=tracer.recording,
         )
-        ordered_tasks = [all_tasks[int(index)] for index in order]
         results = context.run_fd_tasks(
-            job, ordered_tasks, name="fd_task_queue",
+            job, tasks, name="fd_task_queue",
             scheduling="lpt" if workload_aware else "dynamic",
         )
 
-        for result in results:
-            subset = cd_result.subsets[result.subset_index]
-            if result.n_vertices:
-                tip_numbers[subset] = result.tip_numbers
-            subset_records.append(
-                SubsetPeelRecord(
-                    subset_index=result.subset_index,
-                    n_vertices=result.n_vertices,
-                    induced_edges=result.induced_edges,
-                    induced_wedge_work=result.induced_wedge_work,
-                    wedges_traversed=result.wedges_traversed,
-                    support_updates=result.support_updates,
-                    elapsed_seconds=result.elapsed_seconds,
-                    peak_scratch_bytes=getattr(result, "peak_scratch_bytes", 0),
+        for task, result in zip(tasks, results):
+            tip_numbers[subsets_flat[task.start:task.stop]] = result.tip_numbers
+            weights = result.induced_wedge_work.astype(np.float64)
+            if not weights.sum():
+                weights = np.ones_like(weights)
+            seconds = result.elapsed_seconds * weights / weights.sum()
+            for k, subset_index in enumerate(task.subset_ids):
+                subset_records.append(
+                    SubsetPeelRecord(
+                        subset_index=subset_index,
+                        n_vertices=task.boundaries[k + 1] - task.boundaries[k],
+                        induced_edges=int(result.induced_edges[k]),
+                        induced_wedge_work=int(result.induced_wedge_work[k]),
+                        wedges_traversed=int(result.induced_wedge_work[k]),
+                        elapsed_seconds=float(seconds[k]),
+                    )
                 )
+            counters.wedges_traversed += result.wedges_traversed
+            counters.peeling_wedges += result.wedges_traversed
+            counters.support_updates += result.support_updates
+            counters.vertices_peeled += result.n_vertices
+            # Tasks run on independent arenas (possibly concurrently), so the
+            # phase peak is the largest per-task peak, not a sum.
+            counters.peak_scratch_bytes = max(
+                counters.peak_scratch_bytes, result.peak_scratch_bytes
             )
             # Worker spans travelled back over the engine's pickle channel
             # (serial, thread and process backends all populate them the same
             # way); re-base them under this phase's span.
             if tracer.recording and result.spans:
                 tracer.add_spans(result.spans, parent=fd_span)
-
-        for record in subset_records:
-            counters.wedges_traversed += record.wedges_traversed
-            counters.peeling_wedges += record.wedges_traversed
-            counters.support_updates += record.support_updates
-            counters.vertices_peeled += record.n_vertices
-            # Tasks run on independent arenas (possibly concurrently), so the
-            # phase peak is the largest per-task peak, not a sum.
-            counters.peak_scratch_bytes = max(
-                counters.peak_scratch_bytes, record.peak_scratch_bytes
-            )
         # FD workers synchronise exactly once, at the end of the task queue.
         counters.synchronization_rounds = 0
 
@@ -194,5 +199,5 @@ def fine_grained_decomposition(
         tip_numbers=tip_numbers,
         counters=counters,
         subset_records=subset_records,
-        schedule_order=[int(index) for index in order],
+        schedule_order=schedule.order,
     )

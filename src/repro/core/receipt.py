@@ -79,7 +79,7 @@ class ReceiptConfig:
         Kernel used for support initialisation (``"parallel"`` or
         ``"vertex-priority"``).
     peel_kernel:
-        Support-update kernel used by CD's range peeling and FD's per-subset
+        Support-update kernel used by CD's range peeling and FD's subset
         peeling: the shared vectorized ``"batched"`` kernel (default) or the
         per-vertex ``"reference"`` loop kept for ablation and equivalence
         runs (the CLI exposes this as ``--peel-kernel``).

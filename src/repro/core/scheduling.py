@@ -10,8 +10,9 @@ RECEIPT FD distributes vertex subsets to threads with two ingredients:
   optimal makespan (Graham).
 
 The functions here compute schedules and makespans from per-task work
-estimates; FD uses them to order its task queue and the Fig. 3 benchmark
-uses them to quantify the benefit of WaS.
+estimates; FD turns a schedule's per-thread assignments into its
+per-worker shares of subsets, and the Fig. 3 benchmark uses them to
+quantify the benefit of WaS.
 """
 
 from __future__ import annotations

@@ -240,9 +240,10 @@ def simulate_distributed_cd(
 class FdFanoutReport:
     """Projected multi-worker profile of RECEIPT FD's task fan-out.
 
-    Built from the *same* task descriptors the execution engine dispatches
-    (:func:`repro.engine.tasks.build_fd_tasks`), so the projection and the
-    real ``process`` backend agree on task granularity and LPT weights.
+    Built from the *same* schedule and task descriptors the execution
+    engine dispatches (:func:`repro.engine.tasks.build_fd_tasks`, one task
+    per worker share), so the projection and the real ``process`` backend
+    agree on the shares and their LPT weights.
     """
 
     n_workers: int
@@ -280,9 +281,10 @@ def simulate_fd_fanout(
 ) -> FdFanoutReport:
     """Project FD's task fan-out onto ``n_workers`` without running it.
 
-    Builds the engine's task descriptors for CD's ``subsets`` (weighted by
-    the same wedge-work proxy FD schedules with) and replays the dynamic
-    task queue — LPT when ``workload_aware``, arrival order otherwise.
+    Schedules CD's ``subsets`` (weighted by the same wedge-work proxy FD
+    schedules with) into one share per worker — LPT when
+    ``workload_aware``, arrival order otherwise — and builds the engine's
+    task descriptors for those shares.
     The resulting makespan bounds what the ``process`` backend can achieve
     on ideal hardware, which makes it the cheap first check before paying
     for a real multiprocess run.
@@ -293,9 +295,9 @@ def simulate_fd_fanout(
     estimated_work = np.array(
         [float(wedge_work[subset].sum()) if subset.size else 0.0 for subset in subsets]
     )
-    _, tasks = build_fd_tasks(subsets, estimated_work)
     if workload_aware:
         schedule = lpt_schedule(estimated_work, n_workers)
     else:
         schedule = greedy_schedule(estimated_work, n_workers)
+    _, tasks = build_fd_tasks(subsets, estimated_work, schedule.assignments)
     return FdFanoutReport(n_workers=int(n_workers), tasks=tasks, schedule=schedule)

@@ -5,9 +5,9 @@ RECEIPT FD's subsets are independent tasks that synchronize exactly once
 execution.  It has three parts:
 
 * :mod:`repro.engine.tasks` — FD work expressed as picklable descriptors
-  (:class:`FdTask`) over a shared :class:`FdJob`, with one task body
-  (:func:`execute_fd_task`) every backend runs, keeping results
-  bit-identical.
+  (:class:`FdTask`, one worker's share of subsets) over a shared
+  :class:`FdJob`, with one task body (:func:`execute_fd_task`) every
+  backend runs, keeping results bit-identical.
 * :mod:`repro.engine.shm` — the shared-memory store: dual-CSR graph arrays,
   flat subsets and ``⋈init`` supports exported once per fan-out and
   attached zero-copy by workers.

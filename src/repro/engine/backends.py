@@ -1,5 +1,8 @@
 """Pluggable execution backends for the FD task fan-out.
 
+FD hands a backend one :class:`~repro.engine.tasks.FdTask` per worker: a
+share of CD's subsets, formed up front by FD's schedule (LPT over the
+subsets' estimated work), that the task peels in one lockstep level loop.
 Three interchangeable implementations of :class:`EngineBackend` run the same
 :func:`~repro.engine.tasks.execute_fd_task` bodies:
 
@@ -229,9 +232,9 @@ class ProcessBackend(EngineBackend):
         shared = share_fd_job(job)
         try:
             payloads = [(shared.spec, task) for task in tasks]
-            # chunksize=1 keeps allocation dynamic: workers pull the next
-            # descriptor as they finish, which together with the caller's
-            # LPT ordering realises workload-aware scheduling (Sec. 3.2.1).
+            # One descriptor per worker share: the caller's LPT schedule
+            # already balanced the shares (Sec. 3.2.1), so chunksize=1 just
+            # hands each idle worker the next one.
             return list(executor.map(_run_shared_fd_task, payloads, chunksize=1))
         finally:
             shared.destroy()

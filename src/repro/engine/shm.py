@@ -94,7 +94,6 @@ class SharedFdJobSpec:
     v_neighbors: ShmArraySpec
     subsets_flat: ShmArraySpec
     init_supports: ShmArraySpec
-    enable_dgm: bool
     peel_kernel: str
     wedge_budget: int | None = None
     narrow_ids: bool = True
@@ -217,7 +216,6 @@ def share_fd_job(job: FdJob) -> SharedFdJob:
         n_u=job.graph.n_u,
         n_v=job.graph.n_v,
         graph_name=job.graph.name,
-        enable_dgm=bool(job.enable_dgm),
         peel_kernel=str(job.peel_kernel),
         wedge_budget=None if job.wedge_budget is None else int(job.wedge_budget),
         narrow_ids=bool(job.narrow_ids),
@@ -258,7 +256,6 @@ def attach_fd_job(spec: SharedFdJobSpec) -> AttachedFdJob:
         graph=graph,
         subsets_flat=arrays["subsets_flat"],
         init_supports=arrays["init_supports"],
-        enable_dgm=spec.enable_dgm,
         peel_kernel=spec.peel_kernel,
         wedge_budget=spec.wedge_budget,
         narrow_ids=spec.narrow_ids,

@@ -1,17 +1,21 @@
-"""Picklable FD task descriptors and the shared per-subset peel routine.
+"""Picklable FD task descriptors and the shared share-peel routine.
 
 RECEIPT FD (Alg. 4) is an embarrassingly parallel bag of per-subset peels
-that synchronize exactly once.  To fan those tasks out across processes the
-work must be expressed as *data*, not closures: an :class:`FdTask` names a
-subset by its id and its range into a flat concatenation of all subsets,
-while the heavyweight inputs — the immutable dual-CSR graph, the flat subset
-array and the ``⋈init`` support snapshot — travel separately as an
+that synchronize exactly once.  To fan them out across processes the work
+must be expressed as *data*, not closures: an :class:`FdTask` is one
+worker's share of subsets — a range of a flat concatenation of all subsets
+that covers whole subsets, with their ids and boundaries — while the
+heavyweight inputs — the immutable dual-CSR graph, the flat subset array
+and the ``⋈init`` support snapshot — travel separately as an
 :class:`FdJob` (by reference inside one process, through shared memory
 across processes; see :mod:`repro.engine.shm`).
 
 :func:`execute_fd_task` is the single implementation of one FD task; every
 backend funnels through it, which is what keeps tip numbers and work
-counters bit-identical regardless of where the task runs.
+counters bit-identical regardless of where the task runs.  It peels all the
+share's subsets in one lockstep level loop on one induced graph whose
+centers are split per subset (:func:`~repro.peeling.bup.peel_levels`), so
+no wedge joins two subsets and each subset peels exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 from ..graph.bipartite import BipartiteGraph
 from ..kernels.workspace import WedgeWorkspace
 from ..obs.trace import NOOP_TRACER, Tracer
-from ..peeling.base import PeelingCounters
 from ..peeling.bup import peel_levels
 
 __all__ = ["FdJob", "FdTask", "FdTaskResult", "build_fd_tasks", "execute_fd_task"]
@@ -32,18 +35,30 @@ __all__ = ["FdJob", "FdTask", "FdTaskResult", "build_fd_tasks", "execute_fd_task
 
 @dataclass(frozen=True)
 class FdTask:
-    """One FD task: a subset id plus its range into the flat subset array.
+    """One FD task: a worker's share of whole subsets in the flat subset array.
 
-    Deliberately graph-free so it pickles in O(1): ``subsets_flat[start:stop]``
-    of the accompanying :class:`FdJob` recovers the subset's parent-graph
-    ``U`` ids.  ``estimated_work`` carries the LPT scheduling weight (wedge
-    work of the subset's vertices in the full graph).
+    Deliberately graph-free so it pickles in O(subsets of the share):
+    ``subsets_flat[start:stop]`` of the accompanying :class:`FdJob` holds
+    the share's subsets back to back, subset ``subset_ids[k]`` at
+    ``start + boundaries[k]`` up to ``start + boundaries[k + 1]``.
+    ``subset_index`` is the first of them and names the task in traces; a
+    one-subset task may give only it, and ``subset_ids`` / ``boundaries``
+    then default to that subset spanning the range.  ``estimated_work``
+    carries the scheduling weight (wedge work of the share's vertices in
+    the full graph).
     """
 
     subset_index: int
     start: int
     stop: int
     estimated_work: float = 0.0
+    subset_ids: tuple[int, ...] = ()
+    boundaries: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.subset_ids:
+            object.__setattr__(self, "subset_ids", (self.subset_index,))
+            object.__setattr__(self, "boundaries", (0, self.stop - self.start))
 
     @property
     def n_vertices(self) -> int:
@@ -54,16 +69,21 @@ class FdTask:
 class FdTaskResult:
     """Everything a finished FD task sends back through the pool.
 
-    ``tip_numbers`` are the exact tip numbers of the subset's vertices in
-    subset order (``tip_numbers[k]`` belongs to ``subsets_flat[start + k]``);
-    the counters mirror what the serial implementation records so receipts
-    stay bit-identical across backends.
+    ``tip_numbers`` are the exact tip numbers of the share's vertices in
+    range order (``tip_numbers[k]`` belongs to ``subsets_flat[start + k]``).
+    ``induced_edges`` and ``induced_wedge_work`` hold one static count per
+    subset of the share, in ``subset_ids`` order; FD never compacts, so a
+    subset's traversed wedges equal its induced wedge work and
+    ``wedges_traversed`` (measured over the whole share) is their sum.  The
+    remaining counters and timings belong to the share as a whole; they
+    mirror what the serial implementation records so receipts stay
+    bit-identical across backends.
     """
 
     subset_index: int
     n_vertices: int
-    induced_edges: int
-    induced_wedge_work: int
+    induced_edges: np.ndarray
+    induced_wedge_work: np.ndarray
     wedges_traversed: int
     support_updates: int
     tip_numbers: np.ndarray
@@ -84,11 +104,12 @@ class FdJob:
     graph:
         The (immutable) working graph whose ``U`` side is decomposed.
     subsets_flat:
-        Concatenation of all CD subsets; tasks address it by range.
+        Concatenation of all CD subsets, share by share; tasks address it
+        by range.
     init_supports:
         The ``⋈init`` vector of CD, indexed by parent-graph ``U`` id.
-    enable_dgm, peel_kernel:
-        Per-subset peel configuration, forwarded to
+    peel_kernel:
+        Support-update kernel of the share peels, forwarded to
         :func:`~repro.peeling.bup.peel_levels`.
     wedge_budget, narrow_ids:
         Memory policy of the per-task
@@ -106,7 +127,6 @@ class FdJob:
     graph: BipartiteGraph
     subsets_flat: np.ndarray
     init_supports: np.ndarray
-    enable_dgm: bool = False
     peel_kernel: str = "batched"
     wedge_budget: int | None = None
     narrow_ids: bool = True
@@ -116,100 +136,113 @@ class FdJob:
 def build_fd_tasks(
     subsets: Sequence[np.ndarray],
     estimated_work: np.ndarray | Sequence[float] | None = None,
+    shares: Sequence[Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, list[FdTask]]:
-    """Flatten CD's subsets into ``(subsets_flat, tasks)``.
+    """Lay CD's subsets out share by share as ``(subsets_flat, tasks)``.
 
-    Returns one :class:`FdTask` per subset (indexed by subset id) plus the
-    flat int64 concatenation every task ranges into.  ``estimated_work``
-    defaults to the subset sizes when no wedge-work proxy is supplied.
+    ``shares`` lists the subset ids of each worker's share in peel order
+    (``Schedule.assignments``) and must name every subset exactly once;
+    empty shares get no task.  By default every subset is its own share,
+    in subset order.  Returns one :class:`FdTask` per non-empty share plus
+    the flat int64 concatenation every task ranges into.
+    ``estimated_work`` (per subset) defaults to the subset sizes when no
+    wedge-work proxy is supplied; a task's weight is its share's total.
     """
     sizes = np.array([int(subset.size) for subset in subsets], dtype=np.int64)
-    offsets = np.zeros(len(subsets) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    if len(subsets):
+    work = (sizes.astype(np.float64) if estimated_work is None
+            else np.asarray(estimated_work, dtype=np.float64))
+    if shares is None:
+        shares = [[index] for index in range(len(subsets))]
+    order = [int(index) for share in shares for index in share]
+    if sorted(order) != list(range(len(subsets))):
+        raise ValueError("shares must name every subset exactly once")
+    if sizes.sum():
         subsets_flat = np.ascontiguousarray(
-            np.concatenate([np.asarray(subset, dtype=np.int64) for subset in subsets])
-            if offsets[-1]
-            else np.zeros(0, dtype=np.int64)
+            np.concatenate([np.asarray(subsets[index], dtype=np.int64) for index in order])
         )
     else:
         subsets_flat = np.zeros(0, dtype=np.int64)
-    if estimated_work is None:
-        estimated_work = sizes.astype(np.float64)
-    tasks = [
-        FdTask(
-            subset_index=index,
-            start=int(offsets[index]),
-            stop=int(offsets[index + 1]),
-            estimated_work=float(estimated_work[index]),
-        )
-        for index in range(len(subsets))
-    ]
+    tasks = []
+    start = 0
+    for share in shares:
+        ids = [int(index) for index in share]
+        if not ids:
+            continue
+        boundaries = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(sizes[ids], out=boundaries[1:])
+        stop = start + int(boundaries[-1])
+        tasks.append(FdTask(
+            subset_index=ids[0],
+            start=start,
+            stop=stop,
+            estimated_work=float(work[ids].sum()),
+            subset_ids=tuple(ids),
+            boundaries=tuple(int(bound) for bound in boundaries),
+        ))
+        start = stop
     return subsets_flat, tasks
 
 
 def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
-    """Peel one FD subset to completion (the body of Alg. 4's task loop).
+    """Peel one worker's share of FD subsets to completion (Alg. 4's task loop).
 
-    Induces the subgraph on the subset (plus the whole ``V`` side),
-    initialises supports from the ``⋈init`` snapshot and peels it bottom-up
-    one support level per batch (:func:`~repro.peeling.bup.peel_levels`).
-    Pure function of ``(job, task)`` — every backend calls exactly this,
-    in-process or in a worker.
+    Induces one graph on the share's vertices with every ``V`` vertex split
+    into one center per subset it touches, initialises supports from the
+    ``⋈init`` snapshot, and peels every subset bottom-up in one lockstep
+    level loop (:func:`~repro.peeling.bup.peel_levels`), each round one
+    batch across all subsets.  Pure function of ``(job, task)`` — every
+    backend calls exactly this, in-process or in a worker.
     """
-    subset = job.subsets_flat[task.start:task.stop]
-    if subset.size == 0:
-        return FdTaskResult(
-            subset_index=task.subset_index,
-            n_vertices=0,
-            induced_edges=0,
-            induced_wedge_work=0,
-            wedges_traversed=0,
-            support_updates=0,
-            tip_numbers=np.zeros(0, dtype=np.int64),
-            elapsed_seconds=0.0,
-        )
-
     # A worker-local tracer keeps span collection identical across the
     # serial, thread and process backends: spans never touch global state,
     # they only travel back inside the (picklable) result.
     tracer = Tracer(recording=True) if job.trace else NOOP_TRACER
-    task_span = tracer.timed("fd.peel_subset", subset=task.subset_index)
+    task_span = tracer.timed("fd.peel_group", subset=task.subset_index,
+                             n_subsets=len(task.subset_ids))
     with task_span:
-        induced = job.graph.induced_on_u_subset(subset)
-        induced_graph = induced.graph
-        initial_supports = job.init_supports[subset]
+        share = job.subsets_flat[task.start:task.stop]
+        boundaries = np.asarray(task.boundaries, dtype=np.int64)
+        labels = np.repeat(np.arange(len(task.subset_ids), dtype=np.int64),
+                           np.diff(boundaries))
+        induced_graph = job.graph.induced_on_u_subset(share, labels=labels).graph
 
         # A fresh arena per task keeps peak accounting exact regardless of
         # which worker (thread, process, or the caller itself) runs the task;
-        # within the task every level batch of the subset peel reuses its
-        # buffers.
+        # within the task every round of the share's peel reuses its buffers.
         workspace = WedgeWorkspace(
             wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids
         )
-        local_counters = PeelingCounters()
-        local_tips, local_counters = peel_levels(
-            induced_graph, "U", initial_supports,
-            enable_dgm=job.enable_dgm, counters=local_counters,
+        tips, counters = peel_levels(
+            induced_graph, "U", job.init_supports[share], labels=labels,
             peel_kernel=job.peel_kernel, workspace=workspace,
         )
+
+        # Per-subset static counts: a subset's rows are one contiguous run
+        # of the U-side CSR, and its wedge work sums its edges' center
+        # degrees (a split center belongs to exactly one subset).
+        u_offsets, centers = induced_graph.csr("U")
+        edge_bounds = u_offsets[boundaries]
+        edge_work = np.zeros(centers.shape[0] + 1, dtype=np.int64)
+        np.cumsum(induced_graph.degrees("V")[centers], out=edge_work[1:])
+        induced_edges = np.diff(edge_bounds)
+        induced_wedge_work = np.diff(edge_work[edge_bounds])
     if task_span.recording:
         task_span.set(
-            n_vertices=int(subset.size),
+            n_vertices=int(share.size),
             induced_edges=int(induced_graph.n_edges),
-            wedges_traversed=int(local_counters.wedges_traversed),
-            support_updates=int(local_counters.support_updates),
+            wedges_traversed=int(counters.wedges_traversed),
+            support_updates=int(counters.support_updates),
             peak_scratch_bytes=int(workspace.peak_scratch_bytes),
         )
 
     return FdTaskResult(
         subset_index=task.subset_index,
-        n_vertices=int(subset.size),
-        induced_edges=int(induced_graph.n_edges),
-        induced_wedge_work=int(induced_graph.total_wedge_work("U")),
-        wedges_traversed=int(local_counters.wedges_traversed),
-        support_updates=int(local_counters.support_updates),
-        tip_numbers=np.asarray(local_tips, dtype=np.int64),
+        n_vertices=int(share.size),
+        induced_edges=induced_edges,
+        induced_wedge_work=induced_wedge_work,
+        wedges_traversed=int(counters.wedges_traversed),
+        support_updates=int(counters.support_updates),
+        tip_numbers=tips,
         elapsed_seconds=task_span.duration,
         peak_scratch_bytes=int(workspace.peak_scratch_bytes),
         spans=tuple(tracer.export()) if job.trace else (),

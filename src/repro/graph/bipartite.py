@@ -355,7 +355,11 @@ class BipartiteGraph:
         swapped.name = f"{self.name}/swapped" if self.name else ""
         return swapped
 
-    def induced_on_u_subset(self, u_vertices: Sequence[int] | np.ndarray) -> "InducedSubgraph":
+    def induced_on_u_subset(
+        self,
+        u_vertices: Sequence[int] | np.ndarray,
+        labels: Sequence[int] | np.ndarray | None = None,
+    ) -> "InducedSubgraph":
         """Construct the subgraph induced on ``(U_i, V)`` for RECEIPT FD.
 
         Only edges incident to a ``U`` vertex in ``u_vertices`` are retained.
@@ -363,9 +367,16 @@ class BipartiteGraph:
         full ``V``), while the selected ``U`` vertices are renumbered densely
         so that the induced subgraph is a standalone :class:`BipartiteGraph`.
 
+        ``labels`` (one per selected vertex, non-decreasing along
+        ``u_vertices``) induces several subsets at once: each ``V`` vertex
+        becomes one center per label among its selected neighbours, numbered
+        densely in (label, ``V`` id) order, so no wedge joins two labels and
+        each label's part is its own induced subgraph up to center ids.
+        FD peels a worker's whole share of subsets on one such graph.
+
         Both CSR directions are built straight from this graph's (already
         valid, sorted) ``U`` rows: the selected rows are gathered in subset
-        order, and one stable sort by ``V`` id yields the ``V`` rows with
+        order, and one stable sort by center id yields the center rows with
         their new ``U`` ids ascending — the same arrays the validating
         constructor would build from the filtered edge list, in time linear
         in the subset's edges plus one sort.
@@ -388,13 +399,26 @@ class BipartiteGraph:
             raise GraphConstructionError("induced subset contains duplicate U vertices")
 
         u_neighbors, u_degrees = gather_rows(self._u_adj.offsets, self._u_adj.neighbors, selected)
-        by_center = np.argsort(u_neighbors, kind="stable")
+        if labels is None:
+            centers, n_centers = u_neighbors, self._n_v
+        else:
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape != selected.shape:
+                raise GraphConstructionError("induced subset needs one label per U vertex")
+            if labels.size > 1 and bool(np.any(labels[1:] < labels[:-1])):
+                raise GraphConstructionError("induced subset labels must be non-decreasing")
+            # Labels never decrease along the rows, so numbering the (label, V)
+            # keys in sorted order keeps every row's centers ascending.
+            keys = np.repeat(labels, u_degrees) * self._n_v + u_neighbors
+            unique_keys, centers = np.unique(keys, return_inverse=True)
+            n_centers = unique_keys.size
+        by_center = np.argsort(centers, kind="stable")
         subgraph = BipartiteGraph.from_csr_arrays(
             selected.size,
-            self._n_v,
+            n_centers,
             segment_offsets(u_degrees),
-            u_neighbors,
-            segment_offsets(np.bincount(u_neighbors, minlength=self._n_v)),
+            centers,
+            segment_offsets(np.bincount(centers, minlength=n_centers)),
             segment_ids(u_degrees)[by_center],
             name=f"{self.name}/induced" if self.name else "induced",
         )

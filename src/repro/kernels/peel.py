@@ -14,7 +14,10 @@ counter — in a handful of array passes:
    position) and replays the sequential clamp semantics with grouped prefix
    sums: a pair counts as a support update exactly when the endpoint's
    support was still above the threshold before that batch member's
-   decrement — the same rule the one-vertex-at-a-time loop applies.
+   decrement — the same rule the one-vertex-at-a-time loop applies.  The
+   threshold is one int, or an int64 array of per-vertex floors (RECEIPT
+   FD peels every subset of a worker's share at its own level in one
+   batch, see :func:`repro.peeling.bup.peel_levels`).
 
 Both kernels run on a :class:`~repro.kernels.workspace.WedgeWorkspace`:
 wedge-scale temporaries (the pair keys, sort scratch and masks) are checked
@@ -31,7 +34,22 @@ import numpy as np
 from .csr import segment_sums
 from .workspace import INT32_MAX, WedgeWorkspace, workspace_or_default
 
-__all__ = ["BatchDecrements", "count_pair_wedges", "apply_clamped_decrements", "key_counts"]
+__all__ = [
+    "BatchDecrements",
+    "count_pair_wedges",
+    "apply_clamped_decrements",
+    "floors_at",
+    "key_counts",
+]
+
+
+def floors_at(threshold: int | np.ndarray, vertices: np.ndarray) -> int | np.ndarray:
+    """The clamp floor of each of ``vertices``.
+
+    ``threshold`` is either one floor for every vertex (an int) or an
+    int64 array of per-vertex floors indexed by vertex id.
+    """
+    return threshold if np.ndim(threshold) == 0 else threshold[vertices]
 
 
 @dataclass(frozen=True)
@@ -241,7 +259,7 @@ def key_counts(
 def apply_clamped_decrements(
     supports: np.ndarray,
     decrements: BatchDecrements,
-    threshold: int,
+    threshold: int | np.ndarray,
     *,
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -253,7 +271,8 @@ def apply_clamped_decrements(
     every step.  Because supports decrease monotonically, the final value
     is ``max(threshold, support - total)`` and a step counts as a support
     update exactly when the pre-step (unclamped) running support is still
-    above the threshold.
+    above the threshold.  ``threshold`` is an int or an int64 array of
+    per-vertex floors indexed by endpoint id (see :func:`floors_at`).
 
     Returns ``(updated_vertices, new_supports, support_updates)`` with
     ``updated_vertices`` sorted ascending; ``supports`` is modified in
@@ -286,7 +305,8 @@ def apply_clamped_decrements(
         totals = accumulator[touched]
         compact = None
     old = supports[touched]
-    new = np.maximum(threshold, old - totals)
+    floors = floors_at(threshold, touched)
+    new = np.maximum(floors, old - totals)
     changed = new < old
     updated_vertices = touched[changed]
     new_supports = new[changed]
@@ -297,8 +317,8 @@ def apply_clamped_decrements(
     # or below the threshold counts none.  Only endpoints that *cross* the
     # threshold mid-batch need the sequential replay, and they are rare, so
     # the sort below runs on a small remnant instead of every pair.
-    above = old > threshold
-    crosses = above & (old - totals <= threshold)
+    above = old > floors
+    crosses = above & (old - totals <= floors)
     if compact is not None:
         state = workspace.take("acd_state", touched.shape[0], np.int8)
         state.fill(0)
@@ -329,7 +349,7 @@ def apply_clamped_decrements(
         group_base = exclusive[group_start]
         # Running support of the endpoint just before each pair's decrement.
         before = supports[cross_endpoints] - (exclusive - group_base[group_of_pair])
-        support_updates += int((before > threshold).sum())
+        support_updates += int((before > floors_at(threshold, cross_endpoints)).sum())
 
     supports[updated_vertices] = new_supports
     return updated_vertices, new_supports, support_updates

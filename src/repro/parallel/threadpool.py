@@ -251,12 +251,12 @@ class ExecutionContext:
                      scheduling: str = "lpt") -> "list[FdTaskResult]":
         """Dispatch FD task descriptors through the configured backend.
 
-        This is RECEIPT FD's task queue (Alg. 4): the descriptors are
-        executed in the given (LPT) order by the ``serial`` / ``thread`` /
-        ``process`` backend, results come back in the same order, and one
-        synchronization round is recorded for the final barrier.  When no
-        explicit ``work_per_task`` is given, each descriptor's
-        ``estimated_work`` is used.
+        This is RECEIPT FD's task queue (Alg. 4): the descriptors (one
+        per worker share of subsets) are executed by the ``serial`` /
+        ``thread`` / ``process`` backend, results come back in the given
+        order, and one synchronization round is recorded for the final
+        barrier.  When no explicit ``work_per_task`` is given, each
+        descriptor's ``estimated_work`` is used.
         """
         task_list = list(tasks)
         if work_per_task is None:

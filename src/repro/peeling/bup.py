@@ -7,11 +7,14 @@ algorithm of Sariyuce & Pinar and the sequential baseline of Table 3
 (:func:`peel_sequential`, one vertex per heap pop); streaming repair
 re-peels its regions with it too.
 
-:func:`peel_levels` is the kernel RECEIPT FD applies to every induced
-subgraph.  Every vertex popped while the minimum support is ``s`` gets
-θ = ``s``, because decrements clamp at ``s`` (Alg. 4, Lemma 2), so a whole
-level is peeled as one :func:`~repro.peeling.update.peel_batch` — ParB's
-round, inside one of CD's independent subsets — with the same tip numbers.
+:func:`peel_levels` is the kernel RECEIPT FD applies to a worker's share
+of induced subgraphs.  Every vertex popped while a subset's minimum support
+is ``s`` gets θ = ``s``, because decrements clamp at ``s`` (Alg. 4,
+Lemma 2), so a whole level is peeled as one batch — ParB's round, inside
+one of CD's independent subsets — with the same tip numbers.  Subsets share
+no wedges, so every subset of the share takes its own level in the same
+round and the round is a single :func:`~repro.peeling.update.peel_batch`
+with per-vertex floors.
 """
 
 from __future__ import annotations
@@ -140,30 +143,35 @@ def peel_levels(
     side: str,
     initial_supports: np.ndarray,
     *,
-    enable_dgm: bool = False,
+    labels: np.ndarray | None = None,
     counters: PeelingCounters | None = None,
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, PeelingCounters]:
-    """Bottom-up peeling one support level at a time (RECEIPT FD's subset peel).
+    """Bottom-up peeling one support level per round (RECEIPT FD's peel).
 
-    While alive vertices remain, the minimum support ``s`` is the next
-    level: every alive vertex at ``s`` (in id order) gets θ = ``s`` and the
-    batch is peeled with ``threshold=s``; the vertices it drove down to
-    ``s`` form the next batch of the same level.  Tip numbers equal
-    :func:`peel_sequential`'s: both peel exactly the vertices whose support
-    reaches ``s`` before any support above it is the minimum, and clamped
-    decrements commute.
+    ``labels`` (non-decreasing along the peeled side's ids; all zero when
+    omitted) splits the side into subsets that must share no wedge — the
+    graph :meth:`~repro.graph.bipartite.BipartiteGraph.induced_on_u_subset`
+    builds with the same labels.  In every round each label with alive
+    vertices takes its minimum support ``s_l`` as its level: its alive
+    vertices at ``s_l`` get θ = ``s_l``, and the whole round is one
+    :func:`~repro.peeling.update.peel_batch` (in id order) whose per-vertex
+    floors clamp each label's neighbours at ``s_l``.  The vertices a round
+    drives down to ``s_l`` form that label's next batch.
 
-    ``wedges_traversed`` equals the per-vertex loop's when DGM is off (each
-    peeled vertex traverses its full two-hop multiset either way); with DGM
-    on, compactions land at other points.  ``support_updates`` counts the
-    decrements that change a support, replayed in batch order, so it can
-    differ slightly in either direction: for example, a vertex peeled in a
-    later batch of a level may find a neighbour already driven to ``s``
-    (and peeled beside it), where the per-vertex loop popped it earlier
-    and still decremented that neighbour.  Parameters are those of
-    :func:`peel_sequential`.
+    Tip numbers equal :func:`peel_sequential`'s on each label's subgraph:
+    both peel exactly the vertices whose support reaches ``s_l`` before any
+    support above it is the minimum, and clamped decrements commute.  Each
+    label sees the batches it would see peeled alone, so per-label work and
+    the total ``support_updates`` do not depend on which labels share a
+    call.  The adjacency is never compacted, so ``wedges_traversed`` equals
+    the per-vertex loop's.  ``support_updates`` replays the clamps in batch
+    order and can differ slightly from the per-vertex loop's in either
+    direction: a vertex peeled in a later batch of a level may find a
+    neighbour already driven to ``s_l`` (and peeled beside it), which the
+    per-vertex loop, popping it earlier, still decremented.  The other
+    parameters are those of :func:`peel_sequential`.
 
     Returns
     -------
@@ -171,30 +179,47 @@ def peel_levels(
     """
     counters = counters if counters is not None else PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
-    supports, adjacency = _start_peel(graph, side, initial_supports, enable_dgm, workspace)
-    tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
+    supports, adjacency = _start_peel(graph, side, initial_supports, False, workspace)
+    n_side = supports.shape[0]
+    if labels is None:
+        labels = np.zeros(n_side, dtype=np.int64)
+    else:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n_side,) or bool(np.any(labels[1:] < labels[:-1])):
+            raise ValueError(
+                f"labels must be {n_side} non-decreasing entries, one per vertex"
+            )
+    tip_numbers = np.zeros(n_side, dtype=np.int64)
+    floors = np.zeros(n_side, dtype=np.int64)
     alive = adjacency.alive_mask()
-    remaining = np.arange(supports.shape[0], dtype=np.int64)
+    remaining = np.arange(n_side, dtype=np.int64)
 
     while True:
         remaining = remaining[alive[remaining]]
         if remaining.size == 0:
             break
-        level = int(supports[remaining].min())
-        batch = remaining[supports[remaining] == level]
-        while batch.size:
-            tip_numbers[batch] = level
-            counters.vertices_peeled += int(batch.size)
-            counters.synchronization_rounds += 1
-            update = peel_batch(adjacency, supports, batch, level, kernel=peel_kernel,
-                                workspace=workspace)
-            counters.wedges_traversed += update.wedges_traversed
-            counters.peeling_wedges += update.wedges_traversed
-            counters.support_updates += update.support_updates
-            dropped = update.updated_vertices
-            batch = np.sort(dropped[supports[dropped] == level])
+        # Alive ids ascend, so each label's survivors are one contiguous run.
+        remaining_labels = labels[remaining]
+        run_starts = np.flatnonzero(
+            np.concatenate(([True], remaining_labels[1:] != remaining_labels[:-1]))
+        )
+        remaining_supports = supports[remaining]
+        levels = np.repeat(
+            np.minimum.reduceat(remaining_supports, run_starts),
+            np.diff(np.append(run_starts, remaining.size)),
+        )
+        floors[remaining] = levels
+        at_level = remaining_supports == levels
+        batch = remaining[at_level]
+        tip_numbers[batch] = levels[at_level]
+        counters.vertices_peeled += int(batch.size)
+        counters.synchronization_rounds += 1
+        update = peel_batch(adjacency, supports, batch, floors, kernel=peel_kernel,
+                            workspace=workspace)
+        counters.wedges_traversed += update.wedges_traversed
+        counters.peeling_wedges += update.wedges_traversed
+        counters.support_updates += update.support_updates
 
-    counters.dgm_compactions += adjacency.compactions_performed
     counters.peak_scratch_bytes = max(
         counters.peak_scratch_bytes, workspace.peak_scratch_bytes
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.dynamic import PeelableAdjacency
+from ..kernels.peel import floors_at
 from .update import SupportUpdate
 
 __all__ = ["peel_vertex_reference", "peel_batch_reference"]
@@ -33,12 +34,14 @@ def peel_vertex_reference(
     adjacency: PeelableAdjacency,
     supports: np.ndarray,
     vertex: int,
-    threshold: int,
+    threshold: int | np.ndarray,
 ) -> SupportUpdate:
     """Peel a single vertex and update supports of its 2-hop neighbours.
 
     The vertex must already be marked peeled (callers mark first so that
-    self-updates are impossible); ``supports`` is modified in place.
+    self-updates are impossible); ``supports`` is modified in place and
+    clamped from below at ``threshold``: one int, or an int64 array of
+    per-vertex floors indexed by endpoint id.
     """
     endpoints = adjacency.two_hop_multiset(vertex)
     wedges_traversed = int(endpoints.size)
@@ -65,7 +68,8 @@ def peel_vertex_reference(
         )
 
     shared_butterflies = wedge_counts * (wedge_counts - 1) // 2
-    new_supports = np.maximum(threshold, supports[unique_endpoints] - shared_butterflies)
+    new_supports = np.maximum(floors_at(threshold, unique_endpoints),
+                              supports[unique_endpoints] - shared_butterflies)
     changed = new_supports < supports[unique_endpoints]
     unique_endpoints = unique_endpoints[changed]
     new_supports = new_supports[changed]
@@ -83,7 +87,7 @@ def peel_batch_reference(
     adjacency: PeelableAdjacency,
     supports: np.ndarray,
     vertices: np.ndarray,
-    threshold: int,
+    threshold: int | np.ndarray,
 ) -> SupportUpdate:
     """Peel a set of vertices by looping :func:`peel_vertex_reference`.
 

@@ -184,7 +184,7 @@ def peel_batch(
     adjacency: PeelableAdjacency,
     supports: np.ndarray,
     vertices: np.ndarray,
-    threshold: int,
+    threshold: int | np.ndarray,
     *,
     kernel: str = "batched",
     context=None,
@@ -206,6 +206,11 @@ def peel_batch(
 
     Parameters
     ----------
+    threshold:
+        Lower clamp for the updated supports: one int for every endpoint
+        (CD's range bound, ParB's round level), or an int64 array of
+        per-vertex floors indexed by endpoint id (RECEIPT FD, where every
+        subset of a share peels at its own level).
     kernel:
         ``"batched"`` (default) or ``"reference"`` (the per-vertex loop kept
         in :mod:`repro.peeling.reference` for ablations and equivalence
@@ -232,7 +237,8 @@ def peel_batch(
         return _empty_update()
 
     peel_offsets, peel_neighbors = adjacency.peel_csr()
-    threshold = int(threshold)
+    threshold = (int(threshold) if np.ndim(threshold) == 0
+                 else np.asarray(threshold, dtype=np.int64))
     total_wedges = 0
     total_updates = 0
     updated_pieces: list[np.ndarray] = []
@@ -365,7 +371,7 @@ def _stream_decrements(
     filter_alive: bool,
     late_filter: bool,
     supports: np.ndarray,
-    threshold: int,
+    threshold: int | np.ndarray,
     wedges_per_vertex: np.ndarray | None,
     range_starts: np.ndarray | None,
     range_lengths: np.ndarray | None,

@@ -35,11 +35,6 @@ class TestExactness:
             fd = fine_grained_decomposition(graph, cd, context=context)
         assert np.array_equal(fd.tip_numbers, reference.tip_numbers)
 
-    def test_matches_bup_with_dgm_in_subsets(self, cd_and_reference):
-        graph, cd, reference = cd_and_reference
-        fd = fine_grained_decomposition(graph, cd, enable_dgm=True)
-        assert np.array_equal(fd.tip_numbers, reference.tip_numbers)
-
     def test_many_partitions(self, community_graph):
         counts = count_per_vertex_priority(community_graph).u_counts
         reference = bup_decomposition(community_graph, "U")

@@ -144,7 +144,7 @@ class TestSharedMemoryStore:
         flat = np.arange(blocks_graph.n_u, dtype=np.int64)
         supports = np.arange(blocks_graph.n_u, dtype=np.int64) * 3
         job = FdJob(graph=blocks_graph, subsets_flat=flat, init_supports=supports,
-                    enable_dgm=True, peel_kernel="reference")
+                    peel_kernel="reference")
         shared = share_fd_job(job)
         try:
             attached = attach_fd_job(shared.spec)
@@ -153,7 +153,6 @@ class TestSharedMemoryStore:
                 assert attached.job.graph.n_edges == blocks_graph.n_edges
                 assert np.array_equal(attached.job.subsets_flat, flat)
                 assert np.array_equal(attached.job.init_supports, supports)
-                assert attached.job.enable_dgm is True
                 assert attached.job.peel_kernel == "reference"
                 # The store is write-once: attached views must be read-only.
                 assert not attached.job.subsets_flat.flags.writeable

@@ -196,7 +196,7 @@ class TestReceiptTracing:
         with use_tracer(tracer):
             result = tip_decomposition(graph, "U", algorithm="receipt", n_partitions=4)
         grouped = _by_name(tracer.export())
-        for phase in ("receipt", "pvBcnt", "cd", "fd", "fd.peel_subset"):
+        for phase in ("receipt", "pvBcnt", "cd", "fd", "fd.peel_group"):
             assert phase in grouped, phase
         root = grouped["receipt"][0]
         # The counters' elapsed time IS the root span duration.
@@ -217,7 +217,7 @@ class TestReceiptTracing:
                               backend="process", n_threads=2)
         grouped = _by_name(tracer.export())
         fd_span = grouped["fd"][0]
-        subsets = grouped["fd.peel_subset"]
+        subsets = grouped["fd.peel_group"]
         assert subsets, "worker spans did not travel back through the engine"
         assert all(span["parent"] == fd_span["id"] for span in subsets)
         assert all("subset" in span["attrs"] for span in subsets)

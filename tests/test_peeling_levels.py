@@ -3,9 +3,8 @@
 ``peel_levels`` peels every vertex at a subset's minimum support as one
 batch; ``peel_sequential`` pops one vertex at a time.  On the induced
 subgraphs and ``⋈init`` vectors of real CD runs, both must assign the same
-tip numbers with either peel kernel, DGM on or off; with DGM off they must
-traverse the same wedges, and the two kernels must agree on every counter
-of the level loop.
+tip numbers and traverse the same wedges with either peel kernel, and the
+two kernels must agree on every counter of the level loop.
 """
 
 from __future__ import annotations
@@ -32,21 +31,18 @@ def _assert_levels_exact(graph: BipartiteGraph, n_partitions: int) -> None:
     for subset in cd.subsets:
         induced = graph.induced_on_u_subset(subset).graph
         init = cd.init_supports[subset]
-        for dgm in (False, True):
-            level_counters = {}
-            for kernel in KERNELS:
-                expected, sequential, _ = peel_sequential(
-                    induced, "U", init, enable_dgm=dgm, peel_kernel=kernel)
-                tips, counters = peel_levels(
-                    induced, "U", init, enable_dgm=dgm, peel_kernel=kernel)
-                assert np.array_equal(tips, expected), (kernel, dgm)
-                assert counters.vertices_peeled == subset.size
-                if not dgm:
-                    assert counters.wedges_traversed == sequential.wedges_traversed
-                level_counters[kernel] = counters
-            for name in KERNEL_COUNTERS:
-                assert (getattr(level_counters["batched"], name)
-                        == getattr(level_counters["reference"], name)), (name, dgm)
+        level_counters = {}
+        for kernel in KERNELS:
+            expected, sequential, _ = peel_sequential(
+                induced, "U", init, enable_dgm=False, peel_kernel=kernel)
+            tips, counters = peel_levels(induced, "U", init, peel_kernel=kernel)
+            assert np.array_equal(tips, expected), kernel
+            assert counters.vertices_peeled == subset.size
+            assert counters.wedges_traversed == sequential.wedges_traversed
+            level_counters[kernel] = counters
+        for name in KERNEL_COUNTERS:
+            assert (getattr(level_counters["batched"], name)
+                    == getattr(level_counters["reference"], name)), name
 
 
 class TestPeelLevelsExactness:
