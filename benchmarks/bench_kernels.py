@@ -17,10 +17,9 @@ memory-bounded wedge pipeline in three configurations:
 
 The CD phase runs with DGM and HUC disabled: this is the pure batched
 wedge workload (the paper's RECEIPT-- ablation), where whole peel
-iterations materialise at once.  With DGM enabled, compaction splits
-already cap every chunk at ~``m`` wedges, so the memory-hierarchy effects
-the pipeline targets would be invisible; the DGM regime is covered by
-``bench_peeling_smoke.py`` and its own (raised) gate.
+iterations materialise at once and stale entries are never compacted
+away.  The DGM regime is covered by ``bench_peeling_smoke.py`` and its
+own (raised) gate.
 
 Every configuration must agree **bit-for-bit** on wedge traversal, support
 updates, subset contents and range bounds, and a full RECEIPT

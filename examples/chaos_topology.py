@@ -13,10 +13,13 @@ HTTP, deterministically — the same seed always injects the same faults:
    corrupts replication pushes (every rule count-capped, so the schedule
    provably clears),
 3. apply live edge updates at the leader while the faults fire — pushes
-   fail or deliver tampered records, marking a follower *diverged*,
+   fail or deliver tampered records, marking a follower *diverged*; each
+   follower catches up between updates with one explicit poll round, so
+   every push lands on a current replica and the fault window is the same
+   on every run,
 4. wait for automatic recovery: the poll path detects the divergence,
    fetches ``/replication/snapshot``, re-bootstraps, and converges to
-   lag 0,
+   lag 0 (the background poll threads start after the last update),
 5. prove the reads: ``/theta/batch`` byte-identical on all three
    servers, and print the recovery evidence (resync count, breaker and
    fault-injection metrics).
@@ -85,12 +88,11 @@ def main() -> None:
 
         fcoords = []
         for service, url in ((f1, f1_url), (f2, f2_url)):
-            fcoord = ReplicationCoordinator(
+            fcoords.append(ReplicationCoordinator(
                 service, role="follower", leader_url=leader_url,
-                poll_interval=0.2)
-            fcoord.start()
-            fcoords.append(fcoord)
-            print(f"follower {url}  (poll every 0.2s)")
+                poll_interval=0.2))
+            print(f"follower {url}  (poll every 0.2s once the updates "
+                  "are in)")
 
         plan = FaultPlan.parse(FAULT_PLAN, seed=FAULT_SEED)
         print(f"\nfault plan ARMED (seed {FAULT_SEED}): "
@@ -104,13 +106,19 @@ def main() -> None:
                     print(f"update {i}: offset "
                           f"{answer['replication']['offset']} "
                           "(pushes may be dropped or corrupted)")
-                    # Let the followers catch up between updates so the
+                    # Catch the followers up between updates so the
                     # corrupt pushes hit replicas that are current — a
-                    # tampered record then *must* mark divergence.
-                    time.sleep(0.5)
+                    # tampered record then *must* mark divergence.  No
+                    # poll thread runs yet: a background poll could apply
+                    # a record before its tampered push arrives, and the
+                    # push would then be ignored as already applied.
+                    for fcoord in fcoords:
+                        fcoord.sync_once()
 
                 # Recovery must happen *while* the plan is still armed —
                 # the count-capped rules simply run out of budget.
+                for fcoord in fcoords:
+                    fcoord.start()
                 deadline = time.time() + 60
                 statuses = []
                 while time.time() < deadline:

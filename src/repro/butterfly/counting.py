@@ -120,19 +120,23 @@ def _build_ranked_index(
     workspace: WedgeWorkspace,
 ) -> _RankedWedgeIndex:
     offsets, neighbors = graph.csr(mid_side)
-    lengths = np.diff(offsets)
-    mid_of_entry = segment_ids(lengths)
-    neighbor_ranks = endpoint_ranks[neighbors]
-    order = np.lexsort((neighbor_ranks, mid_of_entry))
     # Ranks are a global permutation of U ∪ V, so cutoff queries range up
     # to the total vertex count.
     rank_bound = graph.n_u + graph.n_v + 1
+    row_base = segment_ids(np.diff(offsets)) * np.int64(rank_bound)
+    entry_keys = row_base + endpoint_ranks[neighbors]
+    # Sorting the keys orders every row by rank in place of a lexsort; the
+    # rows keep their positions, so subtracting the row base recovers the
+    # sorted ranks, and rank -> vertex is one lookup (ranks are distinct).
+    entry_keys.sort()
+    ids_dtype = workspace.ids_dtype(endpoint_ranks.shape[0])
+    vertex_of_rank = np.empty(rank_bound, dtype=ids_dtype)
+    vertex_of_rank[endpoint_ranks] = np.arange(endpoint_ranks.shape[0], dtype=ids_dtype)
+    np.subtract(entry_keys, row_base, out=row_base)
     return _RankedWedgeIndex(
         offsets=offsets,
-        neighbors=neighbors[order].astype(
-            workspace.ids_dtype(endpoint_ranks.shape[0])
-        ),
-        entry_keys=mid_of_entry * np.int64(rank_bound) + neighbor_ranks[order],
+        neighbors=vertex_of_rank[row_base],
+        entry_keys=entry_keys,
         rank_bound=rank_bound,
     )
 

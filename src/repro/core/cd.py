@@ -230,12 +230,14 @@ def coarse_grained_decomposition(
                             outcome.supports[still_alive], lower_bound
                         )
                         adjacency.record_traversal(outcome.wedges_traversed)
+                        adjacency.maybe_compact()
                         counters.wedges_traversed += outcome.wedges_traversed
                         counters.counting_wedges += outcome.wedges_traversed
                         counters.recount_invocations += 1
                         wedges_this_iteration = outcome.wedges_traversed
                         candidate_vertices = still_alive
                     else:
+                        # peel_batch runs DGM itself, after the whole batch.
                         update = peel_batch(adjacency, supports, active_set, lower_bound,
                                             kernel=peel_kernel, context=context,
                                             workspace=workspace)
@@ -251,9 +253,6 @@ def coarse_grained_decomposition(
                         wedges_traversed=int(wedges_this_iteration),
                         recounted=bool(use_recount),
                     )
-
-                if adjacency.maybe_compact():
-                    counters.dgm_compactions += 1
 
                 context.record_barrier(
                     "cd_peel_iteration",
@@ -276,9 +275,10 @@ def coarse_grained_decomposition(
                     candidate_vertices = candidate_vertices[alive[candidate_vertices]]
                     active_set = candidate_vertices[supports[candidate_vertices] < upper_bound]
                     # Sort the next batch: within an iteration vertex order is
-                    # semantically arbitrary (updates commute), but it fixes where
-                    # DGM compaction lands mid-batch, so it must not depend on the
-                    # peel kernel's internal update ordering.
+                    # semantically arbitrary (updates commute), but
+                    # support_updates replays clamps in batch order, so the
+                    # order must not depend on the peel kernel's internal
+                    # update ordering.
                     active_set = np.sort(active_set)
                 else:
                     active_set = np.zeros(0, dtype=np.int64)
@@ -301,6 +301,7 @@ def coarse_grained_decomposition(
             counters.vertices_peeled += int(leftover.size)
 
     counters.elapsed_seconds = cd_span.duration
+    counters.dgm_compactions = adjacency.compactions_performed
     counters.peak_scratch_bytes = workspace.peak_scratch_bytes
     if cd_span.recording:
         cd_span.set(

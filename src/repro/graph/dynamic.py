@@ -91,7 +91,6 @@ class PeelableAdjacency:
             int(compaction_interval) if compaction_interval is not None else max(graph.n_edges, 1)
         )
         self._wedges_since_compaction = 0
-        self._stale_entries = False
         self.compactions_performed = 0
         self.entries_removed = 0
 
@@ -171,25 +170,11 @@ class PeelableAdjacency:
     def mark_peeled(self, vertex: int) -> None:
         """Delete a single peeled-side vertex."""
         self._alive[vertex] = False
-        self._stale_entries = True
 
     def mark_peeled_many(self, vertices: np.ndarray) -> None:
         """Delete a batch of peeled-side vertices."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size:
-            self._alive[vertices] = False
-            self._stale_entries = True
-
-    @property
-    def has_stale_entries(self) -> bool:
-        """Whether the center adjacency may reference dead vertices.
-
-        ``False`` right after a compaction until the next deletion: every
-        entry is then guaranteed alive, which lets the batch kernel skip its
-        per-wedge alive filter (the win applies to every sub-batch that
-        follows a mid-batch DGM compaction).
-        """
-        return self._stale_entries
+        self._alive[vertices] = False
 
     # ------------------------------------------------------------------
     # Dynamic Graph Maintenance
@@ -197,18 +182,6 @@ class PeelableAdjacency:
     def record_traversal(self, n_wedges: int) -> None:
         """Account for traversed wedges; drives the compaction schedule."""
         self._wedges_since_compaction += int(n_wedges)
-
-    def wedges_until_compaction(self) -> int | None:
-        """Remaining traversal budget before the next compaction is due.
-
-        Returns ``None`` when DGM is disabled.  Batch peeling uses this to
-        split a batch at the exact vertex where the sequential reference
-        would have compacted, which keeps wedge-traversal counters
-        bit-identical between the two kernels.
-        """
-        if not self.enable_dgm:
-            return None
-        return self.compaction_interval - self._wedges_since_compaction
 
     def maybe_compact(self) -> bool:
         """Compact the adjacency if DGM is enabled and the interval elapsed.
@@ -237,7 +210,6 @@ class PeelableAdjacency:
                 self._center_offsets, self._center_neighbors, keep
             )
         self._wedges_since_compaction = 0
-        self._stale_entries = False
         self.compactions_performed += 1
         self.entries_removed += removed
         return removed

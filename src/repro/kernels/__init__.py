@@ -12,8 +12,7 @@ variants:
   compaction (the DGM rebuild).
 * **wedge enumeration** (:mod:`repro.kernels.wedges`): two-hop endpoint
   gathering for peel batches — monolithic or streamed in wedge-budgeted
-  chunks — and the priority-filtered wedge-pair enumeration that drives
-  vertex-priority counting.
+  chunks.
 * **batched support updates** (:mod:`repro.kernels.peel`): grouped
   per-(peeled-vertex, endpoint) wedge counting and the threshold-clamped
   decrement application whose counters match per-vertex sequential peeling
@@ -43,7 +42,7 @@ from .peel import (
     count_pair_wedges,
     key_counts,
 )
-from .wedges import gather_batch_wedges, iter_batch_wedge_chunks, ranked_wedge_pairs
+from .wedges import gather_batch_wedges, iter_batch_wedge_chunks
 from .workspace import (
     DEFAULT_WEDGE_BUDGET,
     WedgeWorkspace,
@@ -69,7 +68,6 @@ __all__ = [
     "key_counts",
     "gather_batch_wedges",
     "iter_batch_wedge_chunks",
-    "ranked_wedge_pairs",
     "DEFAULT_WEDGE_BUDGET",
     "WedgeWorkspace",
     "budget_spans",

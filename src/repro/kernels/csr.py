@@ -51,8 +51,8 @@ def gather_ranges(
     """Concatenate ``values[starts[k]: starts[k] + lengths[k]]`` for every ``k``.
 
     The range form of :func:`gather_rows` for callers that already hold the
-    per-row starts and lengths (peel batching computes them while locating
-    DGM compaction splits and must not pay for them twice).  With a
+    per-row starts and lengths (chunked wedge gathers slice them once per
+    batch, and counting trims rows to rank-filtered prefixes).  With a
     ``workspace`` the gathered output is checked out of the arena (buffer
     ``name``), the base index comes from the cached iota, and the transient
     source-index vector is folded into the peak accounting as

@@ -8,8 +8,10 @@ identical result — including the exact value of the ``support_updates``
 counter — in a handful of array passes:
 
 1. :func:`count_pair_wedges` groups the gathered wedge-endpoint multiset by
-   (peeled vertex, endpoint) pair and keeps the pairs that actually carry
-   butterflies (``wedges >= 2``) towards alive endpoints.
+   (peeled vertex, endpoint) pair.  Only a pair seen at least twice shares
+   a butterfly (``C(1, 2) = 0``), so :func:`key_counts` hands back just the
+   repeated keys and every later pass — pair recovery and the alive filter
+   — runs on those alone.
 2. :func:`apply_clamped_decrements` orders the pairs by (endpoint, batch
    position) and replays the sequential clamp semantics with grouped prefix
    sums: a pair counts as a support update exactly when the endpoint's
@@ -120,17 +122,17 @@ def count_pair_wedges(
         marked dead so batch-internal updates are dropped.
     filter_alive:
         Pass ``False`` when the caller guarantees every endpoint is alive
-        (the adjacency was compacted after the last deletion, see
-        :attr:`~repro.graph.dynamic.PeelableAdjacency.has_stale_entries`);
-        the kernel then skips the alive filtering entirely.
+        (a streaming region recount on the full graph); the kernel then
+        skips the alive filtering and drops only each vertex's self-pairs.
     late_filter:
         Where to apply the alive filter.  ``False`` (the classic schedule)
         compresses dead endpoints out of the multiset *before* keying, so
         later passes touch surviving wedges only — right when staleness is
         unbounded (no DGM).  ``True`` defers the filter to the (far
-        smaller) pair level, skipping three wedge-scale passes — right when
-        DGM keeps the stale fraction small.  Both schedules drop exactly
-        the pairs whose endpoint is dead, so results are bit-identical.
+        smaller) set of repeated pairs, skipping three wedge-scale passes —
+        right when DGM keeps the stale fraction small.  Both schedules drop
+        exactly the pairs whose endpoint is dead, so results are
+        bit-identical.
     workspace:
         Scratch arena; the calling thread's default when omitted.
     """
@@ -182,29 +184,29 @@ def count_pair_wedges(
         np.multiply(segment_values, n_side, dtype=key_dtype), live_per_segment
     )
     np.add(keys, endpoints, out=keys, casting="unsafe")
-    unique_keys, wedge_counts = key_counts(
+    repeated_keys, wedge_counts = key_counts(
         keys, key_bound, owned=True, workspace=workspace
     )
+    if repeated_keys.size == 0:
+        return BatchDecrements.empty()
     # Keys are sorted, so segments are non-decreasing: recover them from the
     # segment boundaries with one searchsorted over the (few) batch
     # positions instead of a slow per-pair integer division.  Every caller
     # passes ascending positions (arange slices), so the values double as
     # the ordered segment list.
-    ordered_segments = segment_values
-    boundaries = np.searchsorted(unique_keys, (ordered_segments + 1) * n_side, side="left")
+    boundaries = np.searchsorted(repeated_keys, (segment_values + 1) * n_side, side="left")
     pair_counts = np.empty(boundaries.shape[0], dtype=np.int64)
     pair_counts[0] = boundaries[0]
     np.subtract(boundaries[1:], boundaries[:-1], out=pair_counts[1:])
-    pair_segments = np.repeat(ordered_segments, pair_counts)
-    pair_endpoints = unique_keys - pair_segments * n_side
-    keep = wedge_counts >= 2
+    pair_segments = np.repeat(segment_values, pair_counts)
+    pair_endpoints = repeated_keys - pair_segments * n_side
     if check_pairs_alive:
         # Deferred Lemma 2 filter: batch members (including each pair's own
         # vertex) are already dead, so the alive test subsumes the
         # self-pair exclusion below.
-        keep &= alive[pair_endpoints]
+        keep = alive[pair_endpoints]
     else:
-        keep &= pair_endpoints != batch[pair_segments]
+        keep = pair_endpoints != batch[pair_segments]
     # One index extraction + three takes instead of three boolean fancy
     # passes (each of which re-scans the mask internally).
     selected = np.flatnonzero(keep)
@@ -223,13 +225,16 @@ def key_counts(
     owned: bool = False,
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique keys and their multiplicities via a run-length sort.
+    """The keys seen at least twice and their multiplicities.
 
-    Equivalent to ``np.unique(keys, return_counts=True)`` but measurably
-    faster on the hot path: the key array is sorted in int32 when the key
-    range permits — int32 sorting has twice the throughput of int64 — and
-    the run boundaries are read off with one vectorized comparison instead
-    of ``np.unique``'s extra passes.
+    Equals ``np.unique(keys, return_counts=True)`` restricted to counts
+    ``>= 2`` — the only pairs that share a butterfly — but does far less
+    work: the key array is sorted in int32 when the key range permits
+    (int32 sorting has twice the throughput of int64), one ``np.equal``
+    pass marks each position whose successor repeats it, and each run of
+    consecutive marked positions is one repeated key.  After that pass and
+    the scan for marked positions, everything runs on the repeated
+    positions only.  Returned keys are int64, ascending.
 
     ``owned`` declares that the caller relinquishes ``keys``: only then may
     the sort run in place on the caller's array.  With ``owned=False``
@@ -237,8 +242,8 @@ def key_counts(
     that was already as narrow as the bound allowed was silently sorted in
     place, corrupting the caller's data.
     """
-    if keys.shape[0] == 0:
-        zero = np.zeros(0, dtype=np.int64)
+    zero = np.zeros(0, dtype=np.int64)
+    if keys.shape[0] < 2:
         return zero, zero
     workspace = workspace_or_default(workspace)
     if key_bound <= INT32_MAX and keys.dtype != np.int32:
@@ -246,14 +251,22 @@ def key_counts(
     elif not owned:
         keys = keys.copy()
     keys.sort()
-    boundary = workspace.take("kc_boundary", keys.shape[0], np.bool_)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    counts = np.empty(starts.shape[0], dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = keys.shape[0] - starts[-1]
-    return keys[starts].astype(np.int64), counts
+    repeats_next = workspace.take("kc_repeats", keys.shape[0] - 1, np.bool_)
+    np.equal(keys[1:], keys[:-1], out=repeats_next)
+    repeated = np.flatnonzero(repeats_next)
+    if repeated.size == 0:
+        return zero, zero
+    # A key seen c times marks c - 1 consecutive positions; distinct keys'
+    # runs are separated by at least one unmarked position.
+    run_start = np.empty(repeated.shape[0], dtype=np.bool_)
+    run_start[0] = True
+    np.not_equal(repeated[1:], repeated[:-1] + 1, out=run_start[1:])
+    run_starts = np.flatnonzero(run_start)
+    counts = np.empty(run_starts.shape[0], dtype=np.int64)
+    np.subtract(run_starts[1:], run_starts[:-1], out=counts[:-1])
+    counts[-1] = repeated.shape[0] - run_starts[-1]
+    counts += 1
+    return keys[repeated[run_starts]].astype(np.int64), counts
 
 
 def apply_clamped_decrements(

@@ -1,13 +1,11 @@
 """Vectorized wedge enumeration over flat-CSR adjacencies.
 
-Two wedge traversal patterns cover every algorithm in the library:
-
-* *batch two-hop gathering* — for a set of peeled-side vertices, the
-  multiset of wedge endpoints reachable through their center neighbours
-  (what ``peel_batch`` aggregates, Alg. 2's ``update``), and
-* *priority-filtered pair enumeration* — for every center (middle) vertex,
-  the wedge pairs ``(ep, sp)`` with ``rank(ep) < min(rank(mid), rank(sp))``
-  (the exact wedge set vertex-priority counting visits, Alg. 1).
+*Batch two-hop gathering*: for a set of peeled-side vertices, the multiset
+of wedge endpoints reachable through their center neighbours (what
+``peel_batch`` aggregates, Alg. 2's ``update``), monolithic or streamed in
+wedge-budgeted chunks.  Vertex-priority counting (Alg. 1) enumerates its
+rank-filtered wedges through its own ranked index in
+:mod:`repro.butterfly.counting`.
 """
 
 from __future__ import annotations
@@ -16,10 +14,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .csr import gather_ranges, gather_rows, segment_ids, segment_offsets, segment_sums
+from .csr import gather_ranges, gather_rows, segment_offsets, segment_sums
 from .workspace import WedgeWorkspace, budget_spans, workspace_or_default
 
-__all__ = ["gather_batch_wedges", "iter_batch_wedge_chunks", "ranked_wedge_pairs"]
+__all__ = ["gather_batch_wedges", "iter_batch_wedge_chunks"]
 
 
 def gather_batch_wedges(
@@ -78,17 +76,14 @@ def iter_batch_wedge_chunks(
     center_neighbors: np.ndarray,
     *,
     workspace: WedgeWorkspace | None = None,
-    range_starts: np.ndarray | None = None,
-    range_lengths: np.ndarray | None = None,
-    wedges_per_vertex: np.ndarray | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Stream a batch's two-hop gather in wedge-budgeted chunks.
 
     The batch is described by its pre-gathered center multiset (``centers``
-    grouped by ``centers_per_vertex``) — peel batching computes it while
-    locating DGM compaction splits, so the peeled-side CSR is never walked
-    twice.  Yields ``(lo, hi, endpoints, wedges_per_vertex[lo:hi])`` spans
-    of batch positions whose total wedge endpoints respect the workspace's
+    grouped by ``centers_per_vertex``; the peeled-side CSR is static, so a
+    caller gathers it once).  Yields ``(lo, hi, endpoints,
+    wedges_per_vertex[lo:hi])`` spans of batch positions whose total wedge
+    endpoints respect the workspace's
     :attr:`~repro.kernels.workspace.WedgeWorkspace.wedge_budget` (a single
     vertex is never split, so the effective cap is the larger of the budget
     and the heaviest vertex).  ``endpoints`` is a view of the workspace's
@@ -96,20 +91,14 @@ def iter_batch_wedge_chunks(
     results are meant to be folded into running accumulators, which is what
     keeps peak scratch proportional to the budget instead of the batch's
     total wedge count.
-
-    ``range_starts`` / ``range_lengths`` / ``wedges_per_vertex`` may carry
-    the per-center gather ranges and per-vertex wedge counts when the
-    caller already computed them.
     """
     workspace = workspace_or_default(workspace)
     center_starts = segment_offsets(centers_per_vertex)
-    if range_starts is None:
-        range_starts = center_offsets[centers]
-        range_lengths = center_offsets[centers + 1] - range_starts
-    if wedges_per_vertex is None:
-        wedges_per_vertex = segment_sums(
-            range_lengths, centers_per_vertex, workspace=workspace, name="ibwc_wpv"
-        )
+    range_starts = center_offsets[centers]
+    range_lengths = center_offsets[centers + 1] - range_starts
+    wedges_per_vertex = segment_sums(
+        range_lengths, centers_per_vertex, workspace=workspace, name="ibwc_wpv"
+    )
     for lo, hi in budget_spans(wedges_per_vertex, workspace.wedge_budget):
         c_lo, c_hi = int(center_starts[lo]), int(center_starts[hi])
         endpoints = gather_ranges(
@@ -120,61 +109,3 @@ def iter_batch_wedge_chunks(
             name="wedge_ep",
         )
         yield lo, hi, endpoints, wedges_per_vertex[lo:hi]
-
-
-def ranked_wedge_pairs(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    mid_ranks: np.ndarray,
-    endpoint_ranks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate every priority-filtered wedge pair in one vectorized pass.
-
-    For each middle vertex ``mid`` (a CSR row) with neighbours sorted by
-    increasing ``endpoint_ranks``, a pair ``(ep, sp)`` is emitted for every
-    neighbour ``ep`` with ``rank(ep) < rank(mid)`` and every neighbour
-    ``sp`` appearing after ``ep`` in rank order.  This is exactly the wedge
-    set Alg. 1 traverses (the endpoint outranks both start and middle when
-    read as ``sp - mid - ep``); ranks must form a global permutation so the
-    strict comparisons are unambiguous.
-
-    Returns ``(sp, ep, mid)`` id arrays, one entry per wedge pair; the
-    common length is the number of wedges traversed.
-    """
-    n_mid = offsets.shape[0] - 1
-    lengths = np.diff(offsets)
-    empty = np.zeros(0, dtype=np.int64)
-    if neighbors.size == 0:
-        return empty, empty, empty
-
-    # Sort each row by endpoint rank with one global lexsort.
-    mid_of_entry = segment_ids(lengths)
-    ranks = endpoint_ranks[neighbors]
-    order = np.lexsort((ranks, mid_of_entry))
-    sorted_neighbors = neighbors[order]
-    sorted_ranks = ranks[order]
-
-    # Per-entry eligible-pair count: an entry at local position i of a row of
-    # length L is an endpoint of L - 1 - i pairs, but only when its rank is
-    # below the middle vertex's rank.
-    local = np.arange(neighbors.size, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
-    lengths_of_entry = lengths[mid_of_entry]
-    pair_counts = np.where(
-        sorted_ranks < mid_ranks[mid_of_entry],
-        lengths_of_entry - 1 - local,
-        0,
-    )
-    total_pairs = int(pair_counts.sum())
-    if total_pairs == 0:
-        return empty, empty, empty
-
-    ep_entry = np.repeat(np.arange(neighbors.size, dtype=np.int64), pair_counts)
-    pair_starts = np.concatenate(([0], np.cumsum(pair_counts)[:-1]))
-    within = np.arange(total_pairs, dtype=np.int64) - np.repeat(pair_starts, pair_counts)
-    sp_entry = ep_entry + 1 + within
-
-    return (
-        sorted_neighbors[sp_entry],
-        sorted_neighbors[ep_entry],
-        mid_of_entry[ep_entry],
-    )

@@ -16,7 +16,8 @@ It is kept in-tree for three reasons:
   in :mod:`repro.core` let ablation benchmarks compare both paths without
   code edits; and
 * it documents the sequential semantics (per-step threshold clamping,
-  Lemma 2 drop-semantics, per-vertex DGM checks) the kernels must honour.
+  Lemma 2 drop-semantics, one DGM check per batch) the kernels must
+  honour.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def peel_batch_reference(
 
     All vertices are marked peeled *before* any update is computed, so
     updates between members of the batch are dropped — exactly the behaviour
-    Lemma 2 relies on.  DGM compaction is checked after every member, which
-    is the schedule the batched kernel reproduces by splitting batches at
-    compaction points.
+    Lemma 2 relies on.  DGM compaction is checked once, after the last
+    member: a batch is one synchronization round, and the batched kernel
+    compacts on the same schedule, so both traverse the same wedges.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     adjacency.mark_peeled_many(vertices)
@@ -109,7 +110,7 @@ def peel_batch_reference(
         total_updates += update.support_updates
         for updated_vertex, new_support in zip(update.updated_vertices, update.new_supports):
             touched[int(updated_vertex)] = int(new_support)
-        adjacency.maybe_compact()
+    adjacency.maybe_compact()
 
     if touched:
         updated_vertices = np.fromiter(touched.keys(), dtype=np.int64, count=len(touched))

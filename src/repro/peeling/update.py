@@ -18,10 +18,10 @@ replay preserves batch order, so supports, updated-vertex sets and the
 ``support_updates`` counter are bit-identical whether a batch is applied in
 one piece or many (asserted by the equivalence suites).
 
-The only other Python-level iteration left is over DGM compaction events:
-when Dynamic Graph Maintenance is enabled the batch is split at the exact
-vertices where the sequential reference would have compacted, so wedge
-traversal counters stay bit-identical to :mod:`repro.peeling.reference`.
+Dynamic Graph Maintenance runs between batches: a batch is one
+synchronization round, so :func:`peel_batch` checks the compaction
+schedule once, after its last chunk (the per-vertex reference does the
+same), and the next batch gathers from the compacted adjacency.
 
 The routine is deliberately free of any priority-structure knowledge: the
 caller receives the list of updated vertices and their new supports and
@@ -162,7 +162,7 @@ def peel_vertex(
     unique_endpoints, wedge_counts = key_counts(
         endpoints, supports.shape[0], owned=True, workspace=workspace
     )
-    keep = (wedge_counts >= 2) & (unique_endpoints != vertex)
+    keep = unique_endpoints != vertex
     unique_endpoints = unique_endpoints[keep]
     wedge_counts = wedge_counts[keep]
     shared_butterflies = wedge_counts * (wedge_counts - 1) // 2
@@ -202,7 +202,8 @@ def peel_batch(
     sets survive the chunk — peak scratch is bounded by the workspace's
     wedge budget.  Support decrements commute, so the result is identical
     to the per-vertex sequential application and to the atomics-based
-    parallel application of the C++ implementation.
+    parallel application of the C++ implementation.  With DGM on, the
+    adjacency is compacted at most once, after the whole batch.
 
     Parameters
     ----------
@@ -233,64 +234,27 @@ def peel_batch(
     workspace = workspace_or_default(workspace)
     vertices = np.asarray(vertices, dtype=np.int64)
     adjacency.mark_peeled_many(vertices)
-    if vertices.size == 0:
-        return _empty_update()
-
     peel_offsets, peel_neighbors = adjacency.peel_csr()
     threshold = (int(threshold) if np.ndim(threshold) == 0
                  else np.asarray(threshold, dtype=np.int64))
-    total_wedges = 0
-    total_updates = 0
-    updated_pieces: list[np.ndarray] = []
-
-    # The batch's center ids never change (the peeled-side CSR is static), so
-    # they are gathered exactly once; only the per-center sizes depend on the
-    # current (possibly compacted) center CSR.
-    n_batch = vertices.shape[0]
     centers, centers_per_vertex = gather_rows(peel_offsets, peel_neighbors, vertices)
-    center_starts = segment_offsets(centers_per_vertex)
-
-    # Outer loop over DGM compaction events only (a single pass when DGM is
-    # off or the interval is not reached): the sequential reference checks
-    # for compaction after every vertex, so the batch is split at the first
-    # vertex whose cumulative traversal crosses the remaining budget.
-    start = 0
-    while start < n_batch:
-        center_offsets, center_neighbors = adjacency.center_csr()
-        budget = adjacency.wedges_until_compaction()
-        stop, wedges_per_vertex, range_starts, range_lengths = _find_compaction_split(
-            start, n_batch, budget, centers, center_starts, centers_per_vertex,
-            center_offsets, need_weights=context is not None and context.n_threads > 1,
-        )
-
-        sub_batch = vertices[start:stop]
-        sub_wedges, sub_updates, sub_updated = _stream_decrements(
-            sub_batch,
-            centers[center_starts[start]: center_starts[stop]],
-            centers_per_vertex[start:stop],
-            center_offsets,
-            center_neighbors,
-            adjacency.alive_mask(),
-            adjacency.has_stale_entries,
-            # DGM bounds the stale fraction, so deferring the alive filter
-            # to the pair level is the cheaper schedule; without DGM stale
-            # entries accumulate and the early compress stays worthwhile.
-            adjacency.enable_dgm,
-            supports,
-            threshold,
-            wedges_per_vertex,
-            range_starts,
-            range_lengths,
-            context,
-            workspace,
-        )
-
-        total_wedges += sub_wedges
-        total_updates += sub_updates
-        updated_pieces.extend(sub_updated)
-        adjacency.record_traversal(sub_wedges)
-        adjacency.maybe_compact()
-        start = stop
+    wedges, support_updates, updated_pieces = _stream_decrements(
+        vertices,
+        centers,
+        centers_per_vertex,
+        *adjacency.center_csr(),
+        adjacency.alive_mask(),
+        # DGM bounds the stale fraction, so deferring the alive filter to
+        # the pair level is the cheaper schedule; without DGM stale entries
+        # accumulate and the early compress stays worthwhile.
+        adjacency.enable_dgm,
+        supports,
+        threshold,
+        context,
+        workspace,
+    )
+    adjacency.record_traversal(wedges)
+    adjacency.maybe_compact()
 
     if updated_pieces:
         updated_vertices = (
@@ -305,82 +269,27 @@ def peel_batch(
     return SupportUpdate(
         updated_vertices=updated_vertices,
         new_supports=new_supports,
-        wedges_traversed=total_wedges,
-        support_updates=total_updates,
+        wedges_traversed=wedges,
+        support_updates=support_updates,
     )
 
 
-def _find_compaction_split(
-    start: int,
-    n_batch: int,
-    budget: int | None,
-    centers: np.ndarray,
-    center_starts: np.ndarray,
-    centers_per_vertex: np.ndarray,
-    center_offsets: np.ndarray,
-    *,
-    need_weights: bool,
-) -> tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Find where the remaining batch must split for the next DGM compaction.
-
-    Returns ``(stop, wedges_per_vertex, range_starts, range_lengths)`` such
-    that processing ``vertices[start:stop]`` traverses wedges exactly until
-    the sequential reference would compact (after the first vertex whose
-    cumulative count reaches ``budget``).  The candidate window grows
-    geometrically so a batch that splits many times never re-scans its
-    whole tail per split.  ``wedges_per_vertex`` covers ``[start, stop)``
-    and ``range_starts`` / ``range_lengths`` are the per-center gather
-    ranges of the same span, handed back so the endpoint gather does not
-    recompute them; all three are ``None`` when nothing was computed (no
-    DGM and no work weights requested).
-    """
-    if budget is None and not need_weights:
-        return n_batch, None, None, None
-
-    window = 128 if budget is not None else n_batch - start
-    while True:
-        hi = min(start + window, n_batch)
-        window_centers = centers[center_starts[start]: center_starts[hi]]
-        range_starts = center_offsets[window_centers]
-        range_lengths = center_offsets[window_centers + 1] - range_starts
-        wedges_per_vertex = segment_sums(range_lengths, centers_per_vertex[start:hi])
-        if budget is not None:
-            cumulative = np.cumsum(wedges_per_vertex)
-            crossing = int(np.searchsorted(cumulative, budget, side="left"))
-            if crossing < hi - start:
-                stop = start + crossing + 1
-                n_sub_centers = int(center_starts[stop] - center_starts[start])
-                return (
-                    stop,
-                    wedges_per_vertex[: crossing + 1],
-                    range_starts[:n_sub_centers],
-                    range_lengths[:n_sub_centers],
-                )
-        if hi == n_batch:
-            return n_batch, wedges_per_vertex, range_starts, range_lengths
-        window *= 4
-
-
 def _stream_decrements(
-    sub_batch: np.ndarray,
+    batch: np.ndarray,
     centers: np.ndarray,
     centers_per_vertex: np.ndarray,
     center_offsets: np.ndarray,
     center_neighbors: np.ndarray,
     alive: np.ndarray,
-    filter_alive: bool,
     late_filter: bool,
     supports: np.ndarray,
     threshold: int | np.ndarray,
-    wedges_per_vertex: np.ndarray | None,
-    range_starts: np.ndarray | None,
-    range_lengths: np.ndarray | None,
     context,
     workspace: WedgeWorkspace,
 ) -> tuple[int, int, list[np.ndarray]]:
-    """Gather, count and apply one DGM sub-batch through the wedge pipeline.
+    """Gather, count and apply one batch through the wedge pipeline.
 
-    Serial path: the sub-batch streams through
+    Serial path: the batch streams through
     :func:`~repro.kernels.wedges.iter_batch_wedge_chunks`; every chunk's
     decrements are applied to ``supports`` before the next chunk is
     gathered, so nothing wedge-scale outlives a chunk.  Because the chunks
@@ -397,8 +306,11 @@ def _stream_decrements(
 
     Returns ``(wedges, support_updates, updated_vertex_pieces)``.
     """
-    if context is not None and context.n_threads > 1 and sub_batch.shape[0] > 1:
-        center_starts = np.concatenate(([0], np.cumsum(centers_per_vertex)))
+    if context is not None and context.n_threads > 1 and batch.shape[0] > 1:
+        center_starts = segment_offsets(centers_per_vertex)
+        wedges_per_vertex = segment_sums(
+            center_offsets[centers + 1] - center_offsets[centers], centers_per_vertex
+        )
 
         def chunk_body(positions):
             positions = np.asarray(positions, dtype=np.int64)
@@ -428,9 +340,8 @@ def _stream_decrements(
                 pieces.append(count_pair_wedges(
                     endpoints,
                     np.arange(lo_pos + lo, lo_pos + hi, dtype=np.int64),
-                    chunk_lengths, sub_batch, alive,
-                    filter_alive=filter_alive, late_filter=late_filter,
-                    workspace=local,
+                    chunk_lengths, batch, alive,
+                    late_filter=late_filter, workspace=local,
                 ))
             return pieces, slice_wedges, local.peak_scratch_bytes
 
@@ -438,7 +349,7 @@ def _stream_decrements(
         # parb_round) already accounts for this wedge work, and the recorded
         # regions must not depend on the thread count.
         results = context.map_chunks(
-            list(range(sub_batch.shape[0])),
+            list(range(batch.shape[0])),
             chunk_body,
             name="peel_batch_gather",
             work_per_item=[float(w) for w in wedges_per_vertex],
@@ -465,9 +376,6 @@ def _stream_decrements(
         center_offsets,
         center_neighbors,
         workspace=workspace,
-        range_starts=range_starts,
-        range_lengths=range_lengths,
-        wedges_per_vertex=wedges_per_vertex,
     ):
         wedges += int(endpoints.shape[0])
         # Positions are rebased to the chunk so the key bound — and with it
@@ -475,8 +383,8 @@ def _stream_decrements(
         # iota serves them without an arange per chunk.
         positions = workspace.iota(hi - lo)
         decrements = count_pair_wedges(
-            endpoints, positions, chunk_wedges, sub_batch[lo:hi], alive,
-            filter_alive=filter_alive, late_filter=late_filter, workspace=workspace,
+            endpoints, positions, chunk_wedges, batch[lo:hi], alive,
+            late_filter=late_filter, workspace=workspace,
         )
         updated, _, n_updates = apply_clamped_decrements(
             supports, decrements, threshold, workspace=workspace

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.butterfly.counting import (
+    _build_ranked_index,
     count_per_vertex,
     count_per_vertex_parallel,
     count_per_vertex_priority,
@@ -18,6 +19,9 @@ from repro.butterfly.naive import (
 from repro.datasets.generators import random_bipartite
 from repro.errors import ReproError
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
+from repro.graph.relabel import degree_priority
+from repro.kernels.csr import segment_ids
+from repro.kernels.workspace import WedgeWorkspace
 from repro.parallel.threadpool import ExecutionContext
 
 
@@ -93,6 +97,24 @@ class TestVertexPriorityCounting:
         counts = count_per_vertex_priority(blocks_graph)
         assert np.array_equal(counts.counts("U"), counts.u_counts)
         assert np.array_equal(counts.counts("v"), counts.v_counts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranked_index_matches_lexsort_order(self, seed):
+        # The index sorts mid * rank_bound + rank keys instead of running a
+        # lexsort over (mid, rank); both must give the same rows.
+        graph = random_bipartite(30, 20, 150, seed=seed)
+        priority = degree_priority(graph)
+        workspace = WedgeWorkspace()
+        for mid_side, ranks in (("V", priority.u_rank), ("U", priority.v_rank)):
+            offsets, neighbors = graph.csr(mid_side)
+            mid_of_entry = segment_ids(np.diff(offsets))
+            order = np.lexsort((ranks[neighbors], mid_of_entry))
+            index = _build_ranked_index(graph, mid_side, ranks, workspace)
+            assert np.array_equal(index.neighbors, neighbors[order])
+            assert np.array_equal(
+                index.entry_keys,
+                mid_of_entry * index.rank_bound + ranks[neighbors][order],
+            )
 
 
 class TestWedgeAggregationCounting:

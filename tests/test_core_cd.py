@@ -151,6 +151,23 @@ class TestOptimizationToggles:
         assert with_dgm.counters.wedges_traversed <= without_dgm.counters.wedges_traversed
         assert with_dgm.counters.dgm_compactions >= 0
 
+    def test_dgm_compactions_counts_every_compaction(self, community_graph, monkeypatch):
+        # Compactions run inside peel_batch as well as after HUC recounts;
+        # the counter must report all of them.
+        from repro.graph.dynamic import PeelableAdjacency
+
+        calls = []
+        compact = PeelableAdjacency.compact
+
+        def counted_compact(adjacency):
+            calls.append(1)
+            return compact(adjacency)
+
+        monkeypatch.setattr(PeelableAdjacency, "compact", counted_compact)
+        cd, _ = _run_cd(community_graph, n_partitions=6, enable_dgm=True)
+        assert len(calls) > 0
+        assert cd.counters.dgm_compactions == len(calls)
+
 
 CD_COUNTERS = ("wedges_traversed", "counting_wedges", "peeling_wedges", "support_updates",
                "synchronization_rounds", "vertices_peeled", "recount_invocations",

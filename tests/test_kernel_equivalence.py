@@ -86,8 +86,8 @@ class TestBatchKernelEquivalence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graphs_with_dgm(self, seed):
-        # A tiny compaction interval forces many mid-batch compactions, the
-        # hardest case for keeping wedge counters identical.
+        # A tiny compaction interval makes nearly every batch end in a
+        # compaction, the hardest case for keeping wedge counters identical.
         graph = power_law_bipartite(60, 40, 300, seed=seed)
         _assert_batches_equivalent(
             graph, enable_dgm=True, compaction_interval=23, seed=seed

@@ -138,13 +138,15 @@ class TestWorkspace:
 
 
 class TestKeyCountsOwnership:
+    """``key_counts`` returns only the keys seen at least twice."""
+
     def test_unowned_small_bound_preserves_caller_array(self):
         keys = np.array([5, 3, 5, 1], dtype=np.int64)
         snapshot = keys.copy()
-        unique, counts = key_counts(keys, 10, owned=False)
+        repeated, counts = key_counts(keys, 10, owned=False)
         assert np.array_equal(keys, snapshot)
-        assert np.array_equal(unique, [1, 3, 5])
-        assert np.array_equal(counts, [1, 1, 2])
+        assert np.array_equal(repeated, [5])
+        assert np.array_equal(counts, [2])
 
     def test_unowned_beyond_int32_preserves_caller_array(self):
         # Regression: a key bound beyond int32 used to skip the narrowing
@@ -152,10 +154,10 @@ class TestKeyCountsOwnership:
         big = np.int64(INT32_MAX) + 10
         keys = np.array([big, 3, big, 7], dtype=np.int64)
         snapshot = keys.copy()
-        unique, counts = key_counts(keys, int(big) + 1, owned=False)
+        repeated, counts = key_counts(keys, int(big) + 1, owned=False)
         assert np.array_equal(keys, snapshot)
-        assert np.array_equal(unique, [3, 7, big])
-        assert np.array_equal(counts, [1, 1, 2])
+        assert np.array_equal(repeated, [big])
+        assert np.array_equal(counts, [2])
 
     def test_unowned_int32_input_preserves_caller_array(self):
         keys = np.array([9, 2, 9], dtype=np.int32)
@@ -165,24 +167,44 @@ class TestKeyCountsOwnership:
 
     def test_owned_int32_sorts_in_place(self):
         keys = np.array([9, 2, 9], dtype=np.int32)
-        unique, counts = key_counts(keys, 10, owned=True)
+        repeated, counts = key_counts(keys, 10, owned=True)
         assert np.array_equal(keys, [2, 9, 9])  # sorted in place: no copy made
-        assert unique.dtype == np.int64
-        assert np.array_equal(unique, [2, 9])
-        assert np.array_equal(counts, [1, 2])
+        assert repeated.dtype == np.int64
+        assert np.array_equal(repeated, [9])
+        assert np.array_equal(counts, [2])
 
     def test_near_int32_boundary_keys_are_exact(self):
         # Synthetic keys straddling the narrowing decision on both sides.
         for bound, dtype in ((INT32_MAX, np.int32), (INT32_MAX + 2, np.int64)):
             keys = np.array([bound - 1, 0, bound - 1, bound - 2], dtype=np.int64)
-            unique, counts = key_counts(keys, bound, owned=False)
-            assert np.array_equal(unique, [0, bound - 2, bound - 1])
-            assert np.array_equal(counts, [1, 1, 2])
-            assert unique.dtype == np.int64
+            repeated, counts = key_counts(keys, bound, owned=False)
+            assert np.array_equal(repeated, [bound - 1])
+            assert np.array_equal(counts, [2])
+            assert repeated.dtype == np.int64
 
     def test_empty_keys(self):
-        unique, counts = key_counts(np.zeros(0, dtype=np.int64), 10)
-        assert unique.size == 0 and counts.size == 0
+        repeated, counts = key_counts(np.zeros(0, dtype=np.int64), 10)
+        assert repeated.size == 0 and counts.size == 0
+
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=80),
+           st.sampled_from([0, INT32_MAX - 41, INT32_MAX - 40, 2**40]),
+           st.booleans(), st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_unique_restricted_to_repeats(self, values, offset, owned, narrow):
+        # Offsets put the keys below the int32 bound, right at it (the
+        # bound is exactly INT32_MAX), just past it, and far beyond it.
+        bound = offset + 41
+        keys = np.asarray(values, dtype=np.int64) + offset
+        if narrow and bound <= INT32_MAX:
+            keys = keys.astype(np.int32)
+        snapshot = keys.copy()
+        unique, unique_counts = np.unique(keys.astype(np.int64), return_counts=True)
+        repeated, counts = key_counts(keys, bound, owned=owned)
+        assert repeated.dtype == np.int64 and counts.dtype == np.int64
+        assert np.array_equal(repeated, unique[unique_counts >= 2])
+        assert np.array_equal(counts, unique_counts[unique_counts >= 2])
+        if not owned:
+            assert np.array_equal(keys, snapshot)
 
 
 def _peel_once(graph, workspace, *, enable_dgm):

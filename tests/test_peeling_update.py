@@ -123,14 +123,23 @@ class TestPeelBatch:
         # (no compaction yet), so two peels traverse 24.
         assert update.wedges_traversed == 24
 
-    def test_dgm_reduces_traversal_within_batch(self, complete_4x3):
-        supports, adjacency = _setup(complete_4x3, enable_dgm=True)
-        adjacency.compaction_interval = 1  # compact aggressively
-        update = peel_batch(adjacency, supports, np.array([0, 1, 2]), threshold=0)
-        supports_no_dgm, adjacency_no_dgm = _setup(complete_4x3, enable_dgm=False)
-        update_no_dgm = peel_batch(
-            adjacency_no_dgm, supports_no_dgm, np.array([0, 1, 2]), threshold=0
-        )
-        assert update.wedges_traversed < update_no_dgm.wedges_traversed
+    def test_dgm_compacts_between_batches(self, complete_4x3):
+        # DGM runs between synchronization rounds: at interval 1 a batch
+        # compacts exactly once, after its last member, so the next batch
+        # gathers from the compacted adjacency.
+        runs = {}
+        for enable_dgm in (True, False):
+            supports, adjacency = _setup(complete_4x3, enable_dgm=enable_dgm)
+            adjacency.compaction_interval = 1
+            first = peel_batch(adjacency, supports, np.array([0, 1]), threshold=0)
+            compactions = adjacency.compactions_performed
+            second = peel_batch(adjacency, supports, np.array([2]), threshold=0)
+            runs[enable_dgm] = (first, compactions, second, supports)
+        first, compactions, second, supports = runs[True]
+        first_off, compactions_off, second_off, supports_off = runs[False]
+        assert (compactions, compactions_off) == (1, 0)
+        # Members of the first batch stay in the adjacency until it ends.
+        assert first.wedges_traversed == first_off.wedges_traversed == 24
+        assert second.wedges_traversed < second_off.wedges_traversed
         # Final supports are identical regardless of DGM.
-        assert np.array_equal(supports, supports_no_dgm)
+        assert np.array_equal(supports, supports_off)
