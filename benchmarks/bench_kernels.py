@@ -156,13 +156,10 @@ def bench_dataset(key: str, *, scale: float, n_partitions: int, rounds: int) -> 
 def check_tip_numbers(key: str, *, scale: float, n_partitions: int) -> None:
     """Full RECEIPT runs on the legacy vs default pipeline must agree exactly."""
     graph = load_dataset(key, scale=scale)
-    default_run = receipt_decomposition(
-        graph, "U", n_partitions=n_partitions, counting_algorithm="vertex-priority"
-    )
+    default_run = receipt_decomposition(graph, "U", n_partitions=n_partitions)
     # wedge_budget=1 exercises maximal chunking end-to-end (CD + FD + count).
     chunked_run = receipt_decomposition(
-        graph, "U", n_partitions=n_partitions, counting_algorithm="vertex-priority",
-        wedge_budget=1,
+        graph, "U", n_partitions=n_partitions, wedge_budget=1,
     )
     if not np.array_equal(default_run.tip_numbers, chunked_run.tip_numbers):
         raise AssertionError(f"{key}: tip numbers differ between wedge budgets")

@@ -46,7 +46,7 @@ from repro.core.cd import coarse_grained_decomposition
 from repro.core.fd import fine_grained_decomposition
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.distributed.simulation import simulate_fd_fanout
-from repro.parallel.threadpool import ExecutionContext
+from repro.engine import ProcessBackend, ThreadBackend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,12 +62,12 @@ def pick_wedge_heaviest(scale: float) -> tuple[str, object]:
     return best_key, best_graph
 
 
-def run_fd(graph, cd_result, context=None, rounds: int = 1):
-    """Best-of-``rounds`` FD wall-clock on one context; returns (result, seconds)."""
+def run_fd(graph, cd_result, engine=None, rounds: int = 1):
+    """Best-of-``rounds`` FD wall-clock on one backend; returns (result, seconds)."""
     result, elapsed = None, None
     for _ in range(rounds):
         start = time.perf_counter()
-        result = fine_grained_decomposition(graph, cd_result, context=context)
+        result = fine_grained_decomposition(graph, cd_result, engine=engine)
         lap = time.perf_counter() - start
         elapsed = lap if elapsed is None else min(elapsed, lap)
     return result, elapsed
@@ -134,9 +134,9 @@ def main(argv=None) -> int:
 
     process_seconds: dict[int, float] = {}
     for workers in worker_counts:
-        with ExecutionContext(workers, backend="process") as context:
-            context.engine.warmup()  # spawn the pool outside the timed region
-            result, seconds = run_fd(graph, cd_result, context=context, rounds=rounds)
+        with ProcessBackend(workers) as engine:
+            engine.warmup()  # spawn the pool outside the timed region
+            result, seconds = run_fd(graph, cd_result, engine=engine, rounds=rounds)
         check_identical(serial_result, result, f"process[{workers}]")
         process_seconds[workers] = seconds
         projection = simulate_fd_fanout(graph, cd_result.subsets, workers)
@@ -152,9 +152,9 @@ def main(argv=None) -> int:
               f"(projected ideal speedup {projection.projected_speedup:.2f}x)")
 
     max_workers = max(worker_counts)
-    with ExecutionContext(max_workers, backend="thread") as context:
-        context.engine.warmup()
-        thread_result, thread_seconds = run_fd(graph, cd_result, context=context, rounds=rounds)
+    with ThreadBackend(max_workers) as engine:
+        engine.warmup()
+        thread_result, thread_seconds = run_fd(graph, cd_result, engine=engine, rounds=rounds)
     check_identical(serial_result, thread_result, f"thread[{max_workers}]")
     runs.append({
         "backend": "thread",

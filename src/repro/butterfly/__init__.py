@@ -3,7 +3,6 @@
 from .counting import (
     ButterflyCounts,
     count_per_vertex,
-    count_per_vertex_parallel,
     count_per_vertex_priority,
     count_total_butterflies,
 )
@@ -25,7 +24,6 @@ from .wedges import (
 __all__ = [
     "ButterflyCounts",
     "count_per_vertex",
-    "count_per_vertex_parallel",
     "count_per_vertex_priority",
     "count_total_butterflies",
     "count_butterflies_exhaustive",

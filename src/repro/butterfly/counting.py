@@ -18,14 +18,11 @@ peak scratch is bounded by the workspace's wedge budget while counts and
 the wedge-traversal counter stay bit-identical to the monolithic
 enumeration (the wedge set is precisely the one Alg. 1 visits).
 
-Three entry points are provided:
+Two entry points are provided:
 
 * :func:`count_per_vertex` — the public API; picks an algorithm by name.
-* :func:`count_per_vertex_priority` — sequential vertex-priority counting.
-* :func:`count_per_vertex_parallel` — the same kernel executed over an
-  :class:`~repro.parallel.threadpool.ExecutionContext` with per-thread
-  buffers (the "batch aggregation" mode of ParButterfly that the paper
-  adopts for support initialisation).
+* :func:`count_per_vertex_priority` — vertex-priority counting, the kernel
+  RECEIPT and ParB initialise supports with.
 """
 
 from __future__ import annotations
@@ -37,26 +34,18 @@ import numpy as np
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
 from ..graph.relabel import degree_priority
-from ..kernels.csr import (
-    gather_ranges,
-    gather_rows,
-    segment_ids,
-    segment_offsets,
-    segment_sums,
-)
+from ..kernels.csr import gather_ranges, segment_ids, segment_sums
 from ..kernels.workspace import (
     WedgeWorkspace,
     budget_spans,
     workspace_or_default,
 )
-from ..parallel.threadpool import ExecutionContext
 from .naive import count_per_vertex_wedge
 
 __all__ = [
     "ButterflyCounts",
     "count_per_vertex",
     "count_per_vertex_priority",
-    "count_per_vertex_parallel",
     "count_total_butterflies",
 ]
 
@@ -141,20 +130,19 @@ def _build_ranked_index(
     )
 
 
-def _fold_priority_starts(
+def _count_priority_side(
     graph: BipartiteGraph,
-    start_side: str,
-    starts: np.ndarray,
-    endpoint_ranks: np.ndarray,
+    mid_side: str,
     mid_ranks: np.ndarray,
-    index: _RankedWedgeIndex,
+    endpoint_ranks: np.ndarray,
     endpoint_counts: np.ndarray,
     mid_counts: np.ndarray,
     workspace: WedgeWorkspace,
 ) -> int:
-    """Aggregate every priority-filtered wedge of the given start vertices.
+    """Aggregate every priority-filtered wedge centred on ``mid_side``.
 
-    For each start ``sp`` the wedges ``sp - mp - ep`` with ``rank(ep) <
+    Starts and endpoints lie on the side opposite ``mid_side``.  For each
+    start ``sp`` the wedges ``sp - mp - ep`` with ``rank(ep) <
     min(rank(sp), rank(mp))`` are gathered through the ranked index and
     grouped by ``(start, endpoint)`` pair: the pair's two endpoint-side
     vertices each gain ``C(wedges, 2)`` butterflies and every wedge's
@@ -163,22 +151,21 @@ def _fold_priority_starts(
     pair's wedges never cross its start's span.  Returns the number of
     wedges traversed (one per gathered endpoint).
     """
-    start_offsets, start_neighbors = graph.csr(start_side)
-    mids, mids_per_start = gather_rows(start_offsets, start_neighbors, starts)
+    start_side = "U" if mid_side == "V" else "V"
+    index = _build_ranked_index(graph, mid_side, endpoint_ranks, workspace)
+    entry_offsets, mids = graph.csr(start_side)
     if mids.size == 0:
         return 0
     # Rank-filtered prefix length of every (start, mid) edge in one global
     # searchsorted over the index keys.
-    cutoffs = np.minimum(
-        np.repeat(endpoint_ranks[starts], mids_per_start), mid_ranks[mids]
-    )
+    mids_per_start = np.diff(entry_offsets)
+    cutoffs = np.minimum(np.repeat(endpoint_ranks, mids_per_start), mid_ranks[mids])
     positions = np.searchsorted(
         index.entry_keys, mids * np.int64(index.rank_bound) + cutoffs, side="left"
     )
     row_starts = index.offsets[mids]
     prefix = positions - row_starts
     wedges_per_start = segment_sums(prefix, mids_per_start)
-    entry_offsets = segment_offsets(mids_per_start)
 
     n_endpoint = np.int64(endpoint_counts.shape[0])
     wedges_traversed = 0
@@ -219,7 +206,7 @@ def _fold_priority_starts(
         pair_position = unique64 // n_endpoint
         pair_endpoint = unique64 - pair_position * n_endpoint
         np.add.at(endpoint_counts, pair_endpoint, pair_butterflies)
-        np.add.at(endpoint_counts, starts[lo + pair_position], pair_butterflies)
+        np.add.at(endpoint_counts, lo + pair_position, pair_butterflies)
 
         # Middle-vertex attribution: a wedge's mid pairs with the other
         # (pair wedges - 1) wedges sharing its (start, endpoint) key.
@@ -230,25 +217,6 @@ def _fold_priority_starts(
         mid_of_wedge = np.repeat(mids[e_lo:e_hi], prefix[e_lo:e_hi])
         np.add.at(mid_counts, mid_of_wedge, contribution)
     return wedges_traversed
-
-
-def _count_priority_side(
-    graph: BipartiteGraph,
-    mid_side: str,
-    mid_ranks: np.ndarray,
-    endpoint_ranks: np.ndarray,
-    endpoint_counts: np.ndarray,
-    mid_counts: np.ndarray,
-    workspace: WedgeWorkspace,
-) -> int:
-    """All priority-filtered wedges centred on ``mid_side``, folded serially."""
-    start_side = "U" if mid_side == "V" else "V"
-    index = _build_ranked_index(graph, mid_side, endpoint_ranks, workspace)
-    starts = np.arange(graph.side_size(start_side), dtype=np.int64)
-    return _fold_priority_starts(
-        graph, start_side, starts, endpoint_ranks, mid_ranks, index,
-        endpoint_counts, mid_counts, workspace,
-    )
 
 
 def count_per_vertex_priority(
@@ -278,74 +246,10 @@ def count_per_vertex_priority(
                            wedges_traversed=wedges, algorithm="vertex-priority")
 
 
-def count_per_vertex_parallel(
-    graph: BipartiteGraph,
-    context: ExecutionContext | None = None,
-    *,
-    workspace: WedgeWorkspace | None = None,
-) -> ButterflyCounts:
-    """Vertex-priority counting parallelised over start vertices.
-
-    Start vertices are split into work-balanced chunks; every chunk runs
-    the same start-major fold as the sequential kernel into private buffers
-    which are merged after the implicit barrier, mirroring the
-    batch-aggregation mode the paper adopts from ParButterfly.  Counts are
-    identical to the sequential kernel (pairs never span two chunks).
-    """
-    context = context or ExecutionContext()
-    workspace = workspace_or_default(workspace)
-    priority = degree_priority(graph)
-
-    u_counts = np.zeros(graph.n_u, dtype=np.int64)
-    v_counts = np.zeros(graph.n_v, dtype=np.int64)
-    total_wedges = 0
-
-    for start_side, mid_side, start_count, endpoint_ranks, mid_ranks, same_target, other_target in (
-        ("U", "V", graph.n_u, priority.u_rank, priority.v_rank, u_counts, v_counts),
-        ("V", "U", graph.n_v, priority.v_rank, priority.u_rank, v_counts, u_counts),
-    ):
-        index = _build_ranked_index(graph, mid_side, endpoint_ranks, workspace)
-        starts = np.arange(start_count)
-        work = graph.degrees(start_side).astype(np.float64)
-
-        def chunk_body(chunk, *, _start_side=start_side, _ep_ranks=endpoint_ranks,
-                       _mid_ranks=mid_ranks, _index=index,
-                       _n_same=same_target.shape[0], _n_other=other_target.shape[0]):
-            # A private arena per chunk carrying the run's memory policy:
-            # the wedge budget and narrowing apply inside workers too, and
-            # the chunk's peak folds back into the run's accounting below.
-            local_workspace = WedgeWorkspace(
-                wedge_budget=workspace.wedge_budget,
-                narrow_ids=workspace.narrow_ids,
-            )
-            local_same = np.zeros(_n_same, dtype=np.int64)
-            local_other = np.zeros(_n_other, dtype=np.int64)
-            traversed = _fold_priority_starts(
-                graph, _start_side, np.asarray(chunk, dtype=np.int64),
-                _ep_ranks, _mid_ranks, _index, local_same, local_other,
-                local_workspace,
-            )
-            return local_same, local_other, traversed, local_workspace.peak_scratch_bytes
-
-        results = context.map_chunks(
-            list(starts), chunk_body, name=f"pvBcnt[{start_side}]", work_per_item=list(work)
-        )
-        for local_same, local_other, traversed, local_peak in results:
-            same_target += local_same
-            other_target += local_other
-            total_wedges += traversed
-            if local_peak > workspace.peak_scratch_bytes:
-                workspace.peak_scratch_bytes = local_peak
-
-    return ButterflyCounts(u_counts=u_counts, v_counts=v_counts,
-                           wedges_traversed=total_wedges, algorithm="vertex-priority-parallel")
-
-
 def count_per_vertex(
     graph: BipartiteGraph,
     *,
     algorithm: str = "vertex-priority",
-    context: ExecutionContext | None = None,
     workspace: WedgeWorkspace | None = None,
 ) -> ButterflyCounts:
     """Count per-vertex butterflies with the requested algorithm.
@@ -355,18 +259,13 @@ def count_per_vertex(
     graph:
         The bipartite graph.
     algorithm:
-        ``"vertex-priority"`` (default, Alg. 1), ``"parallel"`` (the same
-        kernel over an execution context), or ``"wedge"`` (simple wedge
+        ``"vertex-priority"`` (default, Alg. 1) or ``"wedge"`` (simple wedge
         aggregation, mainly for cross-checking).
-    context:
-        Execution context for the parallel kernel.
     workspace:
         Scratch arena + memory policy shared with the caller's wider run.
     """
     if algorithm == "vertex-priority":
         return count_per_vertex_priority(graph, workspace=workspace)
-    if algorithm == "parallel":
-        return count_per_vertex_parallel(graph, context, workspace=workspace)
     if algorithm == "wedge":
         u_counts, wedges_u = count_per_vertex_wedge(graph, "U")
         v_counts, wedges_v = count_per_vertex_wedge(graph, "V")

@@ -47,12 +47,14 @@ Global flags: ``--log-format {text,json}`` switches the ``repro.*``
 loggers to JSON-lines output (one object per line, machine-parseable)
 and ``--log-level`` sets their threshold.
 
-``decompose`` and ``compare`` accept ``--backend {serial,thread,process}``
-to pick the execution engine for RECEIPT FD's task fan-out: ``process``
-places the graph in shared memory and gives each of ``--threads`` worker
+``decompose``, ``compare`` and ``build-index`` accept ``--backend
+{serial,thread,process}`` to pick the execution engine
+(:mod:`repro.engine`) for RECEIPT FD's task fan-out: ``process`` places
+the graph in shared memory and gives each of ``--threads`` worker
 processes one share of the subset peels (bit-identical results, real
-wall-clock scaling on multicore hardware); ``serial`` is the
-single-process default.
+wall-clock scaling on multicore hardware), ``thread`` gives each share to
+one of ``--threads`` pool threads, and ``serial`` is the single-process
+default.  Counting and CD run on the calling thread under every backend.
 ``compare`` forwards the same ``--peel-kernel`` / ``--partitions`` /
 ``--threads`` / ``--backend`` configuration to both algorithms so the
 comparison exercises exactly the configured kernels.
@@ -76,11 +78,11 @@ from .analysis.verification import compare_results
 from .butterfly.counting import count_per_vertex
 from .core.receipt import tip_decomposition
 from .datasets.registry import DATASETS, load_dataset
+from .engine.backends import BACKEND_NAMES
 from .errors import ReproError
 from .graph.bipartite import BipartiteGraph
 from .graph.io import load_graph
 from .graph.statistics import graph_statistics
-from .parallel.threadpool import BACKEND_NAMES
 from .peeling.update import PEEL_KERNELS
 
 __all__ = ["main", "build_parser"]
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     count_parser = subparsers.add_parser("count", help="per-vertex butterfly counting")
     _add_graph_arguments(count_parser)
     count_parser.add_argument("--algorithm", default="vertex-priority",
-                              choices=["vertex-priority", "parallel", "wedge"])
+                              choices=["vertex-priority", "wedge"])
 
     decompose_parser = subparsers.add_parser("decompose", help="tip decomposition")
     _add_graph_arguments(decompose_parser)

@@ -23,7 +23,7 @@ from ..graph.bipartite import BipartiteGraph
 from ..graph.dynamic import PeelableAdjacency
 from ..kernels.workspace import WedgeWorkspace, workspace_or_default
 from ..obs.trace import current_tracer
-from ..parallel.threadpool import ExecutionContext
+from ..parallel.costmodel import ParallelRegionRecord
 from ..peeling.base import PeelingCounters
 from ..peeling.update import peel_batch
 from .hybrid import (
@@ -61,6 +61,11 @@ class CoarseDecompositionResult:
         the ablation figures and the parallel cost model.
     targeter_history:
         Adaptive range determination trace (targets, covered work, scaling).
+    parallel_regions:
+        CD's parallel regions for the cost model, in execution order: per
+        subset one ``cd_support_init`` and one ``cd_find_hi`` vertex loop,
+        then one ``cd_peel_iteration`` per round with each peeled vertex's
+        wedge work as its task work.
     """
 
     bounds: np.ndarray
@@ -69,6 +74,7 @@ class CoarseDecompositionResult:
     counters: PeelingCounters
     iteration_records: list[dict] = field(default_factory=list)
     targeter_history: list[dict] = field(default_factory=list)
+    parallel_regions: list[ParallelRegionRecord] = field(default_factory=list)
 
     @property
     def n_subsets(self) -> int:
@@ -95,7 +101,6 @@ def coarse_grained_decomposition(
     enable_dgm: bool = True,
     huc_cost_factor: float = 1.0,
     adaptive_targets: bool = True,
-    context: ExecutionContext | None = None,
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> CoarseDecompositionResult:
@@ -130,11 +135,6 @@ def coarse_grained_decomposition(
         subset aims at the static average ``total work / P`` — the naive
         scheme the paper's adaptive mechanism improves on; exposed for the
         design-choice ablation benchmark.
-    context:
-        Execution context used for synchronization-round accounting and for
-        the parallel cost model.  With more than one thread, each range-peel
-        iteration fans its wedge gather out over batch slices
-        (``map_chunks`` with private buffers merged by the kernel).
     peel_kernel:
         Support-update kernel used by the range-peel iterations: the shared
         vectorized ``"batched"`` kernel (default) or the per-vertex
@@ -149,7 +149,6 @@ def coarse_grained_decomposition(
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
     if not huc_cost_factor >= 0:
         raise ValueError(f"huc_cost_factor must be >= 0, got {huc_cost_factor}")
-    context = context or ExecutionContext()
     workspace = workspace_or_default(workspace)
     counters = PeelingCounters()
     tracer = current_tracer()
@@ -176,6 +175,7 @@ def coarse_grained_decomposition(
         bounds: list[int] = [0]
         subsets: list[np.ndarray] = []
         iteration_records: list[dict] = []
+        regions: list[ParallelRegionRecord] = []
 
         while alive.any() and not targeter.exhausted:
             lower_bound = bounds[-1]
@@ -184,8 +184,9 @@ def coarse_grained_decomposition(
             # Snapshot ⋈init for every remaining vertex: this is its support
             # after all earlier subsets were peeled (lines 6-7 of Alg. 3).
             init_supports[alive_vertices] = supports[alive_vertices]
-            context.record_barrier("cd_support_init", n_tasks=int(alive_vertices.size),
-                                   total_work=float(alive_vertices.size), scheduling="static")
+            regions.append(ParallelRegionRecord(
+                "cd_support_init", int(alive_vertices.size), float(alive_vertices.size),
+                scheduling="static"))
 
             remaining_work = float(wedge_work[alive_vertices].sum())
             if adaptive_targets:
@@ -196,8 +197,9 @@ def coarse_grained_decomposition(
                 supports[alive_vertices], wedge_work[alive_vertices], target_work
             )
             upper_bound = max(upper_bound, lower_bound + 1)
-            context.record_barrier("cd_find_hi", n_tasks=int(alive_vertices.size),
-                                   total_work=float(alive_vertices.size), scheduling="static")
+            regions.append(ParallelRegionRecord(
+                "cd_find_hi", int(alive_vertices.size), float(alive_vertices.size),
+                scheduling="static"))
 
             subset_pieces: list[np.ndarray] = []
             active_set = alive_vertices[supports[alive_vertices] < upper_bound]
@@ -239,8 +241,7 @@ def coarse_grained_decomposition(
                     else:
                         # peel_batch runs DGM itself, after the whole batch.
                         update = peel_batch(adjacency, supports, active_set, lower_bound,
-                                            kernel=peel_kernel, context=context,
-                                            workspace=workspace)
+                                            kernel=peel_kernel, workspace=workspace)
                         counters.wedges_traversed += update.wedges_traversed
                         counters.peeling_wedges += update.wedges_traversed
                         counters.support_updates += update.support_updates
@@ -254,12 +255,10 @@ def coarse_grained_decomposition(
                         recounted=bool(use_recount),
                     )
 
-                context.record_barrier(
-                    "cd_peel_iteration",
-                    n_tasks=int(active_set.size),
-                    total_work=float(wedges_this_iteration),
-                    task_work=list(wedge_work[active_set].astype(np.float64)),
-                )
+                regions.append(ParallelRegionRecord(
+                    "cd_peel_iteration", int(active_set.size), float(wedges_this_iteration),
+                    task_work=wedge_work[active_set].astype(np.float64).tolist(),
+                ))
                 iteration_records.append(
                     {
                         "subset": len(subsets),
@@ -318,4 +317,5 @@ def coarse_grained_decomposition(
         counters=counters,
         iteration_records=iteration_records,
         targeter_history=targeter.history,
+        parallel_regions=regions,
     )

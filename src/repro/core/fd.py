@@ -6,13 +6,13 @@ peel only needs the subgraph induced on it (plus the whole ``V`` side) and
 its supports from the ``⋈init`` snapshot.  FD splits the subsets into one
 share per worker — an LPT schedule of their estimated work, one share on
 the serial backend — and each share is one picklable task descriptor
-(:mod:`repro.engine.tasks`) handed to the execution context's backend:
-serial, thread pool, or a multiprocess worker pool over a shared-memory
-graph store.  A task peels all its subsets in one lockstep level loop
-(:func:`~repro.peeling.bup.peel_levels`): every round, each subset peels
-its alive vertices at its own minimum support, and the round is one batch.
-Workers synchronise once, when every share is done, and results are
-bit-identical across backends.
+(:mod:`repro.engine.tasks`) handed to an execution backend
+(:mod:`repro.engine.backends`): serial, thread pool, or a multiprocess
+worker pool over a shared-memory graph store.  A task peels all its
+subsets in one lockstep level loop (:func:`~repro.peeling.bup.peel_levels`):
+every round, each subset peels its alive vertices at its own minimum
+support, and the round is one batch.  Workers synchronise once, when every
+share is done, and results are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine.backends import EngineBackend, SerialBackend
 from ..engine.tasks import FdJob, build_fd_tasks
 from ..graph.bipartite import BipartiteGraph
 from ..kernels.workspace import resolve_wedge_budget
 from ..obs.trace import current_tracer
-from ..parallel.threadpool import ExecutionContext
 from ..peeling.base import PeelingCounters
 from .cd import CoarseDecompositionResult
 from .scheduling import greedy_schedule, lpt_schedule
@@ -54,7 +54,11 @@ class SubsetPeelRecord:
 
 @dataclass
 class FineDecompositionResult:
-    """Output of RECEIPT FD: exact tip numbers plus per-subset statistics."""
+    """Output of RECEIPT FD: exact tip numbers plus per-subset statistics.
+
+    ``subset_records`` follow ``schedule_order`` (the order subsets were
+    dealt to shares), so they are the same on every backend.
+    """
 
     tip_numbers: np.ndarray
     counters: PeelingCounters
@@ -73,7 +77,7 @@ def fine_grained_decomposition(
     graph: BipartiteGraph,
     cd_result: CoarseDecompositionResult,
     *,
-    context: ExecutionContext | None = None,
+    engine: EngineBackend | None = None,
     workload_aware: bool = True,
     peel_kernel: str = "batched",
     wedge_budget: int | None = None,
@@ -87,11 +91,12 @@ def fine_grained_decomposition(
         The original graph whose ``U`` side is being decomposed.
     cd_result:
         Output of :func:`~repro.core.cd.coarse_grained_decomposition`.
-    context:
-        Execution context; its configured backend (``serial`` / ``thread`` /
-        ``process``) runs one task per worker share (one share on the
-        serial backend, ``n_threads`` otherwise), and FD records a single
-        synchronization round (the final barrier of the queue).
+    engine:
+        Execution backend (``serial`` / ``thread`` / ``process``) that runs
+        one task per worker share: one share on the serial backend,
+        ``engine.n_workers`` otherwise.  The caller owns it (FD never shuts
+        it down); a serial backend when omitted.  The shares synchronise
+        once, when all are done.
     workload_aware:
         Form the shares by the LPT rule: subsets in decreasing estimated
         work (WaS), each to the least-loaded share.  Disabling it deals the
@@ -110,13 +115,13 @@ def fine_grained_decomposition(
         the library: ``None`` means the library default, zero or negative
         disables chunking.
     """
-    context = context or ExecutionContext()
+    engine = engine or SerialBackend()
     counters = PeelingCounters()
     tracer = current_tracer()
     fd_span = tracer.timed("fd", n_subsets=len(cd_result.subsets))
     with fd_span:
         tip_numbers = np.zeros(graph.n_u, dtype=np.int64)
-        subset_records: list[SubsetPeelRecord] = []
+        records: dict[int, SubsetPeelRecord] = {}
 
         # Estimated work per subset: wedges (in G) of its vertices.  The paper
         # uses this same proxy because induced-subgraph wedges are unknown until
@@ -126,7 +131,7 @@ def fine_grained_decomposition(
             [float(wedge_work[subset].sum()) if subset.size else 0.0
              for subset in cd_result.subsets]
         )
-        n_shares = 1 if context.backend == "serial" else context.n_threads
+        n_shares = 1 if engine.name == "serial" else engine.n_workers
         if workload_aware:
             schedule = lpt_schedule(estimated_work, n_shares)
         else:
@@ -148,10 +153,7 @@ def fine_grained_decomposition(
             narrow_ids=narrow_ids,
             trace=tracer.recording,
         )
-        results = context.run_fd_tasks(
-            job, tasks, name="fd_task_queue",
-            scheduling="lpt" if workload_aware else "dynamic",
-        )
+        results = engine.run_fd_tasks(job, tasks)
 
         for task, result in zip(tasks, results):
             tip_numbers[subsets_flat[task.start:task.stop]] = result.tip_numbers
@@ -160,15 +162,13 @@ def fine_grained_decomposition(
                 weights = np.ones_like(weights)
             seconds = result.elapsed_seconds * weights / weights.sum()
             for k, subset_index in enumerate(task.subset_ids):
-                subset_records.append(
-                    SubsetPeelRecord(
-                        subset_index=subset_index,
-                        n_vertices=task.boundaries[k + 1] - task.boundaries[k],
-                        induced_edges=int(result.induced_edges[k]),
-                        induced_wedge_work=int(result.induced_wedge_work[k]),
-                        wedges_traversed=int(result.induced_wedge_work[k]),
-                        elapsed_seconds=float(seconds[k]),
-                    )
+                records[subset_index] = SubsetPeelRecord(
+                    subset_index=subset_index,
+                    n_vertices=task.boundaries[k + 1] - task.boundaries[k],
+                    induced_edges=int(result.induced_edges[k]),
+                    induced_wedge_work=int(result.induced_wedge_work[k]),
+                    wedges_traversed=int(result.induced_wedge_work[k]),
+                    elapsed_seconds=float(seconds[k]),
                 )
             counters.wedges_traversed += result.wedges_traversed
             counters.peeling_wedges += result.wedges_traversed
@@ -198,6 +198,6 @@ def fine_grained_decomposition(
     return FineDecompositionResult(
         tip_numbers=tip_numbers,
         counters=counters,
-        subset_records=subset_records,
+        subset_records=[records[index] for index in schedule.order],
         schedule_order=schedule.order,
     )

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..butterfly.counting import ButterflyCounts, count_per_vertex
+from ..butterfly.counting import ButterflyCounts, count_per_vertex_priority
+from ..engine.backends import EngineBackend, create_backend
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..kernels.workspace import WedgeWorkspace, resolve_wedge_budget
 from ..obs.log import log_phase
 from ..obs.trace import current_tracer
-from ..parallel.threadpool import ExecutionContext
+from ..parallel.costmodel import ParallelRegionRecord
 from ..peeling.base import PeelingCounters, TipDecompositionResult
 from .cd import coarse_grained_decomposition
 from .fd import fine_grained_decomposition
@@ -61,12 +62,8 @@ class ReceiptConfig:
         Two-way adaptive range determination (Sec. 3.1.1); disable to fall
         back to a static per-subset wedge target (ablation only).
     n_threads:
-        Logical thread count used for work partitioning and reported to the
-        parallel cost model; also the worker count of the execution backend.
-    use_real_threads:
-        Execute parallel regions on OS threads (off by default; the GIL
-        makes this a losing proposition for the pure-Python kernels).
-        Equivalent to ``backend="thread"`` for the FD task queue.
+        Worker count of the execution backend (FD's number of shares on the
+        ``thread`` and ``process`` backends).
     backend:
         Execution backend for FD's task fan-out: ``"serial"`` (default),
         ``"thread"``, or ``"process"`` — the multiprocess engine that puts
@@ -75,9 +72,6 @@ class ReceiptConfig:
         across backends.
     workload_aware_scheduling:
         Sort FD's task queue by decreasing estimated work.
-    counting_algorithm:
-        Kernel used for support initialisation (``"parallel"`` or
-        ``"vertex-priority"``).
     peel_kernel:
         Support-update kernel used by CD's range peeling and FD's subset
         peeling: the shared vectorized ``"batched"`` kernel (default) or the
@@ -97,10 +91,8 @@ class ReceiptConfig:
     huc_cost_factor: float = 3.0
     adaptive_range_targets: bool = True
     n_threads: int = 1
-    use_real_threads: bool = False
     backend: str = "serial"
     workload_aware_scheduling: bool = True
-    counting_algorithm: str = "parallel"
     peel_kernel: str = "batched"
     wedge_budget: int | None = None
 
@@ -128,7 +120,7 @@ def receipt_decomposition(
     *,
     config: ReceiptConfig | None = None,
     counts: ButterflyCounts | None = None,
-    context: ExecutionContext | None = None,
+    engine: EngineBackend | None = None,
     **config_overrides,
 ) -> TipDecompositionResult:
     """Tip-decompose one side of a bipartite graph with RECEIPT.
@@ -146,16 +138,18 @@ def receipt_decomposition(
         Pre-computed per-vertex butterfly counts.  They must have been
         counted on ``graph`` (not on a swapped copy); when omitted they are
         computed as part of the run and charged to the pvBcnt phase.
-    context:
-        Execution context to reuse; a fresh one matching the configuration
-        is created when omitted.
+    engine:
+        Execution backend for FD's fan-out, owned by the caller (reuse one
+        to keep a worker pool across runs).  When omitted the run creates
+        ``config.backend`` with ``config.n_threads`` workers and shuts it
+        down afterwards.
 
     Returns
     -------
     TipDecompositionResult
         Tip numbers plus per-phase counters and RECEIPT-specific metadata
         (range bounds, subset sizes, per-iteration and per-subset records,
-        recorded parallel regions).
+        and the parallel regions the cost model replays).
     """
     side = validate_side(side)
     if config is None:
@@ -163,21 +157,16 @@ def receipt_decomposition(
     elif config_overrides:
         raise ReproError("pass either a config object or keyword overrides, not both")
 
-    workspace = WedgeWorkspace(wedge_budget=resolve_wedge_budget(config.wedge_budget))
-    owns_context = context is None
-    if context is None:
-        effective_backend = config.backend
-        if effective_backend == "serial" and config.use_real_threads:
-            effective_backend = "thread"
-        context = ExecutionContext(
-            config.n_threads,
-            use_real_threads=config.use_real_threads,
-            backend=effective_backend,
-        )
+    wedge_budget = resolve_wedge_budget(config.wedge_budget)
+    workspace = WedgeWorkspace(wedge_budget=wedge_budget)
+    owns_engine = engine is None
+    if engine is None:
+        engine = create_backend(config.backend, n_workers=config.n_threads)
+    regions: list[ParallelRegionRecord] = []
     total_counters = PeelingCounters()
     phase_counters: dict[str, PeelingCounters] = {}
     tracer = current_tracer()
-    run_span = tracer.timed("receipt", side=side, backend=config.backend,
+    run_span = tracer.timed("receipt", side=side, backend=engine.name,
                             n_partitions=config.n_partitions)
 
     with run_span:
@@ -189,8 +178,19 @@ def receipt_decomposition(
             # Phase 1: per-vertex butterfly counting (pvBcnt).
             with tracer.timed("pvBcnt") as counting_span:
                 if counts is None:
-                    counts = count_per_vertex(graph, algorithm=config.counting_algorithm,
-                                              context=context, workspace=workspace)
+                    # Counting runs on its own arena, dropped before CD so its
+                    # buffers are not held through the peel; the run's
+                    # high-water mark starts at its peak.
+                    counting_workspace = WedgeWorkspace(wedge_budget=wedge_budget)
+                    counts = count_per_vertex_priority(graph, workspace=counting_workspace)
+                    workspace.peak_scratch_bytes = counting_workspace.peak_scratch_bytes
+                    del counting_workspace
+                    # One task per start vertex, its degree as work.
+                    for start_side in ("U", "V"):
+                        degrees = graph.degrees(start_side).astype(np.float64)
+                        regions.append(ParallelRegionRecord(
+                            f"pvBcnt[{start_side}]", int(degrees.size),
+                            float(degrees.sum()), degrees.tolist()))
             counting_counters = PeelingCounters(
                 wedges_traversed=counts.wedges_traversed,
                 counting_wedges=counts.wedges_traversed,
@@ -213,11 +213,11 @@ def receipt_decomposition(
                 enable_dgm=config.enable_dgm,
                 huc_cost_factor=config.huc_cost_factor,
                 adaptive_targets=config.adaptive_range_targets,
-                context=context,
                 peel_kernel=config.peel_kernel,
                 workspace=workspace,
             )
             phase_counters["cd"] = cd_result.counters
+            regions += cd_result.parallel_regions
             log_phase("cd", cd_result.counters.elapsed_seconds,
                       wedges_traversed=cd_result.counters.wedges_traversed,
                       n_subsets=len(cd_result.subsets))
@@ -226,7 +226,7 @@ def receipt_decomposition(
             fd_result = fine_grained_decomposition(
                 working_graph,
                 cd_result,
-                context=context,
+                engine=engine,
                 workload_aware=config.workload_aware_scheduling,
                 peel_kernel=config.peel_kernel,
                 wedge_budget=config.wedge_budget,
@@ -236,18 +236,15 @@ def receipt_decomposition(
             log_phase("fd", fd_result.counters.elapsed_seconds,
                       wedges_traversed=fd_result.counters.wedges_traversed,
                       n_subsets=len(fd_result.subset_records))
-            context.record_barrier(
-                "fd_subsets",
-                n_tasks=len(fd_result.subset_records),
-                total_work=float(sum(r.wedges_traversed for r in fd_result.subset_records)),
-                task_work=[float(r.wedges_traversed) for r in fd_result.subset_records],
-                scheduling="lpt" if config.workload_aware_scheduling else "dynamic",
-            )
+            subset_work = [float(r.wedges_traversed) for r in fd_result.subset_records]
+            regions.append(ParallelRegionRecord(
+                "fd_subsets", len(subset_work), float(sum(subset_work)), subset_work,
+                scheduling="lpt" if config.workload_aware_scheduling else "dynamic"))
         finally:
-            if owns_context:
+            if owns_engine:
                 # Release pooled workers (threads or processes) the run created;
-                # callers who passed a context keep ownership of its pools.
-                context.shutdown()
+                # callers who passed an engine keep ownership of its pool.
+                engine.shutdown()
 
     for phase in phase_counters.values():
         total_counters.merge(phase)
@@ -272,7 +269,7 @@ def receipt_decomposition(
             "targeter_history": cd_result.targeter_history,
             "subset_records": fd_result.subset_records,
             "fd_schedule_order": fd_result.schedule_order,
-            "parallel_regions": context.parallel_regions,
+            "parallel_regions": regions,
             "total_butterflies": counts.total_butterflies,
         },
     )

@@ -101,12 +101,14 @@ def build_cost_model(
     numa_threshold: int = 18,
     numa_penalty: float = 0.25,
 ) -> ParallelCostModel:
-    """Construct the parallel cost model from a RECEIPT run's recorded regions.
+    """Construct the parallel cost model from a run's recorded regions.
 
-    Every parallel region recorded by the execution context (counting
-    chunks, CD peel iterations, the FD task queue with its measured
-    per-subset work) becomes one region of the model; replaying them for a
-    given thread count yields the projected execution cost.
+    Every parallel region a RECEIPT run returns in
+    ``extra["parallel_regions"]`` (the pvBcnt passes, CD's per-subset loops
+    and peel iterations, FD's subsets with their measured wedge work)
+    becomes one region of the model; replaying them for a given thread
+    count yields the projected execution cost.  ParB results carry their
+    rounds the same way.
     """
     regions = (result.extra or {}).get("parallel_regions")
     if not regions:
@@ -114,11 +116,8 @@ def build_cost_model(
             "result does not carry recorded parallel regions; "
             "run receipt_decomposition to obtain them"
         )
-    # The raw "fd_task_queue" barrier duplicates the richer "fd_subsets"
-    # region recorded with measured per-subset work, so it is dropped.
-    filtered = [region for region in regions if region.name != "fd_task_queue"]
     return ParallelCostModel.from_region_records(
-        filtered,
+        regions,
         barrier_cost=barrier_cost,
         numa_threshold=numa_threshold,
         numa_penalty=numa_penalty,

@@ -12,9 +12,10 @@ execution.  It has three parts:
   flat subsets and ``⋈init`` supports exported once per fan-out and
   attached zero-copy by workers.
 * :mod:`repro.engine.backends` — ``serial`` / ``thread`` / ``process``
-  backends behind one interface, selected through
-  :class:`~repro.parallel.threadpool.ExecutionContext` (``backend=...``,
-  CLI ``--backend``).
+  backends behind one interface, the library's only execution API:
+  :func:`create_backend` builds one by name (``ReceiptConfig.backend``,
+  CLI ``--backend``), and RECEIPT and FD also accept a caller-owned
+  instance (``engine=...``) so a worker pool can outlive one run.
 """
 
 from .backends import (

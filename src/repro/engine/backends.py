@@ -24,6 +24,11 @@ Three interchangeable implementations of :class:`EngineBackend` run the same
 Because every backend runs the identical task body on identical inputs and
 the caller merges results in task order, tip numbers and work counters are
 bit-identical across backends — only ``elapsed_seconds`` differs.
+
+These backends are the library's one execution API: RECEIPT
+(:func:`~repro.core.receipt.receipt_decomposition`, CLI ``--backend``)
+creates one from its configuration or runs on a caller-owned instance,
+which is also a context manager that shuts its pool down on exit.
 """
 
 from __future__ import annotations
@@ -75,6 +80,12 @@ class EngineBackend:
     def shutdown(self) -> None:
         """Release pooled resources; the backend may be reused afterwards."""
 
+    def __enter__(self) -> "EngineBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
 
 class SerialBackend(EngineBackend):
     """In-order execution on the calling thread (reference semantics)."""
@@ -86,20 +97,13 @@ class SerialBackend(EngineBackend):
 
 
 class ThreadBackend(EngineBackend):
-    """Fan-out on a persistent ``ThreadPoolExecutor``.
-
-    An already running executor may be borrowed (``executor=...``) so a
-    caller that owns a thread pool — ``ExecutionContext`` with
-    ``backend="thread"`` does — shares it instead of doubling the OS-thread
-    count; borrowed executors are never shut down here.
-    """
+    """Fan-out on a persistent ``ThreadPoolExecutor``, created on first use."""
 
     name = "thread"
 
-    def __init__(self, n_workers: int = 1, *, executor: ThreadPoolExecutor | None = None):
+    def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: ThreadPoolExecutor | None = None
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -117,7 +121,7 @@ class ThreadBackend(EngineBackend):
         self._ensure_executor()
 
     def shutdown(self) -> None:
-        if self._executor is not None and self._owns_executor:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
 
@@ -214,10 +218,10 @@ class ProcessBackend(EngineBackend):
             method = self.start_method
             if (method == "fork" and not self._start_method_pinned
                     and threading.active_count() > 1):
-                # Forking a multi-threaded parent (e.g. backend="process"
-                # combined with use_real_threads) can deadlock the child on
-                # locks held by parent threads; prefer the safe start method
-                # unless the caller explicitly pinned fork.
+                # Forking a multi-threaded parent (e.g. a serving process, or
+                # one that also runs a thread backend) can deadlock the child
+                # on locks held by parent threads; prefer the safe start
+                # method unless the caller explicitly pinned fork.
                 method = "spawn"
             context = multiprocessing.get_context(method)
             self._executor = ProcessPoolExecutor(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -163,14 +163,3 @@ def load_graph(path: str | Path, *, name: str | None = None) -> BipartiteGraph:
     if path.name.startswith("out."):
         return read_konect(path, name=name)
     return read_edge_list(path, name=name)
-
-
-def iter_graph_files(directory: str | Path) -> Iterator[Path]:
-    """Yield the graph files found directly under ``directory``."""
-    directory = Path(directory)
-    for candidate in sorted(directory.iterdir()):
-        if candidate.is_file() and (
-            candidate.suffix in {".tsv", ".txt", ".edges", ".mtx"}
-            or candidate.name.startswith("out.")
-        ):
-            yield candidate

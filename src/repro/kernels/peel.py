@@ -77,16 +77,6 @@ class BatchDecrements:
         zero = np.zeros(0, dtype=np.int64)
         return cls(segments=zero, endpoints=zero, decrements=zero)
 
-    @classmethod
-    def concatenate(cls, pieces: list["BatchDecrements"]) -> "BatchDecrements":
-        if not pieces:
-            return cls.empty()
-        return cls(
-            segments=np.concatenate([piece.segments for piece in pieces]),
-            endpoints=np.concatenate([piece.endpoints for piece in pieces]),
-            decrements=np.concatenate([piece.decrements for piece in pieces]),
-        )
-
 
 def count_pair_wedges(
     endpoints: np.ndarray,

@@ -1,31 +1,17 @@
-"""Parallel execution substrate: contexts, atomics, primitives, cost model."""
+"""Analytical cost model replaying measured parallel regions (Figs. 10-11)."""
 
-from .atomics import AtomicArray, AtomicCounter
-from .costmodel import DEFAULT_BARRIER_COST, ParallelCostModel, RegionCost, SpeedupPoint
-from .primitives import (
-    balanced_chunks,
-    chunk_ranges,
-    exclusive_prefix_sum,
-    histogram_by_key,
-    inclusive_prefix_sum,
-    parallel_filter,
+from .costmodel import (
+    DEFAULT_BARRIER_COST,
+    ParallelCostModel,
+    ParallelRegionRecord,
+    RegionCost,
+    SpeedupPoint,
 )
-from .threadpool import BACKEND_NAMES, ExecutionContext, ParallelRegionRecord
 
 __all__ = [
-    "BACKEND_NAMES",
-    "AtomicArray",
-    "AtomicCounter",
     "DEFAULT_BARRIER_COST",
     "ParallelCostModel",
+    "ParallelRegionRecord",
     "RegionCost",
     "SpeedupPoint",
-    "balanced_chunks",
-    "chunk_ranges",
-    "exclusive_prefix_sum",
-    "histogram_by_key",
-    "inclusive_prefix_sum",
-    "parallel_filter",
-    "ExecutionContext",
-    "ParallelRegionRecord",
 ]

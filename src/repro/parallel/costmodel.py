@@ -6,9 +6,10 @@ the *shape* of the scalability study (Figs. 10 and 11) we replay the
 instrumented execution through a simple and transparent cost model:
 
 * Every parallel region (one peeling iteration of RECEIPT CD, one counting
-  pass, the whole FD task queue, ...) carries the list of per-task work
+  pass, FD's independent subsets, ...) carries the list of per-task work
   units actually measured during the run (traversed wedges, peeled
-  vertices).
+  vertices).  The algorithms return these as :class:`ParallelRegionRecord`
+  lists (``extra["parallel_regions"]`` of a RECEIPT or ParB result).
 * For a thread count ``T`` the region's makespan is the maximum per-thread
   load under the region's scheduling policy (static chunking, dynamic
   greedy, or LPT), plus a per-round barrier cost.
@@ -29,13 +30,28 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RegionCost", "ParallelCostModel", "SpeedupPoint"]
+__all__ = ["ParallelRegionRecord", "RegionCost", "ParallelCostModel", "SpeedupPoint"]
 
 #: Default cost of one barrier, expressed in the same unit as task work
 #: (wedge traversals).  A barrier on a multicore is on the order of a few
 #: microseconds while one wedge traversal in optimised C++ is a few
 #: nanoseconds, hence the default ratio of ~1000 work units per barrier.
 DEFAULT_BARRIER_COST = 1000.0
+
+
+@dataclass
+class ParallelRegionRecord:
+    """One measured parallel region: its tasks and the work each performed.
+
+    ``task_work`` may be left empty for uniform vertex-parallel loops, whose
+    ``total_work`` the model then splits evenly over ``n_tasks``.
+    """
+
+    name: str
+    n_tasks: int
+    total_work: float
+    task_work: list[float] = field(default_factory=list)
+    scheduling: str = "dynamic"
 
 
 @dataclass
@@ -178,13 +194,13 @@ class ParallelCostModel:
     @classmethod
     def from_region_records(
         cls,
-        records: Iterable,
+        records: Iterable[ParallelRegionRecord],
         *,
         barrier_cost: float = DEFAULT_BARRIER_COST,
         numa_threshold: int = 18,
         numa_penalty: float = 0.25,
     ) -> "ParallelCostModel":
-        """Build a model from :class:`~repro.parallel.threadpool.ParallelRegionRecord` objects.
+        """Build a model from :class:`ParallelRegionRecord` objects.
 
         Records without per-task work use their ``total_work`` split evenly
         over their task count, which is the right default for uniform

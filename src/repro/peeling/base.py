@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.bipartite import BipartiteGraph, validate_side
+from ..graph.bipartite import validate_side
 
 __all__ = ["PeelingCounters", "TipDecompositionResult"]
 
@@ -171,19 +171,3 @@ class TipDecompositionResult:
             "total_butterflies": int(self.initial_butterflies.sum()) // 2,
             **self.counters.as_dict(),
         }
-
-
-def validate_result_against_definition(
-    graph: BipartiteGraph, result: TipDecompositionResult
-) -> None:
-    """Raise ``AssertionError`` if basic tip-number sanity conditions fail.
-
-    Checks that every tip number is bounded by the vertex's initial butterfly
-    count and that vertices with zero butterflies have tip number zero.  The
-    full k-tip definition is verified by :mod:`repro.analysis.verification`.
-    """
-    assert result.tip_numbers.shape[0] == graph.side_size(result.side)
-    assert np.all(result.tip_numbers >= 0)
-    assert np.all(result.tip_numbers <= result.initial_butterflies)
-    zero_support = result.initial_butterflies == 0
-    assert np.all(result.tip_numbers[zero_support] == 0)

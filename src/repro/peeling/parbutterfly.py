@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..butterfly.counting import ButterflyCounts, count_per_vertex
+from ..butterfly.counting import ButterflyCounts, count_per_vertex_priority
 from ..errors import BudgetExceededError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..graph.dynamic import PeelableAdjacency
 from ..kernels.workspace import WedgeWorkspace
 from ..obs.trace import current_tracer
-from ..parallel.threadpool import ExecutionContext
+from ..parallel.costmodel import ParallelRegionRecord
 from .base import PeelingCounters, TipDecompositionResult
 from .bucketing import BucketQueue
 from .update import peel_batch
@@ -37,7 +37,6 @@ def parbutterfly_decomposition(
     *,
     counts: ButterflyCounts | None = None,
     n_buckets: int = 128,
-    context: ExecutionContext | None = None,
     wedge_budget: int | None = None,
     round_budget: int | None = None,
     peel_kernel: str = "batched",
@@ -55,9 +54,6 @@ def parbutterfly_decomposition(
         Pre-computed butterfly counts (counted fresh when omitted).
     n_buckets:
         Number of open Julienne buckets (128 as in the paper's baseline).
-    context:
-        Execution context used to record the per-round parallel regions that
-        drive the speedup cost model.
     wedge_budget, round_budget:
         Optional execution caps used by the benchmark harness to reproduce
         the paper's "did not finish" / out-of-memory entries.
@@ -66,9 +62,12 @@ def parbutterfly_decomposition(
     workspace:
         Scratch arena + memory policy every round's batch peel runs on (a
         fresh default-policy one per run when omitted).
+
+    One ``parb_round`` parallel region per round (its peeled vertices as
+    tasks, its wedges as work) is returned in ``extra["parallel_regions"]``
+    for the speedup cost model.
     """
     side = validate_side(side)
-    context = context or ExecutionContext()
     counters = PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
     tracer = current_tracer()
@@ -77,8 +76,14 @@ def parbutterfly_decomposition(
     with run_span:
         with tracer.timed("pvBcnt") as counting_span:
             if counts is None:
-                counts = count_per_vertex(graph, algorithm="parallel", context=context,
-                                          workspace=workspace)
+                # Counting runs on its own arena, dropped before the peel so
+                # its buffers are not held through it.
+                counting_workspace = WedgeWorkspace(wedge_budget=workspace.wedge_budget,
+                                                    narrow_ids=workspace.narrow_ids)
+                counts = count_per_vertex_priority(graph, workspace=counting_workspace)
+                workspace.peak_scratch_bytes = max(workspace.peak_scratch_bytes,
+                                                   counting_workspace.peak_scratch_bytes)
+                del counting_workspace
         counters.wedges_traversed += counts.wedges_traversed
         counters.counting_wedges += counts.wedges_traversed
         if counting_span.recording:
@@ -91,6 +96,7 @@ def parbutterfly_decomposition(
         adjacency = PeelableAdjacency(graph, side, enable_dgm=False,
                                       narrow_ids=workspace.narrow_ids)
         buckets = BucketQueue(supports, n_buckets=n_buckets, bucket_width=1)
+        regions: list[ParallelRegionRecord] = []
 
         while buckets:
             vertices, level = buckets.next_bucket()
@@ -102,8 +108,7 @@ def parbutterfly_decomposition(
 
             with tracer.span("parb.round") as round_span:
                 update = peel_batch(adjacency, supports, batch, threshold,
-                                    kernel=peel_kernel, context=context,
-                                    workspace=workspace)
+                                    kernel=peel_kernel, workspace=workspace)
             if round_span.recording:
                 round_span.set(vertices_peeled=int(batch.size),
                                wedges_traversed=int(update.wedges_traversed))
@@ -112,11 +117,8 @@ def parbutterfly_decomposition(
             counters.support_updates += update.support_updates
             counters.vertices_peeled += int(batch.size)
             counters.synchronization_rounds += 1
-            context.record_barrier(
-                "parb_round",
-                n_tasks=int(batch.size),
-                total_work=float(update.wedges_traversed),
-            )
+            regions.append(ParallelRegionRecord(
+                "parb_round", int(batch.size), float(update.wedges_traversed)))
 
             buckets.update_many(update.updated_vertices, update.new_supports)
 
@@ -143,5 +145,6 @@ def parbutterfly_decomposition(
         initial_butterflies=initial,
         algorithm="ParB",
         counters=counters,
-        extra={"n_buckets": n_buckets, "rebuckets": buckets.rebuckets},
+        extra={"n_buckets": n_buckets, "rebuckets": buckets.rebuckets,
+               "parallel_regions": regions},
     )

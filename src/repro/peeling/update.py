@@ -35,13 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.dynamic import PeelableAdjacency
-from ..kernels.csr import gather_rows, segment_offsets, segment_sums
-from ..kernels.peel import (
-    BatchDecrements,
-    apply_clamped_decrements,
-    count_pair_wedges,
-    key_counts,
-)
+from ..kernels.csr import gather_rows
+from ..kernels.peel import apply_clamped_decrements, count_pair_wedges, key_counts
 from ..kernels.wedges import gather_batch_wedges, iter_batch_wedge_chunks
 from ..kernels.workspace import WedgeWorkspace, workspace_or_default
 
@@ -187,7 +182,6 @@ def peel_batch(
     threshold: int | np.ndarray,
     *,
     kernel: str = "batched",
-    context=None,
     workspace: WedgeWorkspace | None = None,
 ) -> SupportUpdate:
     """Peel a set of vertices "concurrently" (one CD / ParB round).
@@ -216,12 +210,6 @@ def peel_batch(
         ``"batched"`` (default) or ``"reference"`` (the per-vertex loop kept
         in :mod:`repro.peeling.reference` for ablations and equivalence
         tests).
-    context:
-        Optional :class:`~repro.parallel.threadpool.ExecutionContext`.  When
-        it carries more than one thread, the wedge gather and pair counting
-        fan out over work-balanced batch slices with private buffers
-        (``map_chunks``) and the kernel merges the slices before the single
-        decrement application; results are identical to the serial path.
     workspace:
         Scratch arena + memory policy (wedge budget, int32 narrowing); the
         calling thread's default arena when omitted.
@@ -238,21 +226,40 @@ def peel_batch(
     threshold = (int(threshold) if np.ndim(threshold) == 0
                  else np.asarray(threshold, dtype=np.int64))
     centers, centers_per_vertex = gather_rows(peel_offsets, peel_neighbors, vertices)
-    wedges, support_updates, updated_pieces = _stream_decrements(
-        vertices,
-        centers,
-        centers_per_vertex,
-        *adjacency.center_csr(),
-        adjacency.alive_mask(),
-        # DGM bounds the stale fraction, so deferring the alive filter to
-        # the pair level is the cheaper schedule; without DGM stale entries
-        # accumulate and the early compress stays worthwhile.
-        adjacency.enable_dgm,
-        supports,
-        threshold,
-        context,
-        workspace,
-    )
+    center_offsets, center_neighbors = adjacency.center_csr()
+    alive = adjacency.alive_mask()
+
+    # Every chunk's decrements are applied before the next chunk is
+    # gathered, so nothing wedge-scale outlives a chunk.  The chunks follow
+    # batch order and clamped decrements compose (``max(t, s - a - b) ==
+    # max(t, max(t, s - a) - b)`` for per-endpoint totals ``a`` before
+    # ``b``), so supports and the ``support_updates`` replay are
+    # bit-identical to a monolithic application.
+    wedges = 0
+    support_updates = 0
+    updated_pieces: list[np.ndarray] = []
+    for lo, hi, endpoints, chunk_wedges in iter_batch_wedge_chunks(
+        centers, centers_per_vertex, center_offsets, center_neighbors,
+        workspace=workspace,
+    ):
+        wedges += int(endpoints.shape[0])
+        # Positions are rebased to the chunk so the key bound — and with it
+        # the int32 narrowing decision — shrinks with the chunk; the cached
+        # iota serves them without an arange per chunk.
+        positions = workspace.iota(hi - lo)
+        decrements = count_pair_wedges(
+            endpoints, positions, chunk_wedges, vertices[lo:hi], alive,
+            # DGM bounds the stale fraction, so deferring the alive filter to
+            # the pair level is the cheaper schedule; without DGM stale
+            # entries accumulate and the early compress stays worthwhile.
+            late_filter=adjacency.enable_dgm, workspace=workspace,
+        )
+        updated, _, n_updates = apply_clamped_decrements(
+            supports, decrements, threshold, workspace=workspace
+        )
+        support_updates += n_updates
+        if updated.size:
+            updated_pieces.append(updated)
     adjacency.record_traversal(wedges)
     adjacency.maybe_compact()
 
@@ -272,124 +279,3 @@ def peel_batch(
         wedges_traversed=wedges,
         support_updates=support_updates,
     )
-
-
-def _stream_decrements(
-    batch: np.ndarray,
-    centers: np.ndarray,
-    centers_per_vertex: np.ndarray,
-    center_offsets: np.ndarray,
-    center_neighbors: np.ndarray,
-    alive: np.ndarray,
-    late_filter: bool,
-    supports: np.ndarray,
-    threshold: int | np.ndarray,
-    context,
-    workspace: WedgeWorkspace,
-) -> tuple[int, int, list[np.ndarray]]:
-    """Gather, count and apply one batch through the wedge pipeline.
-
-    Serial path: the batch streams through
-    :func:`~repro.kernels.wedges.iter_batch_wedge_chunks`; every chunk's
-    decrements are applied to ``supports`` before the next chunk is
-    gathered, so nothing wedge-scale outlives a chunk.  Because the chunks
-    follow batch order and clamped decrements compose (``max(t, s - a - b)
-    == max(t, max(t, s - a) - b)`` for per-endpoint totals ``a`` before
-    ``b``), supports and the ``support_updates`` replay are bit-identical
-    to a monolithic application.
-
-    With a multi-threaded execution context the batch positions are split
-    into work-balanced slices instead; each slice gathers and counts into
-    private arrays (batch positions are disjoint across slices, so
-    per-pair counts are unaffected) and the pieces are concatenated for a
-    single global decrement application.
-
-    Returns ``(wedges, support_updates, updated_vertex_pieces)``.
-    """
-    if context is not None and context.n_threads > 1 and batch.shape[0] > 1:
-        center_starts = segment_offsets(centers_per_vertex)
-        wedges_per_vertex = segment_sums(
-            center_offsets[centers + 1] - center_offsets[centers], centers_per_vertex
-        )
-
-        def chunk_body(positions):
-            positions = np.asarray(positions, dtype=np.int64)
-            # Slices are contiguous position ranges (balanced_chunks /
-            # chunk_ranges both tile [0, n)); the streaming iteration below
-            # relies on it, so fail loudly if the scheduler ever changes.
-            lo_pos, hi_pos = int(positions[0]), int(positions[-1]) + 1
-            if hi_pos - lo_pos != positions.shape[0]:
-                raise ValueError("peel_batch_gather requires contiguous slices")
-            # A private arena per slice carrying the run's memory policy:
-            # the wedge budget caps each slice's gathers and its peak folds
-            # back into the run's accounting after the barrier.
-            local = WedgeWorkspace(
-                wedge_budget=workspace.wedge_budget,
-                narrow_ids=workspace.narrow_ids,
-            )
-            pieces: list[BatchDecrements] = []
-            slice_wedges = 0
-            for lo, hi, endpoints, chunk_lengths in iter_batch_wedge_chunks(
-                centers[center_starts[lo_pos]: center_starts[hi_pos]],
-                centers_per_vertex[lo_pos:hi_pos],
-                center_offsets,
-                center_neighbors,
-                workspace=local,
-            ):
-                slice_wedges += int(endpoints.shape[0])
-                pieces.append(count_pair_wedges(
-                    endpoints,
-                    np.arange(lo_pos + lo, lo_pos + hi, dtype=np.int64),
-                    chunk_lengths, batch, alive,
-                    late_filter=late_filter, workspace=local,
-                ))
-            return pieces, slice_wedges, local.peak_scratch_bytes
-
-        # record=False: the enclosing peel iteration (cd_peel_iteration /
-        # parb_round) already accounts for this wedge work, and the recorded
-        # regions must not depend on the thread count.
-        results = context.map_chunks(
-            list(range(batch.shape[0])),
-            chunk_body,
-            name="peel_batch_gather",
-            work_per_item=[float(w) for w in wedges_per_vertex],
-            record=False,
-        )
-        decrements = BatchDecrements.concatenate(
-            [piece for pieces, _, _ in results for piece in pieces]
-        )
-        wedges = sum(slice_wedges for _, slice_wedges, _ in results)
-        for _, _, local_peak in results:
-            if local_peak > workspace.peak_scratch_bytes:
-                workspace.peak_scratch_bytes = local_peak
-        updated, _, n_updates = apply_clamped_decrements(
-            supports, decrements, threshold, workspace=workspace
-        )
-        return wedges, n_updates, [updated] if updated.size else []
-
-    wedges = 0
-    total_updates = 0
-    updated_pieces: list[np.ndarray] = []
-    for lo, hi, endpoints, chunk_wedges in iter_batch_wedge_chunks(
-        centers,
-        centers_per_vertex,
-        center_offsets,
-        center_neighbors,
-        workspace=workspace,
-    ):
-        wedges += int(endpoints.shape[0])
-        # Positions are rebased to the chunk so the key bound — and with it
-        # the int32 narrowing decision — shrinks with the chunk; the cached
-        # iota serves them without an arange per chunk.
-        positions = workspace.iota(hi - lo)
-        decrements = count_pair_wedges(
-            endpoints, positions, chunk_wedges, batch[lo:hi], alive,
-            late_filter=late_filter, workspace=workspace,
-        )
-        updated, _, n_updates = apply_clamped_decrements(
-            supports, decrements, threshold, workspace=workspace
-        )
-        total_updates += n_updates
-        if updated.size:
-            updated_pieces.append(updated)
-    return wedges, total_updates, updated_pieces

@@ -6,7 +6,6 @@ import pytest
 from repro.butterfly.counting import (
     _build_ranked_index,
     count_per_vertex,
-    count_per_vertex_parallel,
     count_per_vertex_priority,
     count_total_butterflies,
 )
@@ -22,7 +21,6 @@ from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list
 from repro.graph.relabel import degree_priority
 from repro.kernels.csr import segment_ids
 from repro.kernels.workspace import WedgeWorkspace
-from repro.parallel.threadpool import ExecutionContext
 
 
 class TestExhaustiveEnumeration:
@@ -146,36 +144,11 @@ class TestWedgeAggregationCounting:
         assert restricted[~mask].sum() == 0
 
 
-class TestParallelCounting:
-    def test_matches_sequential(self, blocks_graph, community_graph):
-        for graph in (blocks_graph, community_graph):
-            sequential = count_per_vertex_priority(graph)
-            parallel = count_per_vertex_parallel(graph)
-            assert np.array_equal(sequential.u_counts, parallel.u_counts)
-            assert np.array_equal(sequential.v_counts, parallel.v_counts)
-            assert sequential.wedges_traversed == parallel.wedges_traversed
-
-    def test_with_real_threads(self, blocks_graph):
-        context = ExecutionContext(4, use_real_threads=True)
-        with context:
-            parallel = count_per_vertex_parallel(blocks_graph, context)
-        sequential = count_per_vertex_priority(blocks_graph)
-        assert np.array_equal(sequential.u_counts, parallel.u_counts)
-        assert np.array_equal(sequential.v_counts, parallel.v_counts)
-
-    def test_records_parallel_regions(self, blocks_graph):
-        context = ExecutionContext(2)
-        count_per_vertex_parallel(blocks_graph, context)
-        names = [region.name for region in context.parallel_regions]
-        assert "pvBcnt[U]" in names
-        assert "pvBcnt[V]" in names
-
-
 class TestDispatcher:
     def test_algorithms_agree(self, blocks_graph):
         results = {
             name: count_per_vertex(blocks_graph, algorithm=name)
-            for name in ("vertex-priority", "parallel", "wedge")
+            for name in ("vertex-priority", "wedge")
         }
         baseline = results["vertex-priority"]
         for name, counts in results.items():

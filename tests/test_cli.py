@@ -87,6 +87,14 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["agree"] is True
 
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_compare_on_a_worker_backend(self, graph_file, capsys, backend):
+        assert main(["compare", "--path", str(graph_file), "--partitions", "2",
+                     "--backend", backend, "--threads", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["agree"] is True
+        assert payload["first"]["algorithm"] == "RECEIPT"
+
     def test_stats_on_generated_dataset(self, capsys):
         assert main(["stats", "--dataset", "it", "--scale", "0.05", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)

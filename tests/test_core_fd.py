@@ -6,7 +6,7 @@ import pytest
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
 from repro.core.fd import fine_grained_decomposition
-from repro.parallel.threadpool import ExecutionContext
+from repro.engine import ThreadBackend
 from repro.peeling.bup import bup_decomposition
 
 
@@ -31,8 +31,8 @@ class TestExactness:
 
     def test_matches_bup_with_real_threads(self, cd_and_reference):
         graph, cd, reference = cd_and_reference
-        with ExecutionContext(4, use_real_threads=True) as context:
-            fd = fine_grained_decomposition(graph, cd, context=context)
+        with ThreadBackend(4) as engine:
+            fd = fine_grained_decomposition(graph, cd, engine=engine)
         assert np.array_equal(fd.tip_numbers, reference.tip_numbers)
 
     def test_many_partitions(self, community_graph):

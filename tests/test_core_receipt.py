@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analysis.verification import check_basic_invariants
 from repro.butterfly.counting import count_per_vertex
 from repro.core.receipt import DEFAULT_PARTITIONS, ReceiptConfig, receipt_decomposition, tip_decomposition
 from repro.errors import ReproError
 from repro.graph.builders import complete_bipartite, empty_graph, star
-from repro.peeling.base import validate_result_against_definition
 from repro.peeling.bup import bup_decomposition
 
 
@@ -51,12 +51,12 @@ class TestCorrectness:
         assert result.side == "V"
         assert result.n_vertices == blocks_graph.n_v
         assert np.array_equal(result.initial_butterflies, counts.v_counts)
-        validate_result_against_definition(blocks_graph, result)
+        assert check_basic_invariants(blocks_graph, result).passed
 
     def test_real_threads(self, blocks_graph):
         reference = bup_decomposition(blocks_graph, "U").tip_numbers
         result = receipt_decomposition(
-            blocks_graph, "U", n_partitions=4, n_threads=4, use_real_threads=True
+            blocks_graph, "U", n_partitions=4, n_threads=4, backend="thread"
         )
         assert np.array_equal(result.tip_numbers, reference)
 
@@ -101,6 +101,22 @@ class TestInstrumentation:
         assert extra["total_butterflies"] == int(result.initial_butterflies.sum()) // 2
         assert len(extra["parallel_regions"]) > 0
         assert len(extra["subset_records"]) == len(extra["subsets"])
+
+    def test_parallel_regions(self, blocks_graph):
+        result = receipt_decomposition(blocks_graph, "U", n_partitions=4)
+        regions = result.extra["parallel_regions"]
+        names = [region.name for region in regions]
+        assert names[:2] == ["pvBcnt[U]", "pvBcnt[V]"] and names[-1] == "fd_subsets"
+        # Counting: one task per start vertex, its degree as work.
+        assert regions[0].task_work == blocks_graph.degrees("U").tolist()
+        assert names.count("cd_peel_iteration") == (
+            result.phase_counters["cd"].synchronization_rounds)
+        assert regions[-1].n_tasks == len(result.extra["subsets"])
+        assert regions[-1].total_work == result.phase_counters["fd"].wedges_traversed
+        # With precomputed counts the run has no counting pass to record.
+        counted = receipt_decomposition(blocks_graph, "U", n_partitions=4,
+                                        counts=count_per_vertex(blocks_graph))
+        assert [region.name for region in counted.extra["parallel_regions"]] == names[2:]
 
     def test_fewer_synchronization_rounds_than_parb(self, community_graph):
         from repro.peeling.parbutterfly import parbutterfly_decomposition

@@ -11,7 +11,9 @@ stays fast.
 
 from __future__ import annotations
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ from hypothesis import strategies as st
 from repro.core.receipt import receipt_decomposition
 from repro.datasets.generators import random_bipartite
 from repro.engine import (
-    BACKEND_NAMES,
     FdJob,
     FdTask,
     FdTaskResult,
+    ProcessBackend,
     attach_fd_job,
     build_fd_tasks,
     create_backend,
@@ -33,22 +35,20 @@ from repro.engine import (
 )
 from repro.errors import ReproError
 from repro.graph.bipartite import BipartiteGraph
-from repro.parallel.threadpool import ExecutionContext
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
-def process_context():
+def process_engine():
     """One persistent two-worker process pool shared by the whole module."""
-    with ExecutionContext(2, backend="process") as context:
-        context.engine.warmup()
-        yield context
+    with ProcessBackend(2) as engine:
+        engine.warmup()
+        yield engine
 
 
-def _decompose(graph, context=None, backend="serial", n_threads=1):
-    return receipt_decomposition(
-        graph, "U", n_partitions=4, backend=backend, n_threads=n_threads,
-        context=context,
-    )
+def _decompose(graph, engine=None, **config):
+    return receipt_decomposition(graph, "U", n_partitions=4, engine=engine, **config)
 
 
 def _assert_equivalent(reference, candidate):
@@ -56,6 +56,14 @@ def _assert_equivalent(reference, candidate):
     assert reference.counters.wedges_traversed == candidate.counters.wedges_traversed
     assert reference.counters.support_updates == candidate.counters.support_updates
     assert reference.counters.vertices_peeled == candidate.counters.vertices_peeled
+    # Counting and CD run one kernel path under every backend, so all their
+    # counters agree, scratch peaks included, and so do the recorded regions.
+    for phase in ("pvBcnt", "cd"):
+        expected = reference.phase_counters[phase].as_dict()
+        actual = candidate.phase_counters[phase].as_dict()
+        del expected["elapsed_seconds"], actual["elapsed_seconds"]
+        assert actual == expected, phase
+    assert candidate.extra["parallel_regions"] == reference.extra["parallel_regions"]
 
 
 class TestBackendEquivalence:
@@ -63,36 +71,50 @@ class TestBackendEquivalence:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            n_edges=st.integers(min_value=0, max_value=160))
-    def test_all_backends_bit_identical(self, process_context, seed, n_edges):
+    def test_all_backends_bit_identical(self, process_engine, seed, n_edges):
         graph = random_bipartite(24, 18, n_edges, seed=seed)
         serial = _decompose(graph)
         threaded = _decompose(graph, backend="thread", n_threads=2)
-        processed = _decompose(graph, context=process_context)
+        processed = _decompose(graph, process_engine)
         _assert_equivalent(serial, threaded)
         _assert_equivalent(serial, processed)
 
     def test_process_backend_on_fixture_graphs(self, blocks_graph, community_graph,
-                                               process_context):
+                                               process_engine):
         for graph in (blocks_graph, community_graph):
             serial = _decompose(graph)
-            processed = _decompose(graph, context=process_context)
+            processed = _decompose(graph, process_engine)
             _assert_equivalent(serial, processed)
+            # The run leaves a caller-owned pool running.
+            assert process_engine._executor is not None
             # The per-phase FD counters must agree too, not just the totals.
             assert (serial.phase_counters["fd"].wedges_traversed
                     == processed.phase_counters["fd"].wedges_traversed)
             assert (serial.phase_counters["fd"].support_updates
                     == processed.phase_counters["fd"].support_updates)
 
-    def test_empty_graph_through_process_backend(self, empty, process_context):
+    def test_empty_graph_through_process_backend(self, empty, process_engine):
         serial = _decompose(empty)
-        processed = _decompose(empty, context=process_context)
+        processed = _decompose(empty, process_engine)
         _assert_equivalent(serial, processed)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(2, backend="gpu")
+    def test_unknown_backend_rejected(self, blocks_graph):
         with pytest.raises(ReproError):
             create_backend("gpu")
+        with pytest.raises(ReproError):
+            _decompose(blocks_graph, backend="gpu")
+
+
+class TestBackendLifecycle:
+    def test_invalid_worker_count(self):
+        with pytest.raises(ReproError):
+            create_backend("thread", n_workers=0)
+
+    def test_context_manager_shuts_down(self):
+        with create_backend("thread", n_workers=2) as engine:
+            engine.warmup()
+            assert engine._executor is not None
+        assert engine._executor is None
 
 
 class TestTaskDescriptors:
@@ -211,46 +233,17 @@ class TestCsrArraysSurface:
             )
 
 
-class TestContextIntegration:
-    def test_run_tasks_accounts_work_per_task(self):
-        context = ExecutionContext()
-        context.run_tasks([lambda: 1, lambda: 2], name="weighted",
-                          work_per_task=[10.0, 30.0])
-        region = context.parallel_regions[-1]
-        assert region.total_work == 40.0
-        assert region.task_work == [10.0, 30.0]
-
-    def test_run_tasks_rejects_mismatched_work(self):
-        context = ExecutionContext()
-        with pytest.raises(ValueError):
-            context.run_tasks([lambda: 1, lambda: 2], work_per_task=[1.0])
-
-    def test_run_fd_tasks_defaults_to_descriptor_work(self, blocks_graph):
-        from repro.butterfly.counting import count_per_vertex_priority
-        from repro.core.cd import coarse_grained_decomposition
-
-        counts = count_per_vertex_priority(blocks_graph).u_counts
-        cd = coarse_grained_decomposition(blocks_graph, counts, 3)
-        flat, tasks = build_fd_tasks(cd.subsets, np.array([5.0] * len(cd.subsets)))
-        job = FdJob(graph=blocks_graph, subsets_flat=flat,
-                    init_supports=cd.init_supports)
-        context = ExecutionContext()
-        context.run_fd_tasks(job, tasks)
-        region = context.parallel_regions[-1]
-        assert region.total_work == 5.0 * len(tasks)
-        with pytest.raises(ValueError):
-            context.run_fd_tasks(job, tasks, work_per_task=[1.0])
-
-    def test_thread_backend_shares_context_executor(self):
-        with ExecutionContext(3, backend="thread") as context:
-            engine = context.engine
-            assert engine._executor is context._ensure_executor()
-            assert engine._owns_executor is False
-        # Exiting the context shuts the shared pool down exactly once.
-        assert context._executor is None
-
-
-def test_backend_names_stay_in_sync():
-    from repro.parallel.threadpool import BACKEND_NAMES as CONTEXT_NAMES
-
-    assert tuple(CONTEXT_NAMES) == tuple(BACKEND_NAMES)
+def test_only_the_engine_and_coalescer_create_executors():
+    """One execution API: no other module builds its own worker pool."""
+    pools = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in pools:
+                    sites.append((path.relative_to(SRC).as_posix(), node.lineno))
+    assert sites, "the scan found no executor at all"
+    modules = {module for module, _ in sites}
+    assert modules <= {"engine/backends.py", "service/coalesce.py"}, sites

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
 from repro.core.fd import fine_grained_decomposition
-from repro.engine import FdJob, build_fd_tasks, execute_fd_task
+from repro.engine import FdJob, ProcessBackend, ThreadBackend, build_fd_tasks, execute_fd_task
 from repro.errors import GraphConstructionError
 from repro.graph.bipartite import BipartiteGraph
-from repro.parallel.threadpool import ExecutionContext
 from repro.peeling.bup import bup_decomposition, peel_levels
 
 KERNELS = ("batched", "reference")
@@ -34,11 +33,11 @@ edge_lists = st.lists(st.tuples(st.integers(0, 19), st.integers(0, 11)),
 
 
 @pytest.fixture(scope="module")
-def process_context():
+def process_engine():
     """One persistent two-worker process pool shared by the whole module."""
-    with ExecutionContext(2, backend="process") as context:
-        context.engine.warmup()
-        yield context
+    with ProcessBackend(2) as engine:
+        engine.warmup()
+        yield engine
 
 
 def _cd(graph: BipartiteGraph, n_partitions: int):
@@ -112,14 +111,14 @@ class TestLockstepExactness:
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edges=edge_lists)
-    def test_backends_agree_bit_for_bit(self, process_context, edges):
+    def test_backends_agree_bit_for_bit(self, process_engine, edges):
         graph = BipartiteGraph(20, 12, edges)
         for n_partitions in PARTITIONS:
             cd = _cd(graph, n_partitions)
             serial = fine_grained_decomposition(graph, cd)
-            processed = fine_grained_decomposition(graph, cd, context=process_context)
-            with ExecutionContext(4, backend="thread") as context:
-                threaded = fine_grained_decomposition(graph, cd, context=context)
+            processed = fine_grained_decomposition(graph, cd, engine=process_engine)
+            with ThreadBackend(4) as engine:
+                threaded = fine_grained_decomposition(graph, cd, engine=engine)
             assert _fd_fingerprint(processed) == _fd_fingerprint(serial)
             assert _fd_fingerprint(threaded) == _fd_fingerprint(serial)
             expected = bup_decomposition(graph, "U").tip_numbers
@@ -129,13 +128,22 @@ class TestLockstepExactness:
 class TestShares:
     def test_one_task_per_worker_share(self, community_graph):
         cd = _cd(community_graph, 8)
-        with ExecutionContext(3, backend="thread") as context:
-            fd = fine_grained_decomposition(community_graph, cd, context=context)
-        region = context.parallel_regions[-1]
-        assert region.name == "fd_task_queue"
-        assert region.n_tasks == min(3, cd.n_subsets)
-        assert fine_grained_decomposition(community_graph, cd).schedule_order == (
-            fd.schedule_order)
+        dispatched = []
+
+        class CountingBackend(ThreadBackend):
+            def run_fd_tasks(self, job, tasks):
+                dispatched.append(len(tasks))
+                return super().run_fd_tasks(job, tasks)
+
+        with CountingBackend(3) as engine:
+            fd = fine_grained_decomposition(community_graph, cd, engine=engine)
+        assert dispatched == [min(3, cd.n_subsets)]
+        serial = fine_grained_decomposition(community_graph, cd)
+        assert serial.schedule_order == fd.schedule_order
+        # Records follow the schedule, whatever the shares.
+        assert [r.subset_index for r in fd.subset_records] == fd.schedule_order
+        assert ([r.wedges_traversed for r in fd.subset_records]
+                == [r.wedges_traversed for r in serial.subset_records])
 
     def test_records_share_the_task_time(self, community_graph):
         cd = _cd(community_graph, 8)

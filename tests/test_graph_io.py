@@ -7,7 +7,6 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graph.builders import from_edge_list
 from repro.graph.io import (
-    iter_graph_files,
     load_graph,
     read_edge_list,
     read_konect,
@@ -136,10 +135,3 @@ class TestLoadDispatch:
         path.write_text("% header\n1 1\n")
         graph = load_graph(path)
         assert graph.n_edges == 1
-
-    def test_iter_graph_files(self, sample_graph, tmp_path):
-        write_edge_list(sample_graph, tmp_path / "a.tsv")
-        write_matrix_market(sample_graph, tmp_path / "b.mtx")
-        (tmp_path / "ignored.json").write_text("{}")
-        files = [path.name for path in iter_graph_files(tmp_path)]
-        assert files == ["a.tsv", "b.mtx"]

@@ -65,7 +65,7 @@ def test_counting_is_consistent_across_algorithms(medium_random_graph):
 
     by_algorithm = {
         name: count_per_vertex(medium_random_graph, algorithm=name)
-        for name in ("vertex-priority", "parallel", "wedge")
+        for name in ("vertex-priority", "wedge")
     }
     reference = by_algorithm["vertex-priority"]
     for name, counts in by_algorithm.items():

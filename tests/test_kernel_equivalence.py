@@ -22,14 +22,12 @@ from repro.datasets.generators import power_law_bipartite, random_bipartite
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.dynamic import PeelableAdjacency
 from repro.kernels.csr import compact_csr, gather_rows, int_bincount, segment_sums
-from repro.parallel.threadpool import ExecutionContext
 from repro.peeling.bup import bup_decomposition
 from repro.peeling.parbutterfly import parbutterfly_decomposition
 from repro.peeling.update import peel_batch, peel_vertex
 
 
-def _assert_batches_equivalent(graph, *, enable_dgm, compaction_interval, seed,
-                               batched_context=None):
+def _assert_batches_equivalent(graph, *, enable_dgm, compaction_interval, seed):
     """Peel the whole U side in random batches with both kernels and compare."""
     rng = np.random.default_rng(seed)
     counts = count_per_vertex_priority(graph)
@@ -53,7 +51,7 @@ def _assert_batches_equivalent(graph, *, enable_dgm, compaction_interval, seed,
         )
         batched = peel_batch(
             adjacency["batched"], supports["batched"], batch, threshold,
-            kernel="batched", context=batched_context,
+            kernel="batched",
         )
         assert batched.wedges_traversed == reference.wedges_traversed
         assert batched.support_updates == reference.support_updates
@@ -98,16 +96,6 @@ class TestBatchKernelEquivalence:
         _assert_batches_equivalent(
             graph, enable_dgm=True, compaction_interval=None, seed=11
         )
-
-    def test_map_chunks_path_matches(self):
-        # The multi-threaded gather path (private per-slice buffers merged by
-        # the kernel) must not change any result or counter.
-        graph = power_law_bipartite(80, 50, 450, seed=3)
-        with ExecutionContext(4, use_real_threads=True) as context:
-            _assert_batches_equivalent(
-                graph, enable_dgm=True, compaction_interval=31, seed=3,
-                batched_context=context,
-            )
 
     def test_single_vertex_kernel_matches(self):
         graph = random_bipartite(30, 20, 140, seed=7)

@@ -267,9 +267,7 @@ class TestPipelineEquivalence:
     def test_receipt_identical_across_budgets(self, seed):
         graph = seeded_graph(seed, n_u=30, n_v=20)
         runs = [
-            receipt_decomposition(graph, "U", n_partitions=4,
-                                  counting_algorithm="vertex-priority",
-                                  wedge_budget=budget)
+            receipt_decomposition(graph, "U", n_partitions=4, wedge_budget=budget)
             for budget in (None, 0, 1)
         ]
         for other in runs[1:]:
@@ -282,12 +280,9 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_receipt_budgeted_across_backends(self, backend):
         graph = seeded_graph(1234, n_u=36, n_v=22)
-        reference = receipt_decomposition(
-            graph, "U", n_partitions=4, counting_algorithm="vertex-priority"
-        )
+        reference = receipt_decomposition(graph, "U", n_partitions=4)
         run = receipt_decomposition(
-            graph, "U", n_partitions=4, counting_algorithm="vertex-priority",
-            wedge_budget=5, backend=backend, n_threads=2,
+            graph, "U", n_partitions=4, wedge_budget=5, backend=backend, n_threads=2,
         )
         assert np.array_equal(reference.tip_numbers, run.tip_numbers)
         assert (reference.counters.wedges_traversed
@@ -318,6 +313,5 @@ class TestPeakAccounting:
 
     def test_receipt_counters_report_peak(self):
         graph = seeded_graph(6, n_u=30, n_v=18)
-        result = receipt_decomposition(graph, "U", n_partitions=3,
-                                       counting_algorithm="vertex-priority")
+        result = receipt_decomposition(graph, "U", n_partitions=3)
         assert result.counters.peak_scratch_bytes > 0

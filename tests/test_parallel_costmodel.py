@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.costmodel import ParallelCostModel, RegionCost
-from repro.parallel.threadpool import ParallelRegionRecord
+from repro.parallel.costmodel import ParallelCostModel, ParallelRegionRecord, RegionCost
 
 
 class TestRegionCost:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.verification import check_basic_invariants
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.errors import BudgetExceededError
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
-from repro.peeling.base import validate_result_against_definition
 from repro.peeling.bup import bup_decomposition, peel_sequential
 
 
@@ -62,7 +62,7 @@ class TestResultStructure:
         assert result.counters.vertices_peeled == blocks_graph.n_u
         assert result.counters.wedges_traversed > 0
         assert result.counters.elapsed_seconds > 0
-        validate_result_against_definition(blocks_graph, result)
+        assert check_basic_invariants(blocks_graph, result).passed
 
     def test_tip_bounded_by_butterfly_count(self, blocks_graph, community_graph):
         for graph in (blocks_graph, community_graph):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import BudgetExceededError
 from repro.graph.builders import complete_bipartite, empty_graph, star
-from repro.parallel.threadpool import ExecutionContext
 from repro.peeling.bup import bup_decomposition
 from repro.peeling.parbutterfly import parbutterfly_decomposition
 
@@ -58,10 +57,12 @@ class TestRoundStructure:
         assert parb.counters.wedges_traversed == bup.counters.wedges_traversed
 
     def test_records_rounds_in_context(self, blocks_graph):
-        context = ExecutionContext(4)
-        parbutterfly_decomposition(blocks_graph, "U", context=context)
-        round_regions = [r for r in context.parallel_regions if r.name == "parb_round"]
-        assert len(round_regions) > 0
+        result = parbutterfly_decomposition(blocks_graph, "U")
+        regions = result.extra["parallel_regions"]
+        assert [r.name for r in regions] == ["parb_round"] * len(regions)
+        assert len(regions) == result.counters.synchronization_rounds
+        assert sum(r.n_tasks for r in regions) == blocks_graph.n_u
+        assert sum(r.total_work for r in regions) == result.counters.peeling_wedges
 
 
 class TestBudgets:
