@@ -16,20 +16,19 @@ a full decomposition.  This benchmark quantifies that claim end-to-end:
    :class:`~repro.service.index.TipIndex`, against the *cold re-peel
    path*: answering the same batch by re-running the decomposition, which
    is what the repo had to do before this subsystem existed.
-4. **HTTP** — starts the real ``ThreadingHTTPServer`` on a free port,
+4. **HTTP** — starts the real server (``repro serve``) on a free port,
    exercises **every** endpoint once (hard-failing on any non-200), then
    measures point-request p50/p99 latency and batch-POST throughput —
-   both per-connection (the historical baseline) and over persistent
-   keep-alive connections.
-5. **Async** — starts the asyncio batch-coalescing front end
-   (``repro serve --transport async``), asserts offline / threaded /
-   async answers are byte-for-byte identical, then measures pipelined
-   point-θ QPS, unpipelined p50/p99 latency, NDJSON bulk throughput, and
-   read latency under mixed read/update load (admission-controlled
-   writes racing coalesced reads).
+   both with one request per connection (the gate's baseline) and over
+   persistent keep-alive connections.
+5. **Batching** — on the same server, asserts served and offline answers
+   are byte-for-byte identical, then measures pipelined point-θ QPS,
+   unpipelined p50/p99 latency, NDJSON bulk throughput, and read latency
+   under mixed read/update load (admission-controlled writes racing
+   coalesced reads).
 6. **Sharding + replication** — asserts the θ-range ``ShardRouter``
    answers byte-identically to the unsharded service at every shard
-   count (offline, threaded, and async), measures batch-θ throughput
+   count (offline and served), measures batch-θ throughput
    per shard count, gates 1-shard scatter/gather at parity with the
    unsharded path, and runs a leader + follower topology reporting
    replication convergence (offsets, lag reaching 0, read identity).
@@ -42,8 +41,8 @@ a full decomposition.  This benchmark quantifies that claim end-to-end:
 Results go to ``BENCH_serving.json`` at the repository root.
 ``--check-speedup`` gates four things: warm-cache batch-θ throughput is
 at least 10x the re-peel path (the serving layer's reason to exist),
-async pipelined point-θ QPS is at least 10x the threaded per-connection
-baseline (the async front end's reason to exist), 1-shard
+pipelined point-θ QPS is at least 10x the same server's one-request-per-
+connection QPS (the coalescing front end's reason to exist), 1-shard
 scatter/gather batch-θ throughput is at least parity (0.75x) with the
 unsharded index (sharding must not tax the degenerate deployment), and
 automatic divergence recovery completes under a fixed ceiling.
@@ -82,7 +81,6 @@ from repro.service.cache import IndexCache
 from repro.service.server import (
     ENDPOINTS,
     TipService,
-    create_server,
     error_payload,
     to_jsonable,
 )
@@ -92,8 +90,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Required throughput advantage of warm-cache batch θ over re-peeling.
 SPEEDUP_GATE = 10.0
 
-#: Required point-QPS advantage of the async pipelined transport over the
-#: threaded per-connection baseline.
+#: Required point-QPS advantage of pipelined, coalesced requests over one
+#: request per connection, both against the same server.
 ASYNC_GATE = 10.0
 
 #: Required 1-shard scatter/gather batch-θ throughput relative to the
@@ -105,9 +103,9 @@ SHARDING_PARITY_GATE = 0.75
 #: for shared CI runners; a healthy topology recovers in well under 1s.
 RECOVERY_GATE_SECONDS = 10.0
 
-#: Routes whose (status, body) must be byte-identical across offline,
-#: threaded, and async serving.  /stats is excluded: its request counters
-#: legitimately differ between processes.
+#: Routes whose (status, body) must be byte-identical served and offline.
+#: /stats is excluded: its request counters legitimately differ between
+#: services.
 IDENTITY_ROUTES = (
     "/healthz",
     "/theta?vertex=0",
@@ -163,7 +161,7 @@ def _http_get_bytes(base_url: str, route: str):
 
 
 def _offline_bytes(service: TipService, route: str):
-    """Render a route exactly as both HTTP transports would."""
+    """Render a route exactly as the HTTP server would."""
     bare, _, query = route.partition("?")
     params = dict(pair.split("=") for pair in query.split("&")) if query else {}
     try:
@@ -174,7 +172,7 @@ def _offline_bytes(service: TipService, route: str):
     return status, json.dumps(to_jsonable(payload)).encode("utf-8")
 
 
-def _threaded_keepalive_qps(host: str, port: int, vertices, workers: int = 4):
+def _keepalive_qps(host: str, port: int, vertices, workers: int = 4):
     """Point-θ QPS over persistent keep-alive connections, one per worker."""
     chunks = [chunk for chunk in np.array_split(vertices, workers) if len(chunk)]
 
@@ -383,10 +381,9 @@ def main(argv=None) -> int:
               f"{repeel_lookups_per_sec:,.0f} θ/s -> {speedup:,.0f}x")
 
         # -- 4: HTTP ----------------------------------------------------
-        server = create_server([artifact_path], port=0, cache_capacity=4)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base_url = f"http://{server.server_address[0]}:{server.server_address[1]}"
+        handle = start_server_thread([artifact_path], cache_capacity=4)
+        ahost, aport = handle.address
+        base_url = handle.base_url
         try:
             k_mid = max(1, index.max_tip_number // 2)
             endpoint_routes = {
@@ -430,41 +427,27 @@ def main(argv=None) -> int:
                   f"(p50 {point_latency['p50_ms']}ms p99 {point_latency['p99_ms']}ms) | "
                   f"batch {http_batch_lookups_per_sec:,.0f} θ/s")
 
-            # Keep-alive baseline: same threaded server, persistent conns.
-            keepalive_qps = _threaded_keepalive_qps(
-                server.server_address[0], server.server_address[1],
-                rng.integers(0, graph.n_u, size=point_requests))
+            # Keep-alive: the same server, persistent connections.
+            keepalive_qps = _keepalive_qps(
+                ahost, aport, rng.integers(0, graph.n_u, size=point_requests))
             print(f"http: keep-alive point {keepalive_qps:,.0f} q/s (4 conns)")
+            cache_stats = handle.service.cache.stats()
 
-            threaded_identity = {
-                route: _http_get_bytes(base_url, route) for route in IDENTITY_ROUTES}
-            cache_stats = server.service.cache.stats()
-        finally:
-            server.shutdown()
-            server.server_close()
-
-        # -- 5: async batch-coalescing front end ------------------------
-        async_point_requests = 3000 if args.quick else 12000
-        async_connections, async_window = 8, 32
-        mixed_rounds = 2
-        offline_service = TipService([artifact_path])
-        handle = start_server_thread([artifact_path], cache_capacity=4)
-        try:
-            ahost, aport = handle.address
-            abase = handle.base_url
-
-            # Byte-identity: offline == threaded == async, per route.
+            # -- 5: coalescing, pipelining, NDJSON, admission -----------
+            async_point_requests = 3000 if args.quick else 12000
+            async_connections, async_window = 8, 32
+            mixed_rounds = 2
+            offline_service = TipService([artifact_path])
             for route in IDENTITY_ROUTES:
                 offline_answer = _offline_bytes(offline_service, route)
-                async_answer = _http_get_bytes(abase, route)
-                if not (offline_answer == threaded_identity[route] == async_answer):
-                    print(f"FAIL: transports disagree on {route}:\n"
-                          f"  offline  {offline_answer}\n"
-                          f"  threaded {threaded_identity[route]}\n"
-                          f"  async    {async_answer}", file=sys.stderr)
+                served_answer = _http_get_bytes(base_url, route)
+                if offline_answer != served_answer:
+                    print(f"FAIL: served and offline answers disagree on "
+                          f"{route}:\n  offline {offline_answer}\n"
+                          f"  served  {served_answer}", file=sys.stderr)
                     return 1
             print(f"async: {len(IDENTITY_ROUTES)} routes byte-identical "
-                  f"across offline/threaded/async")
+                  f"served and offline")
 
             async_vertices = rng.integers(0, graph.n_u, size=async_point_requests)
             async_point_qps = asyncio.run(_async_pipelined_qps(
@@ -476,7 +459,7 @@ def main(argv=None) -> int:
                 ahost, aport, rng.integers(0, graph.n_u, size=point_requests))))
             print(f"async: point {async_point_qps:,.0f} q/s pipelined "
                   f"({async_connections} conns x window {async_window}) -> "
-                  f"{async_speedup:,.1f}x threaded | unpipelined "
+                  f"{async_speedup:,.1f}x one request per connection | unpipelined "
                   f"p50 {async_latency['p50_ms']}ms p99 {async_latency['p99_ms']}ms")
 
             # NDJSON bulk: many batch lookups in one request.
@@ -549,30 +532,21 @@ def main(argv=None) -> int:
                           f"  sharded   {sharded}", file=sys.stderr)
                     return 1
 
-        # Identity gate, served: one sharded service behind both transports.
-        shard_http = create_server([], service=shard_services[2], port=0)
-        threading.Thread(target=shard_http.serve_forever, daemon=True).start()
-        shard_async = start_server_thread([], service=shard_services[2])
+        # Identity gate, served: a sharded service behind the server.
+        shard_server = start_server_thread(service=shard_services[2])
         try:
-            shard_base = (f"http://{shard_http.server_address[0]}:"
-                          f"{shard_http.server_address[1]}")
             for route in shard_identity_routes:
                 unsharded = _offline_bytes(offline_service, route)
-                threaded_answer = _http_get_bytes(shard_base, route)
-                async_answer = _http_get_bytes(shard_async.base_url, route)
-                if not (unsharded == threaded_answer == async_answer):
-                    print(f"FAIL: sharded transports disagree on {route}:\n"
-                          f"  offline  {unsharded}\n"
-                          f"  threaded {threaded_answer}\n"
-                          f"  async    {async_answer}", file=sys.stderr)
+                served = _http_get_bytes(shard_server.base_url, route)
+                if unsharded != served:
+                    print(f"FAIL: served shards disagree on {route}:\n"
+                          f"  offline {unsharded}\n"
+                          f"  served  {served}", file=sys.stderr)
                     return 1
         finally:
-            shard_async.stop()
-            shard_http.shutdown()
-            shard_http.server_close()
+            shard_server.stop()
         print(f"sharding: {len(shard_identity_routes)} routes byte-identical "
-              f"at shard counts {list(shard_counts)} across "
-              f"offline/threaded/async")
+              f"at shard counts {list(shard_counts)}, offline and served")
 
         # Throughput scaling: batch-θ per shard count vs the raw index.
         _, unsharded_seconds = _timed(
@@ -599,19 +573,14 @@ def main(argv=None) -> int:
         shutil.copytree(artifact_path, leader_path)
         shutil.copytree(artifact_path, follower_path)
         follower_service = TipService([follower_path])
-        follower_http = create_server([], service=follower_service, port=0)
-        threading.Thread(
-            target=follower_http.serve_forever, daemon=True).start()
-        follower_url = (f"http://{follower_http.server_address[0]}:"
-                        f"{follower_http.server_address[1]}")
+        follower_http = start_server_thread(service=follower_service)
+        follower_url = follower_http.base_url
         leader_service = TipService([leader_path])
         leader_coord = ReplicationCoordinator(
             leader_service, role="leader", follower_urls=(follower_url,))
         leader_coord.start()
-        leader_http = create_server([], service=leader_service, port=0)
-        threading.Thread(target=leader_http.serve_forever, daemon=True).start()
-        leader_url = (f"http://{leader_http.server_address[0]}:"
-                      f"{leader_http.server_address[1]}")
+        leader_http = start_server_thread(service=leader_service)
+        leader_url = leader_http.base_url
         follower_coord = ReplicationCoordinator(
             follower_service, role="follower", leader_url=leader_url,
             poll_interval=0.2)
@@ -655,10 +624,8 @@ def main(argv=None) -> int:
         finally:
             leader_coord.stop()
             follower_coord.stop()
-            leader_http.shutdown()
-            leader_http.server_close()
-            follower_http.shutdown()
-            follower_http.server_close()
+            leader_http.stop()
+            follower_http.stop()
 
         # -- 7: resilience: forced divergence -> automatic recovery -----
         from repro.service import faults as fault_injection
@@ -669,22 +636,16 @@ def main(argv=None) -> int:
         shutil.copytree(artifact_path, r_leader_path)
         shutil.copytree(artifact_path, r_follower_path)
         r_follower_service = TipService([r_follower_path])
-        r_follower_http = create_server([], service=r_follower_service, port=0)
-        threading.Thread(
-            target=r_follower_http.serve_forever, daemon=True).start()
-        r_follower_url = (f"http://{r_follower_http.server_address[0]}:"
-                          f"{r_follower_http.server_address[1]}")
+        r_follower_http = start_server_thread(service=r_follower_service)
+        r_follower_url = r_follower_http.base_url
         r_leader_service = TipService([r_leader_path])
         r_leader_coord = ReplicationCoordinator(
             r_leader_service, role="leader",
             log_path=Path(workdir) / "r-leader.replog",
             follower_urls=(r_follower_url,))
         r_leader_coord.start()
-        r_leader_http = create_server([], service=r_leader_service, port=0)
-        threading.Thread(
-            target=r_leader_http.serve_forever, daemon=True).start()
-        r_leader_url = (f"http://{r_leader_http.server_address[0]}:"
-                        f"{r_leader_http.server_address[1]}")
+        r_leader_http = start_server_thread(service=r_leader_service)
+        r_leader_url = r_leader_http.base_url
         r_follower_coord = ReplicationCoordinator(
             r_follower_service, role="follower", leader_url=r_leader_url,
             poll_interval=0.1)
@@ -742,10 +703,8 @@ def main(argv=None) -> int:
         finally:
             r_leader_coord.stop()
             r_follower_coord.stop()
-            r_leader_http.shutdown()
-            r_leader_http.server_close()
-            r_follower_http.shutdown()
-            r_follower_http.server_close()
+            r_leader_http.stop()
+            r_follower_http.stop()
 
         manifest_now = read_manifest(artifact_path)
         report = {
@@ -791,8 +750,8 @@ def main(argv=None) -> int:
                 "point_qps_pipelined": round(async_point_qps, 1),
                 "pipelining": {
                     "connections": async_connections, "window": async_window},
-                "speedup_vs_threaded_point": round(async_speedup, 1),
-                "speedup_vs_threaded_keepalive": round(
+                "speedup_vs_per_connection_point": round(async_speedup, 1),
+                "speedup_vs_keepalive_point": round(
                     async_point_qps / max(keepalive_qps, 1e-9), 1),
                 "point_latency": async_latency,
                 "ndjson_lookups_per_sec": round(ndjson_lookups_per_sec, 1),
@@ -810,7 +769,7 @@ def main(argv=None) -> int:
             "sharding": {
                 "shard_counts": list(shard_counts),
                 "identity_routes_checked": len(shard_identity_routes),
-                "transports_checked": ["offline", "thread", "async"],
+                "transports_checked": ["offline", "async"],
                 "unsharded_batch_lookups_per_sec": round(
                     unsharded_batch_per_sec, 1),
                 "batch_lookups_per_sec": {
@@ -857,11 +816,11 @@ def main(argv=None) -> int:
     print(f"OK: warm batch-θ throughput is {speedup:,.0f}x the re-peel path "
           f"(gate: {SPEEDUP_GATE:.0f}x)")
     if args.check_speedup and async_speedup < ASYNC_GATE:
-        print(f"FAIL: async pipelined point-θ QPS is only {async_speedup:.1f}x "
-              f"the threaded baseline (gate: {ASYNC_GATE:.0f}x)", file=sys.stderr)
+        print(f"FAIL: pipelined point-θ QPS is only {async_speedup:.1f}x one "
+              f"request per connection (gate: {ASYNC_GATE:.0f}x)", file=sys.stderr)
         return 1
-    print(f"OK: async pipelined point-θ QPS is {async_speedup:,.1f}x the "
-          f"threaded baseline (gate: {ASYNC_GATE:.0f}x)")
+    print(f"OK: pipelined point-θ QPS is {async_speedup:,.1f}x one request "
+          f"per connection (gate: {ASYNC_GATE:.0f}x)")
     if args.check_speedup and one_shard_parity < SHARDING_PARITY_GATE:
         print(f"FAIL: 1-shard scatter/gather batch-θ throughput is only "
               f"{one_shard_parity:.2f}x the unsharded index "

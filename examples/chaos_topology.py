@@ -131,7 +131,7 @@ def main() -> None:
                 else:
                     raise SystemExit(
                         f"followers never recovered: {statuses}")
-                resilience = fetch(leader_url, "/stats")["resilience"]
+                resilience = fetch(leader_url, "/stats?fresh=1")["resilience"]
 
             injected = plan.stats()
             print(f"\nfaults injected: {injected['injected_total']} "
@@ -160,8 +160,7 @@ def main() -> None:
             for fcoord in fcoords:
                 fcoord.stop()
             for srv in (leader_srv, f1_srv, f2_srv):
-                srv.shutdown()
-                srv.server_close()
+                srv.stop()
     print("\ndone: arm the same schedule from the shell with "
           "`repro serve --fault-plan '" + FAULT_PLAN + "' "
           f"--fault-seed {FAULT_SEED}` (see docs/RESILIENCE.md).")

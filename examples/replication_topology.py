@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -31,7 +30,8 @@ from pathlib import Path
 from repro.datasets import load_dataset
 from repro.service import build_index_artifact
 from repro.service.replication import ReplicationCoordinator
-from repro.service.server import TipService, create_server
+from repro.service.aserver import start_server_thread
+from repro.service.server import TipService
 from repro.service.sharding import write_shard_plan
 
 
@@ -74,10 +74,9 @@ def post(base_url: str, route: str, payload: dict) -> dict:
 
 
 def serve(service: TipService) -> tuple:
-    """Start a threaded server for ``service`` on a free port."""
-    server = create_server([], service=service, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+    """Serve ``service`` on a free port: (server handle, base URL)."""
+    handle = start_server_thread(service=service)
+    return handle, handle.base_url
 
 
 def main() -> None:
@@ -180,8 +179,7 @@ def main() -> None:
             for fcoord in fcoords:
                 fcoord.stop()
             for srv in (leader_srv, f1_srv, f2_srv):
-                srv.shutdown()
-                srv.server_close()
+                srv.stop()
     print("\ndone: the same topology runs from the shell with "
           "`repro serve --role leader --follower URL ...` and "
           "`repro serve --role follower --leader URL` "

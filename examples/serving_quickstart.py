@@ -9,10 +9,8 @@ The full serving-layer loop in one script:
    re-peeling, and
 4. start the JSON HTTP service on a free port and hit every endpoint the
    way a production client would (``repro serve`` + ``curl`` equivalent),
-   and
-5. start the asyncio batch-coalescing front end
-   (``repro serve --transport async``), check it answers byte-for-byte
-   like the threaded one, and exercise its NDJSON bulk protocol.
+   check it answers byte-for-byte like the offline path, and
+5. exercise its NDJSON bulk protocol and read the coalescer's counters.
 
 Run with::
 
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -34,7 +31,7 @@ from repro.service import (
     load_artifact,
     start_server_thread,
 )
-from repro.service.server import create_server
+from repro.service.server import TipService, to_jsonable
 
 
 def fetch(base_url: str, route: str) -> dict:
@@ -69,10 +66,8 @@ def main() -> None:
         print(f"|{k}-tip| = {index.k_tip_size(k)} vertices")
 
         # 4: the HTTP service (port 0 = pick a free port).
-        server = create_server([artifact_path], port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base_url = f"http://{server.server_address[0]}:{server.server_address[1]}"
+        handle = start_server_thread([artifact_path])
+        base_url = handle.base_url
         print(f"\nserving on {base_url}")
 
         print("GET /healthz ->", fetch(base_url, "/healthz"))
@@ -89,34 +84,30 @@ def main() -> None:
         stats = fetch(base_url, "/stats")
         print("GET /stats -> cache", stats["cache"])
 
-        # 5: the async batch-coalescing transport (`--transport async`):
-        # same routing core, so answers are byte-for-byte identical.
-        handle = start_server_thread([artifact_path])
-        print(f"\nasync transport on {handle.base_url}")
-        for route in ("/theta?vertex=0", "/top-k?k=3"):
-            assert fetch_raw(handle.base_url, route) == fetch_raw(base_url, route)
-        print("byte-identical answers across threaded and async transports")
+        # The server routes through the same TipService.handle as
+        # `repro query`, so both answer byte for byte alike.
+        offline = TipService([artifact_path])
+        for route, params in (("/theta", {"vertex": "0"}), ("/top-k", {"k": "3"})):
+            query = "&".join(f"{key}={value}" for key, value in params.items())
+            want = json.dumps(to_jsonable(offline.handle(route, params))).encode()
+            assert fetch_raw(base_url, f"{route}?{query}") == want
+        print("byte-identical answers served and offline")
 
-        # NDJSON bulk: one batch request per body line.
+        # 5: NDJSON bulk: one batch request per body line.
         request = urllib.request.Request(
-            handle.base_url + "/theta/batch",
+            base_url + "/theta/batch",
             data=b'{"vertices": [0, 1, 2]}\n[3, 4]\n',
             headers={"Content-Type": "application/x-ndjson"}, method="POST")
         with urllib.request.urlopen(request, timeout=10) as response:
             lines = response.read().strip().split(b"\n")
         print("POST /theta/batch (NDJSON, 2 lines) ->",
               [json.loads(line)["thetas"] for line in lines])
-        coalescer = fetch(
-            handle.base_url, "/stats?fresh=1")["transport"]["coalescer"]
+        coalescer = fetch(base_url, "/stats?fresh=1")["transport"]["coalescer"]
         print("coalescer:", {key: coalescer[key] for key in
                              ("batches_flushed", "mean_batch_size")})
         handle.stop()
-
-        server.shutdown()
-        server.server_close()
     print("\ndone: the same artifact can be rebuilt with "
-          "`repro build-index` and served with `repro serve` "
-          "(--transport async for the coalescing front end).")
+          "`repro build-index` and served with `repro serve`.")
 
 
 if __name__ == "__main__":

@@ -15,12 +15,10 @@ Sub-commands:
 * ``update`` — apply an insert/delete edge batch to an artifact through
   the streaming engine (incremental support maintenance + bounded
   tip-number repair) instead of rebuilding it.
-* ``serve`` — expose one or more artifacts over the JSON HTTP API;
-  ``--transport {thread,async}`` picks between the threaded server and
-  the asyncio batch-coalescing front end (identical answers, the async
-  one batches concurrent point-θ requests into one vectorized lookup
-  per event-loop tick and admission-controls updates).  Both transports
-  expose Prometheus metrics on ``GET /metrics``.  ``--shards N`` serves
+* ``serve`` — expose one or more artifacts over the JSON HTTP API on the
+  asyncio front end, which batches concurrent point-θ requests into one
+  vectorized lookup per event-loop tick, admission-controls updates and
+  exposes Prometheus metrics on ``GET /metrics``.  ``--shards N`` serves
   through the scatter/gather :class:`ShardRouter` (bit-identical
   answers); ``--role leader --follower URL`` / ``--role follower
   --leader URL`` run the replicated topology where the leader fans
@@ -318,24 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
                               help="maximum number of indexes kept in memory")
     serve_parser.add_argument("--no-mmap", action="store_true",
                               help="load artifact arrays eagerly instead of mmap")
-    serve_parser.add_argument("--transport", default="thread",
-                              choices=["thread", "async"],
-                              help="HTTP front end: one thread per connection "
-                                   "(default) or the asyncio event loop that "
-                                   "coalesces concurrent point-θ requests into "
-                                   "one vectorized lookup per tick and "
-                                   "admission-controls updates behind the "
-                                   "readers")
+    serve_parser.add_argument("--transport", default="async", choices=["async"],
+                              help="HTTP front end; asyncio is the only one "
+                                   "(accepted so existing scripts that name "
+                                   "it keep working)")
     serve_parser.add_argument("--coalesce-max-batch", type=int, default=1024,
-                              help="async transport: cap on one coalesced "
-                                   "point-θ batch (default 1024)")
+                              help="cap on one coalesced point-θ batch "
+                                   "(default 1024)")
     serve_parser.add_argument("--coalesce-max-delay-ms", type=float, default=0.0,
-                              help="async transport: wait up to this long to "
-                                   "grow a batch (default 0: flush every "
+                              help="wait up to this long to grow a "
+                                   "coalesced batch (default 0: flush every "
                                    "event-loop tick, zero added latency)")
     serve_parser.add_argument("--max-pending-updates", type=int, default=4,
-                              help="async transport: bounded /update admission "
-                                   "queue; overflow answers 503 + Retry-After "
+                              help="bounded /update admission queue; "
+                                   "overflow answers 503 + Retry-After "
                                    "(default 4)")
     serve_parser.add_argument("--shards", type=int, default=None,
                               help="answer queries through an in-memory θ-range "
@@ -618,7 +612,7 @@ def _command_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # The TipService is built here (rather than inside serve/serve_async)
+    # The TipService is built here (rather than inside serve_async)
     # so a replication coordinator can attach to it before the transport
     # starts accepting requests; --trace-out wraps the whole serving
     # session and the trace is written at shutdown (Ctrl-C).
@@ -674,29 +668,18 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         coordinator.start()
 
+    from .service.aserver import serve_async
+
     try:
         with _maybe_trace(args.trace_out):
-            if args.transport == "async":
-                from .service.aserver import serve_async
-
-                serve_async(
-                    args.artifacts,
-                    host=args.host,
-                    port=args.port,
-                    quiet=False,
-                    max_batch=args.coalesce_max_batch,
-                    max_delay=args.coalesce_max_delay_ms / 1000.0,
-                    max_pending_updates=args.max_pending_updates,
-                    service=service,
-                )
-                return 0
-            from .service.server import serve
-
-            serve(
+            serve_async(
                 args.artifacts,
                 host=args.host,
                 port=args.port,
                 quiet=False,
+                max_batch=args.coalesce_max_batch,
+                max_delay=args.coalesce_max_delay_ms / 1000.0,
+                max_pending_updates=args.max_pending_updates,
                 service=service,
             )
         return 0

@@ -14,7 +14,7 @@ regenerated from a single run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -260,7 +260,10 @@ def receipt_decomposition(
         counters=total_counters,
         phase_counters=phase_counters,
         extra={
-            "config": config,
+            # Name the engine that ran: a caller-owned one need not match
+            # config.backend / n_threads, and save_artifact copies both
+            # fields into the manifest.
+            "config": replace(config, backend=engine.name, n_threads=engine.n_workers),
             "bounds": cd_result.bounds,
             "subset_sizes": [int(subset.size) for subset in cd_result.subsets],
             "subsets": cd_result.subsets,

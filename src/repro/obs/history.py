@@ -103,7 +103,7 @@ METRIC_SPECS: Dict[str, Tuple[MetricSpec, ...]] = {
     ),
     "serving": (
         MetricSpec("offline.warm_batch_speedup_vs_repeel", "higher", 0.60, abs_floor=50.0),
-        MetricSpec("async.speedup_vs_threaded_point", "higher", 0.60, abs_floor=3.0),
+        MetricSpec("async.speedup_vs_per_connection_point", "higher", 0.60, abs_floor=3.0),
         MetricSpec("sharding.one_shard_parity", "higher", 0.60, abs_floor=0.3),
         MetricSpec("resilience.recovery_seconds", "lower", 0.60, abs_floor=5.0),
     ),

@@ -130,7 +130,7 @@ def log_request(
     quiet: bool = True,
     **fields: Any,
 ) -> None:
-    """Log one served request with latency + status on both transports."""
+    """Log one served request with latency + status."""
     logger = get_logger("service")
     slow = seconds > slow_query_threshold_seconds()
     if slow:

@@ -15,11 +15,11 @@ Two consumption paths:
 * **CLI** — ``repro decompose/build-index --profile-out FILE`` runs the
   command under a profiler and writes the profile; a ``*.json`` suffix
   selects the full JSON payload, anything else gets folded-stack text.
-* **Serving** — ``GET /debug/profile?seconds=N`` on both transports
-  samples the live server for N seconds and answers the JSON payload;
+* **Serving** — ``GET /debug/profile?seconds=N`` samples the live
+  server for N seconds and answers the JSON payload;
   ``GET /debug/profile?last=1`` returns the most recent collected
-  profile without sampling again (cheap to poll, byte-identical across
-  transports).
+  profile without sampling again (cheap to poll, byte-identical to the
+  offline ``handle()`` answer).
 
 Only one profiler may sample a process at a time (``sys._current_frames``
 is global state and two samplers would double the overhead for no signal);

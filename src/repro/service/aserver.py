@@ -1,10 +1,9 @@
-"""Asyncio batch-coalescing HTTP front end for the tip service.
+"""Asyncio HTTP front end for the tip service (``repro serve``).
 
-The threaded transport (:mod:`repro.service.server`) pays the full
-parse → route → manifest read → gather → serialize round trip *per
-request*; against an index that answers batched θ-lookups at tens of
-millions per second, transport overhead is the whole cost.  This front
-end closes the gap like an inference-serving batcher:
+Against an index that answers batched θ-lookups at tens of millions per
+second, the per-request parse → route → manifest read → gather →
+serialize round trip is the whole cost.  This front end amortises it like
+an inference-serving batcher:
 
 * **persistent connections** — a hand-rolled HTTP/1.1 protocol layer over
   ``asyncio.start_server``: keep-alive by default, pipelining supported
@@ -30,18 +29,18 @@ end closes the gap like an inference-serving batcher:
 
 Routing stays :meth:`~repro.service.server.TipService.handle` (the θ fast
 path goes through its vectorized twin
-:meth:`~repro.service.server.TipService.theta_payloads`), so offline,
-threaded, and async answers are byte-for-byte identical — the serving
-benchmark asserts exactly that.  That fall-through also covers the
-sharded query surface and the replication plane for free; the one
-blocking replication route (``POST /replication/apply`` replays a
-streaming repair) hops to the default executor so the event loop keeps
-serving reads while a follower catches up.
+:meth:`~repro.service.server.TipService.theta_payloads`), so served and
+offline answers are byte-for-byte identical — the serving benchmark
+asserts exactly that.  That fall-through also covers the sharded query
+surface and the replication plane; the routes in :data:`_EXECUTOR_ROUTES`
+block, so they hop to the default executor and the event loop keeps
+serving reads meanwhile.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 import time
@@ -79,13 +78,44 @@ _PIPELINE_DEPTH = 1024
 
 _MAX_HEADERS = 100
 
+#: Routes whose handler blocks: a profile samples for up to
+#: ``MAX_PROFILE_SECONDS``, replaying a replicated record runs a streaming
+#: repair, and a snapshot reads and encodes the whole artifact (sleeping
+#: while an update holds the mutation seqlock odd).  They run on the
+#: default executor so the event loop keeps serving.
+_EXECUTOR_ROUTES = frozenset({"/debug/profile", "/replication/apply", "/replication/snapshot"})
+
 
 class _BadRequest(ServiceError):
-    """Protocol-level failure: answered, then the connection is closed."""
+    """Protocol-level failure: answered, then the connection is closed.
+
+    ``route`` labels the request metrics: the request's route when its
+    request line parsed, ``<unknown>`` otherwise.
+    """
+
+    def __init__(self, message: str, *, status: int = 400, route: str = "<unknown>"):
+        super().__init__(message, status=status)
+        self.route = route
 
 
 def _json_bytes(payload: dict) -> bytes:
     return json.dumps(to_jsonable(payload)).encode("utf-8")
+
+
+def _theta_json(payload: dict) -> bytes:
+    # Byte-identical to json.dumps({"vertex": v, "theta": t}) without the
+    # serializer round trip — this is the hot path.
+    return b'{"vertex": %d, "theta": %d}' % (payload["vertex"], payload["theta"])
+
+
+def _split_target(target: str) -> tuple[str, dict]:
+    """Request target → (route, query params, the last value of each wins)."""
+    try:
+        parsed = urlsplit(target)
+    except ValueError:  # e.g. an unbalanced "[" where urlsplit expects a host
+        raise _BadRequest("malformed request target") from None
+    params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
+    return parsed.path.rstrip("/") or "/", params
 
 
 class AsyncTipServer:
@@ -213,6 +243,11 @@ class AsyncTipServer:
                 try:
                     request = await self._read_request(reader)
                 except _BadRequest as error:
+                    # Rejected before dispatch, so there is no handler time
+                    # to observe; counted all the same, so oversized bodies
+                    # and scanners show up in the request metrics.
+                    self.service.observe_request(
+                        "async", error.route, error.status, 0.0, quiet=self.quiet)
                     await queue.put((self._render_error(error, close=True), True))
                     break
                 if request is None:
@@ -247,13 +282,8 @@ class AsyncTipServer:
             if not isinstance(payload, (bytes, bytearray)):
                 try:
                     payload = await payload
-                except asyncio.CancelledError:
-                    raise
                 except Exception as error:  # a response slot must never die
-                    payload = self._render(
-                        500, _json_bytes(error_payload(error, status=500)),
-                        close=True)
-                    close = True
+                    payload, close = self._failure(error, close=True)
             if not broken:
                 try:
                     writer.write(payload)
@@ -265,7 +295,10 @@ class AsyncTipServer:
                 break
 
     async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; None on clean EOF."""
+        """Parse one HTTP/1.1 request; None on clean EOF.
+
+        Returns ``(method, route, params, headers, body, keep_alive)``.
+        """
         while True:
             try:
                 line = await reader.readline()
@@ -282,31 +315,32 @@ class AsyncTipServer:
         method, target, version = parts
         if version not in (b"HTTP/1.1", b"HTTP/1.0"):
             raise _BadRequest(f"unsupported protocol {version.decode('latin-1')!r}")
+        route, params = _split_target(target.decode("latin-1"))
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
             try:
                 header_line = await reader.readline()
             except (ValueError, asyncio.LimitOverrunError):
-                raise _BadRequest("header line too long") from None
+                raise _BadRequest("header line too long", route=route) from None
             if header_line in (b"\r\n", b"\n", b""):
                 break
             name, separator, value = header_line.decode("latin-1").partition(":")
             if not separator:
-                raise _BadRequest("malformed header line")
+                raise _BadRequest("malformed header line", route=route)
             headers[name.strip().lower()] = value.strip()
         else:
-            raise _BadRequest("too many headers")
-        try:
-            content_length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise _BadRequest("malformed Content-Length") from None
-        if content_length < 0:
-            raise _BadRequest("malformed Content-Length")
+            raise _BadRequest("too many headers", route=route)
+        raw_length = headers.get("content-length") or "0"
+        # ASCII digits only (RFC 9110): int() would also take "+5", "1_0"
+        # and non-ASCII digits, framing the body differently from a proxy.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest("malformed Content-Length", route=route)
+        content_length = int(raw_length)
         if content_length > MAX_REQUEST_BODY_BYTES:
             # The unread body would desynchronise the stream; 413 + close.
             raise _BadRequest(
                 f"request body of {content_length} bytes exceeds the "
-                f"{MAX_REQUEST_BODY_BYTES}-byte cap", status=413)
+                f"{MAX_REQUEST_BODY_BYTES}-byte cap", status=413, route=route)
         body = b""
         if content_length:
             try:
@@ -319,49 +353,40 @@ class AsyncTipServer:
             if version == b"HTTP/1.1"
             else connection == "keep-alive"
         )
-        return (
-            method.decode("latin-1").upper(),
-            target.decode("latin-1"),
-            headers,
-            body,
-            keep_alive,
-        )
+        return method.decode("latin-1").upper(), route, params, headers, body, keep_alive
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, method, target, headers, body, keep_alive):
+    def _dispatch(self, method, route, params, headers, body, keep_alive):
         """One request → (response bytes | awaitable of bytes, close flag).
 
         Wraps the routing core with latency observation.  Deferred
-        responses (coalesced θ lookups, admitted updates) are observed
-        when their awaitable resolves, so the recorded latency includes
-        the coalescer/admission wait — the number a client actually sees.
+        responses (coalesced θ lookups, executor routes, admitted updates)
+        are observed when their awaitable resolves, so the recorded latency
+        includes the queue and executor wait — the number a client
+        actually sees.
         """
         started = time.perf_counter()
-        item, close = self._dispatch_inner(method, target, headers, body, keep_alive)
-        route = urlsplit(target).path.rstrip("/") or "/"
+        item, close = self._route(method, route, params, headers, body, not keep_alive)
         if isinstance(item, (bytes, bytearray)):
-            # Rendered responses lead with b"HTTP/1.1 NNN ..."; slicing the
-            # status back out beats threading it through every return site.
-            self.service.observe_request(
-                "async", route, int(item[9:12]),
-                time.perf_counter() - started, quiet=self.quiet)
+            self._observe(route, item, started)
             return item, close
         return self._observed(item, route, started), close
 
-    async def _observed(self, item, route: str, started: float) -> bytes:
-        payload = await item
+    def _observe(self, route: str, response: bytes, started: float) -> None:
+        # Rendered responses lead with b"HTTP/1.1 NNN ..."; slicing the
+        # status back out beats threading it through every return site.
         self.service.observe_request(
-            "async", route, int(payload[9:12]),
+            "async", route, int(response[9:12]),
             time.perf_counter() - started, quiet=self.quiet)
-        return payload
 
-    def _dispatch_inner(self, method, target, headers, body, keep_alive):
-        close = not keep_alive
-        parsed = urlsplit(target)
-        params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        route = parsed.path.rstrip("/") or "/"
+    async def _observed(self, item, route: str, started: float) -> bytes:
+        response = await item
+        self._observe(route, response, started)
+        return response
+
+    def _route(self, method, route, params, headers, body, close):
         service = self.service
         try:
             if method == "GET":
@@ -373,53 +398,20 @@ class AsyncTipServer:
                 if route == "/healthz":
                     service.count_requests("/healthz")
                     status = service.slo.evaluate()["status"]
-                    body = self._healthz_bodies.get(status)
-                    if body is None:
-                        body = _json_bytes(
+                    healthz = self._healthz_bodies.get(status)
+                    if healthz is None:
+                        healthz = _json_bytes(
                             {"status": status, "artifacts": service.artifact_names})
-                        self._healthz_bodies[status] = body
-                    return self._render(200, body, close=close), close
-                if route == "/debug/profile":
-                    # Sampling blocks for up to MAX_PROFILE_SECONDS; run it
-                    # on the executor so the event loop keeps serving.
-                    task = asyncio.get_running_loop().create_task(
-                        self._profile_response(params, close))
-                    return task, close
+                        self._healthz_bodies[status] = healthz
+                    return self._render(200, healthz, close=close), close
                 if route == "/stats" and not params and self.stats_cache_seconds > 0:
                     return self._render(200, self._stats_body(), close=close), close
                 if route == "/theta":
-                    raw = params.get("vertex")
-                    vertex = None
-                    if raw is not None:
-                        try:
-                            vertex = int(raw)
-                        except (TypeError, ValueError):
-                            vertex = None  # handle() produces the exact 400
-                    deadline = None
-                    if vertex is not None and "deadline_ms" in params:
-                        try:
-                            deadline = Deadline.from_params(params)
-                        except ServiceError:
-                            vertex = None  # handle() produces the exact 400
-                    if vertex is not None:
-                        future = self.coalescer.submit(
-                            params.get("artifact"), vertex, deadline=deadline)
-                        return self._theta_response(future, close), close
-                payload = service.handle(route, params, None)
-                return self._render(200, _json_bytes(payload), close=close), close
-            if method == "POST":
-                if route == "/update":
-                    parsed_body = parse_post_body(body)
-                    task = asyncio.get_running_loop().create_task(
-                        self._update_response(params, parsed_body, close))
-                    return task, close
-                if route == "/replication/apply":
-                    # Replaying a record runs a full streaming repair;
-                    # like /debug/profile, it must not block the loop.
-                    parsed_body = parse_post_body(body)
-                    task = asyncio.get_running_loop().create_task(
-                        self._replication_response(params, parsed_body, close))
-                    return task, close
+                    future = self._coalesce(params)
+                    if future is not None:
+                        return self._deferred(future, close, _theta_json), close
+                request_body = None
+            elif method == "POST":
                 content_type = headers.get("content-type", "")
                 if (route == "/theta/batch"
                         and content_type.split(";")[0].strip().lower()
@@ -427,75 +419,57 @@ class AsyncTipServer:
                     return self._render(
                         200, self._ndjson_batch(params, body), close=close,
                         content_type="application/x-ndjson"), close
-                payload = service.handle(route, params, parse_post_body(body))
-                return self._render(200, _json_bytes(payload), close=close), close
-            raise ServiceError(
-                f"method {method} not allowed; use GET or POST", status=405)
-        except ServiceError as error:
-            return self._render_error(error, close=close), close
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close), close
+                request_body = parse_post_body(body)
+                if route == "/update":
+                    task = asyncio.get_running_loop().create_task(
+                        self.admission.submit(params, request_body))
+                    return self._deferred(task, close), close
+            else:
+                raise ServiceError(
+                    f"method {method} not allowed; use GET or POST", status=405)
+            if route in _EXECUTOR_ROUTES:
+                work = asyncio.get_running_loop().run_in_executor(
+                    None, functools.partial(service.handle, route, params, request_body))
+                return self._deferred(work, close), close
+            payload = service.handle(route, params, request_body)
+            return self._render(200, _json_bytes(payload), close=close), close
         except Exception as error:  # a handler bug must not kill the loop
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True), True
+            return self._failure(error, close=close)
 
-    async def _theta_response(self, future: asyncio.Future, close: bool) -> bytes:
-        try:
-            payload = await future
-        except ServiceError as error:
-            return self._render_error(error, close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        # Byte-identical to json.dumps({"vertex": v, "theta": t}) without
-        # the serializer round trip — this is the hot path.
-        body = b'{"vertex": %d, "theta": %d}' % (payload["vertex"], payload["theta"])
-        return self._render(200, body, close=close)
+    def _coalesce(self, params: dict):
+        """Queue a point-θ lookup; None when ``handle()`` must answer instead.
 
-    async def _profile_response(self, params: dict, close: bool) -> bytes:
-        loop = asyncio.get_running_loop()
+        The vertex and deadline are parsed as ``handle()`` parses them, so
+        whatever it would reject falls through to it for the exact 400.
+        """
         try:
-            payload = await loop.run_in_executor(
-                None, lambda: self.service.handle("/debug/profile", params, None))
-        except ServiceError as error:
-            return self._render_error(error, close=close)
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
+            vertex = TipService._int_param(params, "vertex")
+            deadline = Deadline.from_params(params)
+        except ServiceError:
+            return None
+        return self.coalescer.submit(params.get("artifact"), vertex, deadline=deadline)
 
-    async def _replication_response(self, params: dict, body: dict, close: bool) -> bytes:
-        loop = asyncio.get_running_loop()
+    async def _deferred(self, work, close: bool, encode=_json_bytes) -> bytes:
+        """Render a coalesced, executor or admitted answer once it resolves."""
         try:
-            payload = await loop.run_in_executor(
-                None,
-                lambda: self.service.handle("/replication/apply", params, body))
-        except ServiceError as error:
-            return self._render_error(error, close=close)
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
+            payload = await work
         except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
+            return self._failure(error, close=close)[0]
+        return self._render(200, encode(payload), close=close)
 
-    async def _update_response(self, params: dict, body: dict, close: bool) -> bytes:
-        try:
-            payload = await self.admission.submit(params, body)
-        except ServiceError as error:  # includes 503 ServiceOverloadedError
-            return self._render_error(error, close=close)
-        except ReproError as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=close)
-        except Exception as error:
-            return self._render(
-                500, _json_bytes(error_payload(error, status=500)), close=True)
-        return self._render(200, _json_bytes(payload), close=close)
+    def _failure(self, error: Exception, *, close: bool) -> tuple[bytes, bool]:
+        """The one error ladder: ``(response bytes, close flag)``.
+
+        A :class:`ServiceError` answers its own status (503s carry
+        ``Retry-After``); any other repro error is a 500; anything else is
+        a handler bug, answered 500 with the connection closed.
+        """
+        if isinstance(error, ServiceError):
+            return self._render_error(error, close=close), close
+        if not isinstance(error, ReproError):
+            close = True
+        return self._render(
+            500, _json_bytes(error_payload(error, status=500)), close=close), close
 
     def _stats_body(self) -> bytes:
         now = time.monotonic()
@@ -597,7 +571,7 @@ def serve_async(
 ) -> None:
     """Serve artifacts on the async transport until interrupted.
 
-    The body of ``repro serve --transport async``.
+    The body of ``repro serve``.
     """
     server = AsyncTipServer(
         artifact_paths,

@@ -139,8 +139,8 @@ class ThetaCoalescer:
                 if not future.done():
                     future.set_exception(error)
             return
-        # Prometheus histograms live on the service so both transports share
-        # one registry; getattr keeps bare test doubles working.
+        # Prometheus histograms live in the service's registry; getattr
+        # keeps bare test doubles working.
         batch_hist = getattr(self._service, "coalesce_batch_size", None)
         if batch_hist is not None:
             batch_hist.observe(float(len(batch)))

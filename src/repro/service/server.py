@@ -1,20 +1,12 @@
-"""JSON-over-HTTP serving of tip-index artifacts (stdlib only).
+"""Transport-free request handling for served tip-index artifacts.
 
-Two layers:
-
-* :class:`TipService` — transport-free request handling: route + params in,
-  JSON-able dict out, :class:`~repro.errors.ServiceError` (with an HTTP
-  status) on bad input.  The offline ``repro query`` command calls this
-  directly, which is what guarantees its answers are byte-identical to the
-  HTTP API's.
-* :func:`create_server` / :func:`serve` — a ``ThreadingHTTPServer`` whose
-  handler parses the request, delegates to the shared service, and
-  serializes the response.  Indexes are immutable and the cache is
-  thread-safe, so concurrent handler threads need no further locking.
-  Speaks HTTP/1.1 with keep-alive (every response carries an exact
-  ``Content-Length``).  The alternative event-loop transport lives in
-  :mod:`repro.service.aserver`; both answer byte-for-byte identically
-  because both route through :meth:`TipService.handle`.
+:class:`TipService` is route + params in, JSON-able dict out,
+:class:`~repro.errors.ServiceError` (with an HTTP status) on bad input.
+The HTTP front end (:mod:`repro.service.aserver`) and the offline
+``repro query`` command both call it, which is what keeps their answers
+byte-identical.  Indexes are immutable and the cache is thread-safe, so
+the executor threads the front end hands blocking routes to need no
+further locking.
 
 Endpoints (all JSON)::
 
@@ -62,9 +54,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
@@ -92,8 +82,6 @@ from .sharding import ShardRouter, is_shard_plan, read_shard_plan
 
 __all__ = [
     "TipService",
-    "create_server",
-    "serve",
     "ENDPOINTS",
     "DIAGNOSTIC_ENDPOINTS",
     "DOCUMENTED_METRICS",
@@ -116,8 +104,8 @@ ENDPOINTS = (
 
 #: Deep-diagnostics routes.  Kept out of :data:`ENDPOINTS` on purpose:
 #: that tuple is the *JSON API contract* the serving benchmarks compare
-#: across transports and versions, while these are operator surfaces that
-#: may grow or change shape between PRs.
+#: against the offline path and across versions, while these are operator
+#: surfaces that may grow or change shape between PRs.
 DIAGNOSTIC_ENDPOINTS = (
     "/slo",
     "/debug/memory",
@@ -137,10 +125,10 @@ _COUNTED_ROUTES = ENDPOINTS + DIAGNOSTIC_ENDPOINTS + ("/metrics",)
 #: ``Content-Type`` of the Prometheus text exposition format 0.0.4.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Every metric family ``GET /metrics`` exposes, on both transports.  The
-#: observability smoke benchmark asserts each of these names appears in a
-#: scrape; keep this list in sync with :meth:`TipService._init_metrics`
-#: and the ARCHITECTURE.md observability section.
+#: Every metric family ``GET /metrics`` exposes.  The observability smoke
+#: benchmark asserts each of these names appears in a scrape; keep this
+#: list in sync with :meth:`TipService._init_metrics` and the
+#: ARCHITECTURE.md observability section.
 DOCUMENTED_METRICS = (
     "repro_http_requests_total",
     "repro_http_request_seconds",
@@ -196,6 +184,9 @@ MAX_COMMUNITY_VERTICES = 10_000
 #: encoding of a MAX_RESPONSE_VERTICES-sized batch.
 MAX_REQUEST_BODY_BYTES = 8 * 1024 * 1024
 
+#: Range of an integer query parameter: indexes hold int64 arrays.
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 def _flag_param(params: dict, key: str) -> bool:
     """Boolean query parameter: absent/empty/``0``/``false`` mean off."""
@@ -221,9 +212,8 @@ def error_payload(error: Exception, *, status: int | None = None) -> dict:
 def parse_post_body(raw: bytes) -> dict:
     """Decode a POST body into the JSON object :meth:`TipService.handle` takes.
 
-    Shared by the threaded and async transports so malformed JSON and
-    non-object bodies answer a structured 400 (:class:`ServiceError`)
-    everywhere instead of a transport-specific 500.
+    Malformed JSON and non-object bodies answer a structured 400
+    (:class:`ServiceError`), never a 500.
     """
     if not raw:
         return {}
@@ -258,7 +248,7 @@ class TipService:
 
     ``handle(route, params, body)`` is the whole contract: route + query
     params + optional JSON body in, JSON-able payload out, ``ServiceError``
-    (carrying an HTTP status) on bad input.  Both HTTP transports and the
+    (carrying an HTTP status) on bad input.  The HTTP front end and the
     offline ``repro query`` command call it, which is what keeps their
     answers byte-identical.  Serves plain ``*.tipidx`` artifacts, persisted
     shard plans, or in-memory θ-range shard views (``shards=N``), and
@@ -289,9 +279,8 @@ class TipService:
         self.replication = None
         self.requests: Counter = Counter()
         self.update_modes: Counter = Counter()
-        # Transport front ends (e.g. the async coalescing server) register
-        # zero-argument metric providers here; /stats folds them in under a
-        # "transport" key so the new layer is observable from day one.
+        # The HTTP front end registers zero-argument metric providers here;
+        # /stats folds them in under a "transport" key.
         self.transport_metrics: dict = {}
         self.started_unix = time.time()
         self._started_monotonic = time.monotonic()
@@ -317,7 +306,7 @@ class TipService:
             staleness_source=self.breakers.oldest_open_seconds)
         # Last stored deep-diagnostic payloads: ``?cached=1`` / ``?last=1``
         # return these verbatim, which is how the observability benchmark
-        # asserts byte-identity of volatile payloads across transports.
+        # asserts byte-identity of volatile payloads against offline handle().
         self._last_profile: dict | None = None
         self._last_memory: dict | None = None
         self._init_metrics()
@@ -436,14 +425,14 @@ class TipService:
         self.cache.clear()
 
     # ------------------------------------------------------------------
-    # Metrics (shared by both transports; see DOCUMENTED_METRICS)
+    # Metrics (see DOCUMENTED_METRICS)
     # ------------------------------------------------------------------
     def _init_metrics(self) -> None:
         """Create every documented instrument up front.
 
         Instantiating them here — rather than lazily on first use — is what
-        guarantees a scrape on either transport renders the complete
-        documented set (with zero values) from the very first request.
+        guarantees a scrape renders the complete documented set (with zero
+        values) from the very first request.
         """
         registry = self.registry
         self.http_requests_total = registry.counter(
@@ -601,9 +590,9 @@ class TipService:
             requests = dict(self.requests)
         for route, count in requests.items():
             self._service_requests.labels(route=route).set(count)
-        # Admission metrics come from the async front end when present; the
-        # threaded transport has no admission queue, so the zero defaults
-        # from construction stand.
+        # Admission metrics come from the HTTP front end when one is
+        # attached; an offline service has no admission queue, so the zero
+        # defaults from construction stand.
         provider = self.transport_metrics.get("updates")
         if provider is not None:
             updates = provider()
@@ -1126,9 +1115,13 @@ class TipService:
         if raw is None:
             raise ServiceError(f"missing required parameter {key!r}")
         try:
-            return int(raw)
+            value = int(raw)
         except (TypeError, ValueError):
             raise ServiceError(f"parameter {key!r} must be an integer, got {raw!r}") from None
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            # Would overflow every int64 array it meets downstream.
+            raise ServiceError(f"parameter {key!r} must fit in 64 bits, got {raw!r}")
+        return value
 
     @staticmethod
     def _vertices_param(params: dict, body: dict | None) -> np.ndarray:
@@ -1159,7 +1152,10 @@ class TipService:
                 vertices.append(int(str(value)))
             except (TypeError, ValueError):
                 raise ServiceError("vertices must all be integers") from None
-        return np.asarray(vertices, dtype=np.int64)
+        try:
+            return np.asarray(vertices, dtype=np.int64)
+        except OverflowError:
+            raise ServiceError("vertices must all fit in 64 bits") from None
 
     # ------------------------------------------------------------------
     # Coalesced point lookups (the async front end's hot path)
@@ -1402,178 +1398,3 @@ class TipService:
             f"unknown route {route!r}; endpoints: {', '.join(ENDPOINTS)}; "
             f"diagnostics: {', '.join(DIAGNOSTIC_ENDPOINTS)}", status=404
         )
-
-
-# ----------------------------------------------------------------------
-# HTTP transport
-# ----------------------------------------------------------------------
-class _TipHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    # SO_REUSEADDR before bind: tests and benchmarks restart servers on
-    # ports still in TIME_WAIT instead of flaking with address-in-use.
-    allow_reuse_address = True
-
-
-def _make_handler(service: TipService, *, quiet: bool) -> type:
-    class TipRequestHandler(BaseHTTPRequestHandler):
-        """Threaded-transport request handler bound to one :class:`TipService`."""
-
-        server_version = "repro-tip-service/1"
-        # Persistent connections: with HTTP/1.0 (the BaseHTTPRequestHandler
-        # default) every request paid a fresh TCP handshake, handicapping
-        # the threaded transport in any comparison.  Every response carries
-        # an exact Content-Length, which is what HTTP/1.1 keep-alive needs.
-        protocol_version = "HTTP/1.1"
-        # TCP_NODELAY: headers and body leave in separate writes; on
-        # keep-alive connections Nagle + delayed ACK would turn that into
-        # ~40ms per request.  (asyncio disables Nagle by default already.)
-        disable_nagle_algorithm = True
-
-        def _respond(self, status: int, payload: dict) -> None:
-            body = json.dumps(to_jsonable(payload)).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            retry_after = payload.get("retry_after_seconds")
-            if retry_after is not None:
-                self.send_header("Retry-After", str(max(1, round(retry_after))))
-            if self.close_connection:
-                # Advertise the hang-up so keep-alive clients don't try to
-                # reuse a connection we are about to close.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _respond_text(self, status: int, body: bytes, content_type: str) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _dispatch(self, body: dict | None) -> None:
-            parsed = urlsplit(self.path)
-            params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-            route = parsed.path.rstrip("/") or "/"
-            started = time.perf_counter()
-            if route == "/metrics":
-                # Served before handle(): the scrape path must stay up even
-                # when the JSON API is answering errors.
-                service.count_requests("/metrics")
-                self._respond_text(
-                    200, service.metrics_text().encode("utf-8"), METRICS_CONTENT_TYPE)
-                status = 200
-            else:
-                try:
-                    payload = service.handle(parsed.path, params, body)
-                except ServiceError as error:
-                    status = error.status
-                    self._respond(status, error_payload(error))
-                except ReproError as error:
-                    status = 500
-                    self._respond(500, error_payload(error, status=500))
-                else:
-                    status = 200
-                    self._respond(200, payload)
-            service.observe_request(
-                "thread", route, status, time.perf_counter() - started, quiet=quiet)
-
-        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            """Dispatch a GET request (no body)."""
-            self._dispatch(None)
-
-        def do_POST(self) -> None:  # noqa: N802
-            """Read, cap and parse the POST body, then dispatch."""
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_REQUEST_BODY_BYTES:
-                # The unread body would corrupt the keep-alive stream; hang up.
-                self.close_connection = True
-                self._respond(413, error_payload(ServiceError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{MAX_REQUEST_BODY_BYTES}-byte cap", status=413)))
-                service.observe_request("thread", self.path, 413, 0.0, quiet=quiet)
-                return
-            raw = self.rfile.read(length) if length else b""
-            try:
-                body = parse_post_body(raw)
-            except ServiceError as error:
-                self._respond(error.status, error_payload(error))
-                service.observe_request(
-                    "thread", self.path, error.status, 0.0, quiet=quiet)
-                return
-            self._dispatch(body)
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            """Respect ``quiet``: suppress the default stderr access log."""
-            if not quiet:
-                super().log_message(format, *args)
-
-    return TipRequestHandler
-
-
-def create_server(
-    artifact_paths,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8750,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    quiet: bool = True,
-    shards: int | None = None,
-    service: TipService | None = None,
-) -> ThreadingHTTPServer:
-    """Build (but do not start) the HTTP server; ``port=0`` picks a free port.
-
-    The :class:`TipService` is attached as ``server.service`` so tests and
-    embedding code can reach the cache and metrics.  Passing an existing
-    ``service`` mounts a second transport over the same state — the
-    observability benchmark serves one service through both transports to
-    assert byte-identical diagnostics.
-    """
-    if service is None:
-        service = TipService(
-            artifact_paths, cache_capacity=cache_capacity, mmap=mmap, shards=shards)
-    server = _TipHTTPServer((host, port), _make_handler(service, quiet=quiet))
-    server.service = service  # type: ignore[attr-defined]
-    return server
-
-
-def serve(
-    artifact_paths,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8750,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    quiet: bool = False,
-    shards: int | None = None,
-    service: TipService | None = None,
-    ready_event: threading.Event | None = None,
-) -> None:
-    """Serve artifacts until interrupted (the ``repro serve`` command body)."""
-    server = create_server(
-        artifact_paths,
-        host=host,
-        port=port,
-        cache_capacity=cache_capacity,
-        mmap=mmap,
-        quiet=quiet,
-        shards=shards,
-        service=service,
-    )
-    bound_host, bound_port = server.server_address[0], server.server_address[1]
-    print(
-        f"serving {len(server.service.artifact_names)} artifact(s) "
-        f"({', '.join(server.service.artifact_names)}) "
-        f"on http://{bound_host}:{bound_port}"
-    )
-    if ready_event is not None:
-        ready_event.set()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

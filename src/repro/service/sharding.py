@@ -22,8 +22,8 @@ Two layers:
   lexsort, same error strings) — the serving benchmark gates exactly that.
 
 The router is deliberately transport-free: :class:`TipService` serves one
-the same way it serves a ``TipIndex``, so both HTTP transports (threaded
-and async coalescing) get sharded serving without any new code.
+the same way it serves a ``TipIndex``, so the HTTP front end and ``repro
+query`` get sharded serving without any new code.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Serving + CLI observability: /metrics on both transports, trace CLI."""
+"""Serving + CLI observability: /metrics over HTTP, trace CLI."""
 
 from __future__ import annotations
 
 import json
 import logging
 import re
-import threading
+import socket
+import urllib.error
 import urllib.request
 
 import pytest
@@ -20,7 +21,6 @@ from repro.service.server import (
     ENDPOINTS,
     METRICS_CONTENT_TYPE,
     TipService,
-    create_server,
     metric_route,
 )
 
@@ -66,21 +66,18 @@ def _parse_samples(text):
     return samples
 
 
-class TestThreadedMetrics:
+class TestAsyncMetrics:
     @pytest.fixture(scope="class")
-    def base_url(self, artifact):
-        server = create_server([artifact], port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[0], server.server_address[1]
-        yield f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
+    def handle(self, artifact):
+        handle = start_server_thread([artifact])
+        yield handle
+        handle.stop()
 
-    def test_scrape_is_valid_and_complete(self, base_url):
+    def test_scrape_is_valid_and_complete(self, handle):
         for vertex in range(4):
-            urllib.request.urlopen(f"{base_url}/theta?vertex={vertex}", timeout=10).read()
-        status, content_type, text = _get_text(f"{base_url}/metrics")
+            urllib.request.urlopen(
+                f"{handle.base_url}/theta?vertex={vertex}", timeout=10).read()
+        status, content_type, text = _get_text(f"{handle.base_url}/metrics")
         assert status == 200
         assert content_type == METRICS_CONTENT_TYPE
         samples = _parse_samples(text)
@@ -88,56 +85,11 @@ class TestThreadedMetrics:
             assert f"# TYPE {name} " in text, name
         # The latency histogram is populated for the route we hit.
         bucket = ('repro_http_request_seconds_bucket'
-                  '{transport="thread",route="/theta",le="+Inf"}')
+                  '{transport="async",route="/theta",le="+Inf"}')
         assert int(float(samples[bucket])) >= 4
         counted = ('repro_http_requests_total'
-                   '{transport="thread",route="/theta",status="200"}')
+                   '{transport="async",route="/theta",status="200"}')
         assert int(float(samples[counted])) >= 4
-
-    def test_scrape_time_gauges_refresh(self, base_url):
-        _, _, first = _get_text(f"{base_url}/metrics")
-        uptime1 = float(_parse_samples(first)["repro_server_uptime_seconds"])
-        _, _, second = _get_text(f"{base_url}/metrics")
-        uptime2 = float(_parse_samples(second)["repro_server_uptime_seconds"])
-        assert uptime2 > uptime1 > 0.0
-        samples = _parse_samples(second)
-        assert float(samples["repro_server_start_time_seconds"]) > 0
-        staleness = [key for key in samples
-                     if key.startswith("repro_artifact_staleness_seconds")]
-        assert staleness and float(samples[staleness[0]]) >= 0.0
-
-    def test_stats_server_block(self, base_url):
-        with urllib.request.urlopen(f"{base_url}/stats", timeout=10) as response:
-            payload = json.loads(response.read())
-        server = payload["server"]
-        assert server["started_unix"] > 0
-        assert server["uptime_seconds"] >= 0
-        first = server["requests_total"].get("/stats", 0)
-        assert first >= 1
-        with urllib.request.urlopen(f"{base_url}/stats", timeout=10) as response:
-            payload = json.loads(response.read())
-        assert payload["server"]["requests_total"]["/stats"] > first
-
-    def test_unknown_routes_collapse_into_one_label(self, base_url):
-        for path in ("/nope", "/admin", "/x/y/z"):
-            try:
-                urllib.request.urlopen(base_url + path, timeout=10)
-            except urllib.error.HTTPError as error:
-                assert error.code == 404
-        _, _, text = _get_text(f"{base_url}/metrics")
-        samples = _parse_samples(text)
-        unknown = ('repro_http_requests_total'
-                   '{transport="thread",route="<unknown>",status="404"}')
-        assert int(float(samples[unknown])) >= 3
-        assert not any('route="/nope"' in key for key in samples)
-
-
-class TestAsyncMetrics:
-    @pytest.fixture(scope="class")
-    def handle(self, artifact):
-        handle = start_server_thread([artifact])
-        yield handle
-        handle.stop()
 
     def test_scrape_includes_coalescer_histograms(self, handle):
         for vertex in range(6):
@@ -168,11 +120,72 @@ class TestAsyncMetrics:
         assert int(float(samples[count])) >= 1
         assert float(samples[total]) > 0.0
 
+    def test_scrape_time_gauges_refresh(self, handle):
+        _, _, first = _get_text(f"{handle.base_url}/metrics")
+        uptime1 = float(_parse_samples(first)["repro_server_uptime_seconds"])
+        _, _, second = _get_text(f"{handle.base_url}/metrics")
+        uptime2 = float(_parse_samples(second)["repro_server_uptime_seconds"])
+        assert uptime2 > uptime1 > 0.0
+        samples = _parse_samples(second)
+        assert float(samples["repro_server_start_time_seconds"]) > 0
+        staleness = [key for key in samples
+                     if key.startswith("repro_artifact_staleness_seconds")]
+        assert staleness and float(samples[staleness[0]]) >= 0.0
+
+    def test_stats_server_block(self, handle):
+        # ?fresh=1 bypasses the front end's short-lived bare-/stats cache.
+        url = f"{handle.base_url}/stats?fresh=1"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            payload = json.loads(response.read())
+        server = payload["server"]
+        assert server["started_unix"] > 0
+        assert server["uptime_seconds"] >= 0
+        first = server["requests_total"].get("/stats", 0)
+        assert first >= 1
+        with urllib.request.urlopen(url, timeout=10) as response:
+            payload = json.loads(response.read())
+        assert payload["server"]["requests_total"]["/stats"] > first
+
+    def test_unknown_routes_collapse_into_one_label(self, handle):
+        for path in ("/nope", "/admin", "/x/y/z"):
+            try:
+                urllib.request.urlopen(handle.base_url + path, timeout=10)
+            except urllib.error.HTTPError as error:
+                assert error.code == 404
+        _, _, text = _get_text(f"{handle.base_url}/metrics")
+        samples = _parse_samples(text)
+        unknown = ('repro_http_requests_total'
+                   '{transport="async",route="<unknown>",status="404"}')
+        assert int(float(samples[unknown])) >= 3
+        assert not any('route="/nope"' in key for key in samples)
+
+    @pytest.mark.parametrize("raw, route, status", [
+        (b"POST /theta/batch HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 67108864\r\n\r\n", "/theta/batch", "413"),
+        (b"NOT A REQUEST\r\n\r\n", "<unknown>", "400"),
+    ], ids=["oversized-body", "malformed-request-line"])
+    def test_protocol_rejections_are_counted(self, handle, raw, route, status):
+        key = ('repro_http_requests_total'
+               f'{{transport="async",route="{route}",status="{status}"}}')
+
+        def count():
+            samples = _parse_samples(_get_text(f"{handle.base_url}/metrics")[2])
+            return int(float(samples.get(key, "0")))
+
+        before = count()
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after answering
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert count() == before + 1
+
 
 class TestOfflineService:
     def test_metrics_text_needs_no_transport(self, artifact):
         service = TipService([artifact])
-        service.observe_request("thread", "/theta", 200, 0.001)
+        service.observe_request("async", "/theta", 200, 0.001)
         text = service.metrics_text()
         _parse_samples(text)  # every sample line is well-formed
         for name in DOCUMENTED_METRICS:

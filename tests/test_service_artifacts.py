@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.receipt import tip_decomposition
+from repro.core.receipt import receipt_decomposition, tip_decomposition
+from repro.engine import ThreadBackend
 from repro.errors import ArtifactError, ArtifactMismatchError
 from repro.graph.builders import from_edge_list
 from repro.service.artifacts import (
@@ -102,6 +103,16 @@ class TestRoundTrip:
         assert manifest.graph["fingerprint"] == graph_fingerprint(graph)
         # The on-disk manifest equals the returned one.
         assert read_manifest(path).as_dict() == manifest.as_dict()
+
+    def test_caller_owned_engine_is_recorded(self, graph, tmp_path):
+        # The manifest names the engine that ran, not the config's default
+        # serial backend.
+        with ThreadBackend(2) as engine:
+            result = receipt_decomposition(graph, "U", n_partitions=4, engine=engine)
+        path = tmp_path / "engine.tipidx"
+        save_artifact(path, graph, result)
+        decomposition = read_manifest(path).decomposition
+        assert (decomposition["backend"], decomposition["n_threads"]) == ("thread", 2)
 
     def test_unspecified_partitions_keep_resolved_value(self, graph, tmp_path):
         # build_index_artifact(n_partitions=None) must not clobber the

@@ -1,27 +1,32 @@
-"""Async front-end tests: byte parity, keep-alive, pipelining, admission.
+"""HTTP front-end tests: byte parity, keep-alive, pipelining, admission.
 
-The async transport must be indistinguishable from the threaded one at
-the byte level (same JSON, same status codes, same error text) while
-adding the things the threaded transport can't do: persistent pipelined
-connections, NDJSON bulk lookups, and admission-controlled updates.
+The served answers must be indistinguishable from the offline
+``TipService.handle`` ones at the byte level (same JSON, same status
+codes, same error text); on top of that the front end speaks persistent
+pipelined connections, NDJSON bulk lookups and admission-controlled
+updates, and its hand-rolled HTTP/1.1 parser survives fuzzed bytes.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import shutil
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
+from repro.errors import ServiceError
 from repro.service.artifacts import save_artifact
 from repro.service.aserver import start_server_thread
-from repro.service.server import TipService, create_server, to_jsonable
+from repro.service.server import TipService, error_payload, parse_post_body, to_jsonable
 
 N_U = 40
 
@@ -43,18 +48,6 @@ def async_server(artifact):
     handle.stop()
 
 
-@pytest.fixture(scope="module")
-def threaded_server(artifact):
-    path, _, _ = artifact
-    httpd = create_server([path], port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[0], httpd.server_address[1]
-    yield host, port
-    httpd.shutdown()
-    httpd.server_close()
-
-
 def _raw_request(host, port, method, target, body=None, content_type=None):
     """One request over a fresh connection: (status, headers, raw body bytes)."""
     connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -67,6 +60,18 @@ def _raw_request(host, port, method, target, body=None, content_type=None):
         return response.status, dict(response.getheaders()), response.read()
     finally:
         connection.close()
+
+
+def _offline_answer(service, method, target, body):
+    """(status, body bytes) of one request answered by ``TipService.handle``."""
+    bare, _, query = target.partition("?")
+    params = dict(pair.split("=") for pair in query.split("&")) if query else {}
+    try:
+        payload = service.handle(
+            bare, params, parse_post_body(body) if method == "POST" else None)
+    except ServiceError as error:
+        return error.status, json.dumps(to_jsonable(error_payload(error))).encode()
+    return 200, json.dumps(to_jsonable(payload)).encode()
 
 
 class TestTransportParity:
@@ -89,16 +94,16 @@ class TestTransportParity:
     ]
 
     def test_every_route_is_byte_identical_across_transports(
-            self, async_server, threaded_server):
-        ahost, aport = async_server.address
-        thost, tport = threaded_server
+            self, async_server, artifact):
+        """Served bytes equal the offline ``repro query`` path's rendering."""
+        path, _, _ = artifact
+        offline = TipService([path])
+        host, port = async_server.address
         for method, target, body, content_type in self.ROUTES:
-            t_status, _, t_body = _raw_request(
-                thost, tport, method, target, body, content_type)
-            a_status, _, a_body = _raw_request(
-                ahost, aport, method, target, body, content_type)
-            assert a_status == t_status, (method, target)
-            assert a_body == t_body, (method, target)
+            status, _, served = _raw_request(
+                host, port, method, target, body, content_type)
+            assert (status, served) == _offline_answer(
+                offline, method, target, body), (method, target)
 
     def test_point_theta_matches_ground_truth(self, async_server, artifact):
         _, _, result = artifact
@@ -264,6 +269,18 @@ class TestProtocolEdges:
             sock.settimeout(10)
             assert sock.recv(1) == b""
 
+    @pytest.mark.parametrize("length", ["-1", "+3", "1_0", "3x"])
+    def test_non_digit_content_length_is_400_and_close(self, async_server, length):
+        with socket.create_connection(async_server.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /theta/batch HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %s\r\n\r\n[1]" % length.encode())
+            status_line, body = _ResponseReader(sock).read_response()
+            assert " 400 " in status_line
+            assert "Content-Length" in json.loads(body)["error"]
+            sock.settimeout(10)
+            assert sock.recv(1) == b""
+
     def test_garbage_request_line_is_answered_not_fatal(self, async_server):
         host, port = async_server.address
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -307,6 +324,134 @@ class TestStatsAndMetrics:
         host, port = async_server.address
         _, _, body = _raw_request(host, port, "GET", "/healthz")
         assert json.loads(body) == TipService([path]).handle("/healthz")
+
+
+def _get_request(target: str) -> bytes:
+    return f"GET {target} HTTP/1.1\r\nHost: fuzz\r\n\r\n".encode()
+
+
+def _post_request(target: str, body: bytes, content_type: str) -> bytes:
+    return (f"POST {target} HTTP/1.1\r\nHost: fuzz\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+_VERTICES = st.integers(-3, N_U + 3) | st.integers(-2**70, 2**70)
+
+#: Well-framed read-only requests: valid routes with in- and out-of-range
+#: arguments, plus arbitrary printable targets.
+_READ_ONLY_REQUESTS = st.one_of(
+    _VERTICES.map(lambda v: _get_request(f"/theta?vertex={v}")),
+    st.lists(_VERTICES, max_size=4).map(lambda vs: _get_request(
+        "/theta/batch?vertices=" + ",".join(map(str, vs)))),
+    st.lists(_VERTICES, max_size=4).map(lambda vs: _post_request(
+        "/theta/batch", json.dumps({"vertices": vs}).encode(), "application/json")),
+    st.lists(st.lists(_VERTICES, max_size=3), min_size=1, max_size=3).map(
+        lambda lines: _post_request(
+            "/theta/batch", b"".join(json.dumps(line).encode() + b"\n" for line in lines),
+            "application/x-ndjson")),
+    st.integers(-3, 100).map(lambda k: _get_request(f"/top-k?k={k}")),
+    st.integers(-3, 100).map(lambda k: _get_request(f"/k-tip?k={k}&limit=3")),
+    st.integers(-3, 100).map(lambda k: _get_request(f"/community?k={k}")),
+    st.sampled_from(["/healthz", "/stats", "/stats?fresh=1", "/metrics", "/slo"]).map(
+        _get_request),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=12).map(
+        lambda path: _get_request("/" + path)),
+)
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.1 [1-5][0-9]{2} [A-Za-z ]+")
+
+
+@st.composite
+def _write_splits(draw, payloads):
+    """A payload cut at arbitrary points into separately written chunks."""
+    payload = draw(payloads)
+    cuts = sorted(draw(st.lists(st.integers(0, len(payload)), max_size=5)))
+    bounds = [0, *cuts, len(payload)]
+    return [payload[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _exchange(address, chunks):
+    """Write ``chunks``, half-close, read to EOF; parse every response.
+
+    Returns ``[(status, head)]``.  Every response must open with a
+    well-formed status line and carry its full ``Content-Length`` body.
+    """
+    raw = b""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for chunk in chunks:
+                sock.sendall(chunk)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # EPIPE, ECONNRESET or ENOTCONN
+            pass  # the server already answered and hung up (protocol error, HTTP/1.0)
+        try:
+            while chunk := sock.recv(65536):
+                raw += chunk
+        except ConnectionResetError:
+            pass  # closed with our unread bytes pending; the reply came first
+    responses = []
+    while raw:
+        head, separator, raw = raw.partition(b"\r\n\r\n")
+        assert separator, f"truncated response head {head[:80]!r}"
+        status_line, *header_lines = head.split(b"\r\n")
+        assert _STATUS_LINE.fullmatch(status_line), status_line
+        lengths = [int(line.split(b":", 1)[1]) for line in header_lines
+                   if line.lower().startswith(b"content-length:")]
+        assert len(lengths) == 1, head
+        assert len(raw) >= lengths[0], "truncated response body"
+        raw = raw[lengths[0]:]
+        responses.append((int(status_line[9:12]), head))
+    return responses
+
+
+def _assert_still_serving(address):
+    status, _, _ = _raw_request(*address, "GET", "/healthz")
+    assert status == 200
+
+
+class TestParserFuzz:
+    """Hypothesis drives the hand-rolled HTTP/1.1 parser over a real socket."""
+
+    FUZZ = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+    @FUZZ
+    @given(chunks=_write_splits(st.binary(max_size=200) | st.builds(
+        bytes.__add__,
+        st.sampled_from([b"GET /healthz HTTP/1.1\r\n", b"GET / HTTP/1.0\r\n\r\n",
+                         b"POST /theta/batch HTTP/1.1\r\nContent-Length: 9\r\n\r\n"]),
+        st.binary(max_size=120))))
+    def test_random_bytes(self, async_server, chunks):
+        _exchange(async_server.address, chunks)
+        _assert_still_serving(async_server.address)
+
+    @FUZZ
+    @given(requests=st.lists(_READ_ONLY_REQUESTS, min_size=1, max_size=6),
+           data=st.data())
+    def test_pipelined_read_only_mix(self, async_server, requests, data):
+        chunks = data.draw(_write_splits(st.just(b"".join(requests))))
+        responses = _exchange(async_server.address, chunks)
+        # One answer per request, unless the server answered a malformed
+        # target and hung up; a read-only request never fails with a 5xx.
+        closed_early = bool(responses) and b"Connection: close" in responses[-1][1]
+        assert len(responses) == len(requests) or closed_early
+        assert all(status < 500 for status, _ in responses), responses
+        _assert_still_serving(async_server.address)
+
+    @FUZZ
+    @given(requests=st.lists(_READ_ONLY_REQUESTS, max_size=3),
+           body=st.binary(min_size=1, max_size=64), data=st.data())
+    def test_truncated_body(self, async_server, requests, body, data):
+        sent = data.draw(st.integers(0, len(body) - 1))
+        truncated = _post_request("/theta/batch", body, "application/json")
+        payload = b"".join(requests) + truncated[:len(truncated) - len(body) + sent]
+        responses = _exchange(async_server.address, data.draw(_write_splits(st.just(payload))))
+        # The truncated request never completes, so it is never answered.
+        assert len(responses) <= len(requests)
+        assert all(status < 500 for status, _ in responses), responses
+        _assert_still_serving(async_server.address)
 
 
 class TestAsyncUpdates:

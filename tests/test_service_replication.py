@@ -23,7 +23,8 @@ from repro.service.replication import (
     ReplicationLog,
     state_fingerprint,
 )
-from repro.service.server import TipService, create_server
+from repro.service.aserver import start_server_thread
+from repro.service.server import TipService
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,8 @@ def _post(url, payload):
 
 
 def _serve(service):
-    server = create_server([], service=service, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}"
+    handle = start_server_thread(service=service)
+    return handle, handle.base_url
 
 
 BATCHES = (
@@ -173,8 +173,7 @@ class TestPrefixConsistency:
             result = fcoord.handle_push(records[0])
             assert not result["applied"] and result["offset"] == len(records)
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
 
     def test_tampered_record_marks_divergence(self, source, tmp_path):
         leader_art = _copy(source, tmp_path, "leader")
@@ -208,8 +207,42 @@ class TestPrefixConsistency:
             assert (follower.index_for(name).theta_batch(probe).tolist()
                     == leader.index_for(name).theta_batch(probe).tolist())
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
+
+
+class TestSnapshotRoute:
+    def test_blocked_snapshot_leaves_other_connections_served(
+            self, source, tmp_path):
+        """A snapshot capture (which sleeps while an update holds the
+        mutation seqlock odd) runs off the event loop."""
+        leader = TipService([_copy(source, tmp_path, "leader")])
+        coordinator = ReplicationCoordinator(leader, role="leader")
+        entered, release = threading.Event(), threading.Event()
+        capture = coordinator.snapshot_payload
+
+        def blocked_capture():
+            entered.set()
+            release.wait(timeout=30)
+            return capture()
+
+        coordinator.snapshot_payload = blocked_capture
+        handle, url = _serve(leader)
+        answers = {}
+        snapshot = threading.Thread(target=lambda: answers.update(
+            snapshot=_get(f"{url}/replication/snapshot")))
+        try:
+            snapshot.start()
+            assert entered.wait(timeout=10)
+            with urllib.request.urlopen(f"{url}/healthz", timeout=5) as response:
+                assert response.status == 200
+            assert not release.is_set()
+        finally:
+            release.set()
+            snapshot.join(timeout=30)
+            handle.stop()
+        assert not snapshot.is_alive()
+        assert answers["snapshot"]["last_offset"] == 0
+        assert answers["snapshot"]["files"]
 
 
 class TestCrashRecovery:
@@ -390,8 +423,7 @@ class TestCompaction:
             assert (follower.index_for(name).theta_batch(probe).tolist()
                     == leader.index_for(name).theta_batch(probe).tolist())
         finally:
-            leader_srv.shutdown()
-            leader_srv.server_close()
+            leader_srv.stop()
 
 
 class TestTopology:
@@ -475,5 +507,4 @@ class TestTopology:
             for fcoord in coords:
                 fcoord.stop()
             for srv in (leader_srv, f1_srv, f2_srv):
-                srv.shutdown()
-                srv.server_close()
+                srv.stop()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -17,7 +16,8 @@ from repro.datasets.generators import planted_blocks
 from repro.errors import ArtifactError, ServiceError
 from repro.service.artifacts import load_artifact, save_artifact
 from repro.service.index import TipIndex
-from repro.service.server import TipService, create_server
+from repro.service.aserver import start_server_thread
+from repro.service.server import TipService
 from repro.service.sharding import (
     ShardRouter,
     plan_boundaries,
@@ -146,17 +146,11 @@ class TestServedSharding:
 
     @pytest.fixture()
     def pair(self, artifact):
-        plain = TipService([artifact])
-        sharded = TipService([artifact], shards=3)
-        plain_srv = create_server([], service=plain, port=0)
-        shard_srv = create_server([], service=sharded, port=0)
-        for srv in (plain_srv, shard_srv):
-            threading.Thread(target=srv.serve_forever, daemon=True).start()
-        yield (f"http://127.0.0.1:{plain_srv.server_address[1]}",
-               f"http://127.0.0.1:{shard_srv.server_address[1]}")
-        for srv in (plain_srv, shard_srv):
-            srv.shutdown()
-            srv.server_close()
+        plain = start_server_thread(service=TipService([artifact]))
+        sharded = start_server_thread(service=TipService([artifact], shards=3))
+        yield plain.base_url, sharded.base_url
+        plain.stop()
+        sharded.stop()
 
     def _body(self, base, route):
         with urllib.request.urlopen(base + route, timeout=10) as response:
