@@ -7,16 +7,21 @@ degree and a wedge ``sp - mp - ep`` is traversed only from the start vertex
 bounds traversal by ``O(sum_{(u,v) in E} min(d_u, d_v)) = O(alpha * m)``
 wedges while still attributing every butterfly to all four of its vertices.
 
-The enumeration is *start-major*: a rank-sorted adjacency index is built
-once per side (:func:`_build_ranked_index`), the rank-filtered wedge prefix
-of every ``(start, mid)`` edge is located with one global ``searchsorted``,
-and the wedge endpoints are gathered and aggregated start-by-start in
-wedge-budgeted chunks.  Because every wedge of a ``(start, endpoint)`` pair
-is enumerated under its start vertex, chunking over starts folds partial
-``C(wedges, 2)`` results into the running per-vertex counts *exactly* —
-peak scratch is bounded by the workspace's wedge budget while counts and
-the wedge-traversal counter stay bit-identical to the monolithic
-enumeration (the wedge set is precisely the one Alg. 1 visits).
+The enumeration is *start-major* and needs no binary search per edge or
+per wedge.  A rank-sorted adjacency index is built once per side
+(:func:`_build_ranked_index`) by one argsort of distinct ``(mid, rank of
+start)`` edge keys; its inverse places every ``(start, mid)`` edge in its
+mid's row, which gives the edge's rank-filtered wedge prefix with one
+search per middle vertex.  The wedges are then gathered and aggregated
+start-by-start in wedge-budgeted chunks: each wedge becomes one packed
+``(start, endpoint, mid)`` key, and one sort groups the chunk's wedges by
+``(start, endpoint)`` pair with their middle vertices carried along.
+Because every wedge of a ``(start, endpoint)`` pair is enumerated under
+its start vertex, chunking over starts folds partial ``C(wedges, 2)``
+results into the running per-vertex counts *exactly* — peak scratch is
+bounded by the workspace's wedge budget while counts and the
+wedge-traversal counter stay bit-identical to the monolithic enumeration
+(the wedge set is precisely the one Alg. 1 visits).
 
 Two entry points are provided:
 
@@ -86,47 +91,65 @@ class ButterflyCounts:
 
 @dataclass(frozen=True)
 class _RankedWedgeIndex:
-    """Rank-sorted flat CSR of one (middle) side plus its lookup keys.
+    """Rank-sorted flat CSR of one (middle) side plus every start edge's prefix.
 
-    ``neighbors`` holds every middle vertex's endpoint-side neighbours
-    sorted by increasing endpoint rank; ``entry_keys[e] = mid(e) *
-    rank_bound + rank(neighbor(e))`` is then globally sorted, so the
-    rank-filtered prefix length of any ``(mid, cutoff)`` query is one
-    ``searchsorted`` away.  Neighbor ids are narrowed to int32 when the
-    endpoint side fits, halving the bytes of every wedge gather.
+    Row ``mid`` of ``entries`` lists the middle vertex's endpoint-side
+    neighbours by increasing endpoint rank, each packed as ``endpoint <<
+    mid_bits | mid``, so one gather yields a wedge's endpoint and middle
+    vertex together.  For the ``e``-th entry ``(start, mid)`` of the start
+    side's CSR, the wedges ``start - mid - ep`` with ``rank(ep) <
+    min(rank(start), rank(mid))`` are the ``prefix[e]`` entries from
+    ``row_starts[e] = offsets[mid]`` on.  The packing needs ``n_endpoint <<
+    mid_bits`` to fit in int64, which holds while each side has fewer than
+    2**31 vertices.
     """
 
     offsets: np.ndarray
-    neighbors: np.ndarray
-    entry_keys: np.ndarray
-    rank_bound: int
+    entries: np.ndarray
+    mid_bits: int
+    row_starts: np.ndarray
+    prefix: np.ndarray
 
 
 def _build_ranked_index(
     graph: BipartiteGraph,
     mid_side: str,
+    mid_ranks: np.ndarray,
     endpoint_ranks: np.ndarray,
-    workspace: WedgeWorkspace,
 ) -> _RankedWedgeIndex:
-    offsets, neighbors = graph.csr(mid_side)
-    # Ranks are a global permutation of U ∪ V, so cutoff queries range up
-    # to the total vertex count.
-    rank_bound = graph.n_u + graph.n_v + 1
-    row_base = segment_ids(np.diff(offsets)) * np.int64(rank_bound)
-    entry_keys = row_base + endpoint_ranks[neighbors]
-    # Sorting the keys orders every row by rank in place of a lexsort; the
-    # rows keep their positions, so subtracting the row base recovers the
-    # sorted ranks, and rank -> vertex is one lookup (ranks are distinct).
-    entry_keys.sort()
-    ids_dtype = workspace.ids_dtype(endpoint_ranks.shape[0])
-    vertex_of_rank = np.empty(rank_bound, dtype=ids_dtype)
-    vertex_of_rank[endpoint_ranks] = np.arange(endpoint_ranks.shape[0], dtype=ids_dtype)
-    np.subtract(entry_keys, row_base, out=row_base)
+    offsets, _ = graph.csr(mid_side)
+    start_offsets, mids = graph.csr("U" if mid_side == "V" else "V")
+    n_mid = offsets.shape[0] - 1
+    mid_bits = max(n_mid - 1, 0).bit_length()
+    starts_per_row = np.diff(start_offsets)
+    # Every edge keyed (mid, rank of its start).  Ranks are a permutation
+    # of U ∪ V, so the keys are distinct: one unstable argsort orders each
+    # mid row by rank, and its inverse is every start-side edge's position.
+    rank_bound = np.int64(graph.n_u + graph.n_v + 1)
+    entry_keys = mids * rank_bound + np.repeat(endpoint_ranks, starts_per_row)
+    order = np.argsort(entry_keys)
+    entry_keys = entry_keys[order]
+    position = np.empty(order.shape[0], dtype=np.int64)
+    position[order] = np.arange(order.shape[0], dtype=np.int64)
+    entries = np.repeat(
+        np.arange(starts_per_row.shape[0], dtype=np.int64) << mid_bits, starts_per_row
+    )
+    entries |= mids
+    # Neighbours of a mid ranked below a cutoff are a prefix of its row that
+    # grows with the cutoff, so the prefix below min(rank(start),
+    # rank(mid)) is the smaller of start's own position in the row and the
+    # count below mid (one search per middle vertex, not per edge).
+    below_mid = np.searchsorted(
+        entry_keys, np.arange(n_mid, dtype=np.int64) * rank_bound + mid_ranks
+    ) - offsets[:-1]
+    row_starts = offsets[mids]
+    position -= row_starts
     return _RankedWedgeIndex(
         offsets=offsets,
-        neighbors=vertex_of_rank[row_base],
-        entry_keys=entry_keys,
-        rank_bound=rank_bound,
+        entries=entries[order],
+        mid_bits=mid_bits,
+        row_starts=row_starts,
+        prefix=np.minimum(position, below_mid[mids], out=position),
     )
 
 
@@ -152,70 +175,57 @@ def _count_priority_side(
     wedges traversed (one per gathered endpoint).
     """
     start_side = "U" if mid_side == "V" else "V"
-    index = _build_ranked_index(graph, mid_side, endpoint_ranks, workspace)
     entry_offsets, mids = graph.csr(start_side)
     if mids.size == 0:
         return 0
-    # Rank-filtered prefix length of every (start, mid) edge in one global
-    # searchsorted over the index keys.
-    mids_per_start = np.diff(entry_offsets)
-    cutoffs = np.minimum(np.repeat(endpoint_ranks, mids_per_start), mid_ranks[mids])
-    positions = np.searchsorted(
-        index.entry_keys, mids * np.int64(index.rank_bound) + cutoffs, side="left"
-    )
-    row_starts = index.offsets[mids]
-    prefix = positions - row_starts
-    wedges_per_start = segment_sums(prefix, mids_per_start)
+    index = _build_ranked_index(graph, mid_side, mid_ranks, endpoint_ranks)
+    wedges_per_start = segment_sums(index.prefix, np.diff(entry_offsets))
 
     n_endpoint = np.int64(endpoint_counts.shape[0])
+    mid_bits = index.mid_bits
+    # A wedge's key is (start in span, endpoint, mid) packed into one int64:
+    # sorting it groups the wedges by pair and carries each mid along.
+    start_stride = n_endpoint << mid_bits
+    max_starts = max(int(np.iinfo(np.int64).max // int(start_stride)), 1)
     wedges_traversed = 0
-    for lo, hi in budget_spans(wedges_per_start, workspace.wedge_budget):
+    for lo, hi in budget_spans(wedges_per_start, workspace.wedge_budget, max_items=max_starts):
         e_lo, e_hi = int(entry_offsets[lo]), int(entry_offsets[hi])
-        endpoints = gather_ranges(
-            index.neighbors, row_starts[e_lo:e_hi], prefix[e_lo:e_hi],
+        gathered = gather_ranges(
+            index.entries, index.row_starts[e_lo:e_hi], index.prefix[e_lo:e_hi],
             workspace=workspace, name="pc_ep",
         )
-        n_wedges = int(endpoints.shape[0])
+        n_wedges = int(gathered.shape[0])
         if n_wedges == 0:
             continue
         wedges_traversed += n_wedges
 
-        # (start, endpoint) pair keys, narrowed to the span's bound.
-        span = hi - lo
-        key_dtype = workspace.ids_dtype(span * int(n_endpoint))
-        keys = np.repeat(
-            (np.arange(span, dtype=np.int64) * n_endpoint).astype(key_dtype),
-            wedges_per_start[lo:hi],
-        )
-        np.add(keys, endpoints, out=keys, casting="unsafe")
-        sort_keys = workspace.take("pc_sort", n_wedges, key_dtype)
-        np.copyto(sort_keys, keys)
-        sort_keys.sort()
+        keys = np.repeat(np.arange(hi - lo, dtype=np.int64) * start_stride, wedges_per_start[lo:hi])
+        keys += gathered
+        keys.sort()
+        pairs = workspace.take("pc_pairs", n_wedges, np.int64)
+        np.right_shift(keys, mid_bits, out=pairs)
         boundary = workspace.take("pc_boundary", n_wedges, np.bool_)
         boundary[0] = True
-        np.not_equal(sort_keys[1:], sort_keys[:-1], out=boundary[1:])
+        np.not_equal(pairs[1:], pairs[:-1], out=boundary[1:])
         run_starts = np.flatnonzero(boundary)
         pair_wedges = np.empty(run_starts.shape[0], dtype=np.int64)
         np.subtract(run_starts[1:], run_starts[:-1], out=pair_wedges[:-1])
         pair_wedges[-1] = n_wedges - run_starts[-1]
-        unique_keys = sort_keys[run_starts]
 
-        # Endpoint-side attribution: both pair members gain C(wedges, 2).
-        pair_butterflies = pair_wedges * (pair_wedges - 1) // 2
-        unique64 = unique_keys.astype(np.int64)
-        pair_position = unique64 // n_endpoint
-        pair_endpoint = unique64 - pair_position * n_endpoint
-        np.add.at(endpoint_counts, pair_endpoint, pair_butterflies)
+        # Endpoint-side attribution: both members of a repeated pair gain
+        # C(wedges, 2).
+        repeated = pair_wedges > 1
+        shared = pair_wedges[repeated]
+        pair_butterflies = shared * (shared - 1) // 2
+        repeated_pairs = pairs[run_starts[repeated]]
+        pair_position = repeated_pairs // n_endpoint
+        np.add.at(endpoint_counts, repeated_pairs - pair_position * n_endpoint, pair_butterflies)
         np.add.at(endpoint_counts, lo + pair_position, pair_butterflies)
 
         # Middle-vertex attribution: a wedge's mid pairs with the other
-        # (pair wedges - 1) wedges sharing its (start, endpoint) key.
-        pair_of_wedge = np.searchsorted(unique_keys, keys)
-        contribution = workspace.take("pc_contrib", n_wedges, np.int64)
-        np.take(pair_wedges, pair_of_wedge, out=contribution, mode="clip")
-        contribution -= 1
-        mid_of_wedge = np.repeat(mids[e_lo:e_hi], prefix[e_lo:e_hi])
-        np.add.at(mid_counts, mid_of_wedge, contribution)
+        # (pair wedges - 1) wedges of its run.
+        np.bitwise_and(keys, (1 << mid_bits) - 1, out=keys)
+        np.add.at(mid_counts, keys, np.repeat(pair_wedges - 1, pair_wedges))
     return wedges_traversed
 
 

@@ -183,26 +183,26 @@ def coarse_grained_decomposition(
 
             # Snapshot ⋈init for every remaining vertex: this is its support
             # after all earlier subsets were peeled (lines 6-7 of Alg. 3).
-            init_supports[alive_vertices] = supports[alive_vertices]
+            alive_supports = supports[alive_vertices]
+            init_supports[alive_vertices] = alive_supports
             regions.append(ParallelRegionRecord(
                 "cd_support_init", int(alive_vertices.size), float(alive_vertices.size),
                 scheduling="static"))
 
-            remaining_work = float(wedge_work[alive_vertices].sum())
+            alive_work = wedge_work[alive_vertices]
+            remaining_work = float(alive_work.sum())
             if adaptive_targets:
                 target_work = targeter.next_target(remaining_work)
             else:
                 target_work = static_target
-            upper_bound = find_range_upper_bound(
-                supports[alive_vertices], wedge_work[alive_vertices], target_work
-            )
+            upper_bound = find_range_upper_bound(alive_supports, alive_work, target_work)
             upper_bound = max(upper_bound, lower_bound + 1)
             regions.append(ParallelRegionRecord(
                 "cd_find_hi", int(alive_vertices.size), float(alive_vertices.size),
                 scheduling="static"))
 
             subset_pieces: list[np.ndarray] = []
-            active_set = alive_vertices[supports[alive_vertices] < upper_bound]
+            active_set = alive_vertices[alive_supports < upper_bound]
 
             while active_set.size:
                 counters.synchronization_rounds += 1
@@ -216,7 +216,8 @@ def coarse_grained_decomposition(
                     # computed only when it cannot, and then resets the bound.
                     cost_bound.remove(active_set)
                     if not cost_bound.peel_is_cheaper(cost_of_peeling, huc_cost_factor):
-                        cost_of_recounting = recount_cost(graph, cost_bound.residual)
+                        cost_of_recounting = recount_cost(graph, cost_bound.residual,
+                                                          cost_bound)
                         cost_bound.lower = cost_of_recounting
                         use_recount = should_recount(
                             cost_of_peeling, huc_cost_factor * cost_of_recounting
@@ -257,7 +258,7 @@ def coarse_grained_decomposition(
 
                 regions.append(ParallelRegionRecord(
                     "cd_peel_iteration", int(active_set.size), float(wedges_this_iteration),
-                    task_work=wedge_work[active_set].astype(np.float64).tolist(),
+                    task_work=wedge_work[active_set].astype(np.float64),
                 ))
                 iteration_records.append(
                     {

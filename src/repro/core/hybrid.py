@@ -22,7 +22,10 @@ falls on, so CD does not evaluate ``C_rcnt`` (an O(|E|) pass) every round:
 rounds in time proportional to the removed vertices' edges, and CD peels
 outright whenever ``C_peel <= f * LB``.  Only when the bound cannot decide
 does CD call :func:`recount_cost`, and the exact value becomes the new
-bound, so every decision equals the one the exact test makes.
+bound, so every decision equals the one the exact test makes.  CD hands
+the bound to that call: the bound also keeps the residual edges, which it
+compacts at each exact evaluation, so the evaluations together cost the
+sum of the residual edge counts rather than one O(|E|) pass each.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from ..butterfly.counting import count_per_vertex_priority
 from ..graph.bipartite import BipartiteGraph
-from ..kernels.csr import gather_rows
+from ..kernels.csr import gather_rows, segment_ids
 
 __all__ = [
     "RecountCostBound",
@@ -69,14 +72,26 @@ def peel_cost(wedge_work: np.ndarray, active_set: np.ndarray) -> int:
     return int(wedge_work[active_set].sum())
 
 
-def recount_cost(graph: BipartiteGraph, alive_mask: np.ndarray) -> int:
+def recount_cost(
+    graph: BipartiteGraph,
+    alive_mask: np.ndarray,
+    bound: "RecountCostBound | None" = None,
+) -> int:
     """Traversal bound of re-counting butterflies on the residual graph (``C_rcnt``).
 
     The residual graph keeps all ``V`` vertices and only the alive ``U``
     vertices; the bound is ``sum over residual edges of min(d_u,
     residual d_v)``.  The residual edges are read from the ``U``-side CSR,
     where every alive vertex's edges form one contiguous row.
+
+    ``bound``, a :class:`RecountCostBound` over ``graph`` whose residual
+    set is ``alive_mask`` itself, gives the same value from the residual
+    edges it tracks, in time proportional to them instead of to ``|E|``.
     """
+    if bound is not None:
+        if alive_mask is not bound.residual:
+            raise ValueError("alive_mask must be the bound's own residual mask")
+        return bound.exact_cost()
     alive_mask = np.asarray(alive_mask, dtype=bool)
     offsets, neighbors = graph.csr("U")
     degrees_u = np.diff(offsets)
@@ -101,13 +116,20 @@ class RecountCostBound:
     ``min(d_a, d_v')`` leave the sum, and a remaining edge ``(u, v)`` loses at
     most ``Δ_v`` (the drop of ``d_v'``), so subtracting ``Δ_v * d_v'(new)``
     per center keeps the bound valid without touching the remaining edges.
+
+    :meth:`exact_cost` evaluates ``C_rcnt`` itself over the residual edges
+    only: it keeps their owners and centers, drops the removed owners'
+    edges at each evaluation, and reads ``d_v'`` from the tracked degrees.
     """
 
     def __init__(self, graph: BipartiteGraph):
         self._offsets, self._neighbors = graph.csr("U")
+        self._degrees = np.diff(self._offsets)
         self.residual = np.ones(graph.n_u, dtype=bool)
         self.residual_degrees = graph.degrees_v().astype(np.int64)
-        self.lower = recount_cost(graph, self.residual)
+        self._edge_owners = segment_ids(self._degrees)
+        self._edge_centers = self._neighbors
+        self.lower = self.exact_cost()
 
     def remove(self, vertices: np.ndarray) -> None:
         """Drop ``vertices`` (residual, no repeats) from ``R``; lower the bound."""
@@ -121,6 +143,15 @@ class RecountCostBound:
         np.subtract.at(self.residual_degrees, centers, 1)
         # Each center appears Δ_v times among the removed edges.
         self.lower -= removed_terms + int(self.residual_degrees[centers].sum())
+
+    def exact_cost(self) -> int:
+        """``C_rcnt`` of the current residual set, over its edges only."""
+        keep = self.residual[self._edge_owners]
+        self._edge_owners = self._edge_owners[keep]
+        self._edge_centers = self._edge_centers[keep]
+        return int(np.minimum(
+            self._degrees[self._edge_owners], self.residual_degrees[self._edge_centers]
+        ).sum())
 
     def peel_is_cheaper(self, cost_of_peeling: int, cost_factor: float) -> bool:
         """Whether ``C_peel <= f * LB`` already rules out a re-count (``f >= 0``)."""

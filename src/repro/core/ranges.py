@@ -7,7 +7,10 @@ numbers are known yet, so the paper uses two proxies: the wedge count of
 every vertex in the *original* graph and the vertices' *current supports*.
 Wedge counts are binned by support value, a prefix sum is taken over the
 sorted bins and the smallest support whose cumulative work reaches the
-target becomes the (inclusive) top of the range.
+target becomes the (inclusive) top of the range.  The vertices are sorted
+by support with a plain (unstable) argsort: the order among ties cannot
+change the chosen support, which depends only on the cumulative work at
+the ends of the groups of equal support.
 
 The adaptive behaviour of Sec. 3.1.1 — a dynamic per-subset target and a
 scaling factor that corrects for the previous subset's overshoot — lives in
@@ -55,7 +58,11 @@ def find_range_upper_bound(
     if supports.shape != wedge_work.shape:
         raise ValueError("supports and wedge_work must have the same shape")
 
-    order = np.argsort(supports, kind="stable")
+    # Any sort by support will do: ties form one contiguous group whatever
+    # their order, the cumulative work at a group's end is the same exact
+    # integer (float64 is exact below 2**53), and so the group that first
+    # reaches the target, whose support is returned, is the same.
+    order = np.argsort(supports)
     sorted_supports = supports[order]
     cumulative_work = np.cumsum(wedge_work[order].astype(np.float64))
 

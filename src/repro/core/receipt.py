@@ -190,7 +190,7 @@ def receipt_decomposition(
                         degrees = graph.degrees(start_side).astype(np.float64)
                         regions.append(ParallelRegionRecord(
                             f"pvBcnt[{start_side}]", int(degrees.size),
-                            float(degrees.sum()), degrees.tolist()))
+                            float(degrees.sum()), degrees))
             counting_counters = PeelingCounters(
                 wedges_traversed=counts.wedges_traversed,
                 counting_wedges=counts.wedges_traversed,
@@ -236,9 +236,10 @@ def receipt_decomposition(
             log_phase("fd", fd_result.counters.elapsed_seconds,
                       wedges_traversed=fd_result.counters.wedges_traversed,
                       n_subsets=len(fd_result.subset_records))
-            subset_work = [float(r.wedges_traversed) for r in fd_result.subset_records]
+            subset_work = np.array([r.wedges_traversed for r in fd_result.subset_records],
+                                   dtype=np.float64)
             regions.append(ParallelRegionRecord(
-                "fd_subsets", len(subset_work), float(sum(subset_work)), subset_work,
+                "fd_subsets", subset_work.size, float(subset_work.sum()), subset_work,
                 scheduling="lpt" if config.workload_aware_scheduling else "dynamic"))
         finally:
             if owns_engine:

@@ -376,8 +376,8 @@ class BipartiteGraph:
 
         Both CSR directions are built straight from this graph's (already
         valid, sorted) ``U`` rows: the selected rows are gathered in subset
-        order, and one stable sort by center id yields the center rows with
-        their new ``U`` ids ascending — the same arrays the validating
+        order, and one sort of ``(center, new U id)`` keys yields the center
+        rows with their new ``U`` ids ascending — the same arrays the validating
         constructor would build from the filtered edge list, in time linear
         in the subset's edges plus one sort.
 
@@ -412,14 +412,18 @@ class BipartiteGraph:
             keys = np.repeat(labels, u_degrees) * self._n_v + u_neighbors
             unique_keys, centers = np.unique(keys, return_inverse=True)
             n_centers = unique_keys.size
-        by_center = np.argsort(centers, kind="stable")
+        # (center, new U id) keys are distinct and sort into the center rows,
+        # each with its U ids ascending.
+        n_rows = max(selected.size, 1)
+        center_rows = centers * np.int64(n_rows) + segment_ids(u_degrees)
+        center_rows.sort()
         subgraph = BipartiteGraph.from_csr_arrays(
             selected.size,
             n_centers,
             segment_offsets(u_degrees),
             centers,
             segment_offsets(np.bincount(centers, minlength=n_centers)),
-            segment_ids(u_degrees)[by_center],
+            center_rows % n_rows,
             name=f"{self.name}/induced" if self.name else "induced",
         )
         return InducedSubgraph(graph=subgraph, u_old_of_new=selected.copy(), u_new_of_old=new_of_old)

@@ -34,10 +34,34 @@ __all__ = [
 
 
 def _open_text(path: str | Path) -> TextIO:
+    # Bytes that are not UTF-8 decode to lone surrogates: harmless in a
+    # comment, and in an id field they fail the ASCII-digit check with the
+    # line number, instead of a UnicodeDecodeError from the reader.
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "rt", encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape")
+    return open(path, "rt", encoding="utf-8", errors="surrogateescape")
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_count(field: str, *, where: str, what: str) -> int:
+    """A non-negative integer of ASCII digits that fits in int64.
+
+    ``int()`` alone would also take ``+3``, ``1_0`` and non-ASCII digits,
+    and NumPy would reject values beyond int64 with a bare
+    ``OverflowError``; every such field is a :class:`GraphFormatError`.
+    """
+    negative = field.startswith("-")
+    digits = field[1:] if negative else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise GraphFormatError(f"{where}: non-integer {what} {field!r}")
+    if negative:
+        raise GraphFormatError(f"{where}: negative {what}")
+    if len(digits.lstrip("0")) > 19 or int(digits) > _INT64_MAX:
+        raise GraphFormatError(f"{where}: {what} {field} is beyond the int64 range")
+    return int(digits)
 
 
 def _parse_pairs(handle: TextIO, *, comment_prefixes: tuple[str, ...], one_based: bool,
@@ -50,16 +74,14 @@ def _parse_pairs(handle: TextIO, *, comment_prefixes: tuple[str, ...], one_based
         fields = line.split()
         if len(fields) < 2:
             raise GraphFormatError(f"{path}:{line_number}: expected at least two columns")
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{line_number}: non-integer vertex id") from exc
+        where = f"{path}:{line_number}"
+        u = _parse_count(fields[0], where=where, what="vertex id")
+        v = _parse_count(fields[1], where=where, what="vertex id")
         if one_based:
             u -= 1
             v -= 1
         if u < 0 or v < 0:
-            raise GraphFormatError(f"{path}:{line_number}: negative vertex id after adjustment")
+            raise GraphFormatError(f"{where}: negative vertex id after adjustment")
         edges.append((u, v))
     if not edges:
         return np.zeros((0, 2), dtype=np.int64)
@@ -128,10 +150,12 @@ def read_matrix_market(path: str | Path, *, name: str | None = None) -> Bipartit
         size_line = handle.readline()
         while size_line.startswith("%"):
             size_line = handle.readline()
-        try:
-            n_rows, n_cols, n_entries = (int(field) for field in size_line.split()[:3])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}: malformed size line {size_line!r}") from exc
+        sizes = size_line.split()
+        if len(sizes) < 3:
+            raise GraphFormatError(f"{path}: malformed size line {size_line!r}")
+        n_rows, n_cols, n_entries = (
+            _parse_count(field, where=f"{path}: size line", what="size") for field in sizes[:3]
+        )
         edge_array = _parse_pairs(handle, comment_prefixes=("%",), one_based=True, path=path)
     if edge_array.shape[0] != n_entries:
         raise GraphFormatError(

@@ -53,30 +53,25 @@ class DegreePriority:
 
 def degree_priority(graph: BipartiteGraph) -> DegreePriority:
     """Compute the decreasing-degree global ranking used by Alg. 1."""
-    degrees_u = graph.degrees_u().astype(np.int64)
-    degrees_v = graph.degrees_v().astype(np.int64)
-
-    all_degrees = np.concatenate([degrees_u, degrees_v])
-    sides = np.concatenate([
-        np.zeros(graph.n_u, dtype=np.int8),
-        np.ones(graph.n_v, dtype=np.int8),
-    ])
-    ids = np.concatenate([
-        np.arange(graph.n_u, dtype=np.int64),
-        np.arange(graph.n_v, dtype=np.int64),
-    ])
-
-    # lexsort keys are applied last-key-primary: sort by descending degree,
-    # then ascending side, then ascending id for deterministic tie-breaking.
-    order = np.lexsort((ids, sides, -all_degrees))
-    ranks = np.empty(order.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(order.shape[0], dtype=np.int64)
+    degrees = np.concatenate([graph.degrees_u(), graph.degrees_v()]).astype(np.int64)
+    n_vertices = degrees.shape[0]
+    position = np.arange(n_vertices, dtype=np.int64)
+    # Descending degree first; the position in the U-then-V concatenation
+    # breaks ties (U before V, then ascending id).  The keys are distinct,
+    # so one unstable argsort gives the order a lexsort would.
+    if n_vertices:
+        order = np.argsort((degrees.max() - degrees) * n_vertices + position)
+    else:
+        order = position
+    ranks = np.empty(n_vertices, dtype=np.int64)
+    ranks[order] = position
+    on_v = order >= graph.n_u
 
     return DegreePriority(
         u_rank=ranks[: graph.n_u].copy(),
         v_rank=ranks[graph.n_u:].copy(),
-        order_sides=sides[order],
-        order_ids=ids[order],
+        order_sides=on_v.astype(np.int8),
+        order_ids=order - on_v * np.int64(graph.n_u),
     )
 
 

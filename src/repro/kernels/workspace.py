@@ -269,30 +269,32 @@ def workspace_or_default(workspace: WedgeWorkspace | None) -> WedgeWorkspace:
 
 
 def budget_spans(
-    weights: np.ndarray, budget: int | None
+    weights: np.ndarray, budget: int | None, *, max_items: int | None = None
 ) -> Iterator[tuple[int, int]]:
     """Split consecutive items into ``(start, stop)`` spans of bounded weight.
 
     Each span's total ``weights`` is at most ``budget`` unless a single
     item alone exceeds it (an item is never split, so the effective bound
-    is ``max(budget, weights.max())``).  ``budget=None`` yields one span
-    covering everything.
+    is ``max(budget, weights.max())``).  ``budget=None`` bounds no weight.
+    ``max_items`` (at least 1) also caps the items per span, for callers
+    whose per-span keys grow with the span's length.
     """
     n = int(weights.shape[0])
     if n == 0:
         return
-    if budget is None:
-        yield 0, n
-        return
+    if max_items is None:
+        max_items = n
     cumulative = np.cumsum(weights, dtype=np.int64)
-    if int(cumulative[-1]) <= budget:
+    if n <= max_items and (budget is None or int(cumulative[-1]) <= budget):
         yield 0, n
         return
+    if budget is None:
+        budget = int(cumulative[-1])
     start = 0
     base = 0
     while start < n:
         stop = int(np.searchsorted(cumulative, base + budget, side="right"))
-        stop = min(max(stop, start + 1), n)
+        stop = min(max(stop, start + 1), start + max_items, n)
         yield start, stop
         base = int(cumulative[stop - 1])
         start = stop

@@ -43,15 +43,20 @@ DEFAULT_BARRIER_COST = 1000.0
 class ParallelRegionRecord:
     """One measured parallel region: its tasks and the work each performed.
 
-    ``task_work`` may be left empty for uniform vertex-parallel loops, whose
-    ``total_work`` the model then splits evenly over ``n_tasks``.
+    ``task_work`` (stored as a float64 array; any sequence is accepted) may
+    be left empty for uniform vertex-parallel loops, whose ``total_work``
+    the model then splits evenly over ``n_tasks``.  Compare records field
+    by field, ``task_work`` with ``np.array_equal``.
     """
 
     name: str
     n_tasks: int
     total_work: float
-    task_work: list[float] = field(default_factory=list)
+    task_work: np.ndarray = field(default_factory=lambda: np.zeros(0))
     scheduling: str = "dynamic"
+
+    def __post_init__(self) -> None:
+        self.task_work = np.asarray(self.task_work, dtype=np.float64)
 
 
 @dataclass
@@ -209,11 +214,8 @@ class ParallelCostModel:
         model = cls(barrier_cost=barrier_cost, numa_threshold=numa_threshold,
                     numa_penalty=numa_penalty)
         for record in records:
-            if record.task_work:
-                task_work = record.task_work
-            elif record.n_tasks > 0:
-                task_work = [record.total_work / record.n_tasks] * record.n_tasks
-            else:
-                task_work = []
+            task_work = record.task_work
+            if task_work.size == 0 and record.n_tasks > 0:
+                task_work = np.full(record.n_tasks, record.total_work / record.n_tasks)
             model.add_region(record.name, task_work, scheduling=record.scheduling)
         return model

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.butterfly.counting import (
     _build_ranked_index,
@@ -17,6 +19,7 @@ from repro.butterfly.naive import (
 )
 from repro.datasets.generators import random_bipartite
 from repro.errors import ReproError
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
 from repro.graph.relabel import degree_priority
 from repro.kernels.csr import segment_ids
@@ -98,21 +101,70 @@ class TestVertexPriorityCounting:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ranked_index_matches_lexsort_order(self, seed):
-        # The index sorts mid * rank_bound + rank keys instead of running a
-        # lexsort over (mid, rank); both must give the same rows.
+        # The index argsorts (mid, rank) keys of the start side's edges in
+        # place of a lexsort over the mid side's rows; both must give the
+        # same rows, and every start edge's prefix must count the entries
+        # of its mid's row ranked below min(rank(start), rank(mid)).
         graph = random_bipartite(30, 20, 150, seed=seed)
         priority = degree_priority(graph)
-        workspace = WedgeWorkspace()
-        for mid_side, ranks in (("V", priority.u_rank), ("U", priority.v_rank)):
+        for mid_side, mid_ranks, ranks in (("V", priority.v_rank, priority.u_rank),
+                                           ("U", priority.u_rank, priority.v_rank)):
             offsets, neighbors = graph.csr(mid_side)
             mid_of_entry = segment_ids(np.diff(offsets))
             order = np.lexsort((ranks[neighbors], mid_of_entry))
-            index = _build_ranked_index(graph, mid_side, ranks, workspace)
-            assert np.array_equal(index.neighbors, neighbors[order])
-            assert np.array_equal(
-                index.entry_keys,
-                mid_of_entry * index.rank_bound + ranks[neighbors][order],
-            )
+            index = _build_ranked_index(graph, mid_side, mid_ranks, ranks)
+            assert np.array_equal(index.offsets, offsets)
+            assert np.array_equal(index.entries >> index.mid_bits, neighbors[order])
+            assert np.array_equal(index.entries & ((1 << index.mid_bits) - 1), mid_of_entry)
+
+            start_offsets, mids = graph.csr("U" if mid_side == "V" else "V")
+            starts = segment_ids(np.diff(start_offsets))
+            cutoffs = np.minimum(ranks[starts], mid_ranks[mids])
+            expected = [int(np.count_nonzero(ranks[graph.neighbors(mid, mid_side)] < cutoff))
+                        for mid, cutoff in zip(mids, cutoffs)]
+            assert np.array_equal(index.row_starts, offsets[mids])
+            assert index.prefix.tolist() == expected
+
+
+def _priority_wedges_by_enumeration(graph):
+    """Wedges ``sp - mp - ep`` with ``rank(ep) < min(rank(sp), rank(mp))``, both centre sides."""
+    priority = degree_priority(graph)
+    total = 0
+    for start_side, mid_side, start_ranks, mid_ranks in (
+        ("U", "V", priority.u_rank, priority.v_rank),
+        ("V", "U", priority.v_rank, priority.u_rank),
+    ):
+        for start in range(graph.side_size(start_side)):
+            for mid in graph.neighbors(start, start_side):
+                cutoff = min(start_ranks[start], mid_ranks[mid])
+                total += sum(1 for end in graph.neighbors(mid, mid_side)
+                             if start_ranks[end] < cutoff)
+    return total
+
+
+@st.composite
+def _small_graphs(draw):
+    # Few vertices and a narrow degree range force degree ties; ids above
+    # the largest endpoint stay isolated, and a side may be empty.
+    n_u, n_v = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if n_u == 0 or n_v == 0:
+        return BipartiteGraph(n_u, n_v, [])
+    edges = draw(st.sets(st.tuples(st.integers(0, n_u - 1), st.integers(0, n_v - 1)),
+                         max_size=40))
+    return BipartiteGraph(n_u, n_v, sorted(edges))
+
+
+class TestPriorityCountingExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_small_graphs(), budget=st.one_of(st.none(), st.integers(1, 24)),
+           narrow_ids=st.booleans())
+    def test_counts_and_wedges_match_enumeration(self, graph, budget, narrow_ids):
+        workspace = WedgeWorkspace(wedge_budget=budget, narrow_ids=narrow_ids)
+        counts = count_per_vertex_priority(graph, workspace=workspace)
+        u_expected, v_expected, _ = count_butterflies_exhaustive(graph)
+        assert np.array_equal(counts.u_counts, u_expected)
+        assert np.array_equal(counts.v_counts, v_expected)
+        assert counts.wedges_traversed == _priority_wedges_by_enumeration(graph)
 
 
 class TestWedgeAggregationCounting:

@@ -1,6 +1,7 @@
 """Unit tests for Hybrid Update Computation (HUC) helpers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,7 +131,15 @@ class TestRecountCostBound:
                 bound.residual_degrees, np.bincount(residual_edges[:, 1], minlength=graph.n_v)
             )
             if reset:
+                # The bound's own exact cost compacts its residual edges only
+                # here, so evaluations skip arbitrary runs of removals.
+                assert recount_cost(graph, bound.residual, bound) == exact
                 bound.lower = exact
+
+    def test_recount_cost_rejects_a_foreign_mask_with_a_bound(self, blocks_graph):
+        bound = RecountCostBound(blocks_graph)
+        with pytest.raises(ValueError):
+            recount_cost(blocks_graph, bound.residual.copy(), bound)
 
     def test_peel_is_cheaper_compares_against_scaled_bound(self, blocks_graph):
         bound = RecountCostBound(blocks_graph)

@@ -2,11 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ranges import AdaptiveRangeTargeter, find_range_upper_bound
 
 
+def _stable_sort_definition(supports, work, target):
+    """findHi as first written: a stable sort by support, then the prefix search."""
+    supports = np.asarray(supports, dtype=np.int64)
+    order = np.argsort(supports, kind="stable")
+    cumulative = np.cumsum(np.asarray(work, dtype=np.int64)[order].astype(np.float64))
+    position = int(np.searchsorted(cumulative, float(target), side="left"))
+    return int(supports[order][min(position, supports.size - 1)]) + 1
+
+
 class TestFindRangeUpperBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40)), min_size=1, max_size=60),
+        target_share=st.floats(0.0, 1.2),
+        at_group_end=st.booleans(),
+    )
+    def test_matches_stable_sort_definition(self, rows, target_share, at_group_end):
+        # Few distinct supports make long runs of ties, and zero work makes
+        # prefix sums stand still inside a run.
+        supports = np.array([support for support, _ in rows], dtype=np.int64)
+        work = np.array([weight for _, weight in rows], dtype=np.int64)
+        target = target_share * float(work.sum())
+        if at_group_end:
+            # Aim exactly at the cumulative work where some support's group ends.
+            cut = supports[int(target_share * 1000) % supports.size]
+            target = float(work[supports <= cut].sum())
+        assert find_range_upper_bound(supports, work, target) == (
+            _stable_sort_definition(supports, work, target))
+
     def test_simple_split(self):
         supports = np.array([0, 1, 2, 3, 4])
         work = np.array([10, 10, 10, 10, 10])

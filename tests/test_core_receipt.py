@@ -108,7 +108,8 @@ class TestInstrumentation:
         names = [region.name for region in regions]
         assert names[:2] == ["pvBcnt[U]", "pvBcnt[V]"] and names[-1] == "fd_subsets"
         # Counting: one task per start vertex, its degree as work.
-        assert regions[0].task_work == blocks_graph.degrees("U").tolist()
+        assert regions[0].task_work.dtype == np.float64
+        assert np.array_equal(regions[0].task_work, blocks_graph.degrees("U"))
         assert names.count("cd_peel_iteration") == (
             result.phase_counters["cd"].synchronization_rounds)
         assert regions[-1].n_tasks == len(result.extra["subsets"])

@@ -63,7 +63,12 @@ def _assert_equivalent(reference, candidate):
         actual = candidate.phase_counters[phase].as_dict()
         del expected["elapsed_seconds"], actual["elapsed_seconds"]
         assert actual == expected, phase
-    assert candidate.extra["parallel_regions"] == reference.extra["parallel_regions"]
+    regions = reference.extra["parallel_regions"]
+    assert len(candidate.extra["parallel_regions"]) == len(regions)
+    for theirs, ours in zip(regions, candidate.extra["parallel_regions"]):
+        assert (ours.name, ours.n_tasks, ours.total_work, ours.scheduling) == (
+            theirs.name, theirs.n_tasks, theirs.total_work, theirs.scheduling)
+        assert np.array_equal(ours.task_work, theirs.task_work), ours.name
 
 
 class TestBackendEquivalence:

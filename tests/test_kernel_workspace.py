@@ -120,11 +120,12 @@ class TestWorkspace:
         assert resolve_wedge_budget(123) == 123
 
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=40),
-           st.one_of(st.none(), st.integers(min_value=1, max_value=120)))
+           st.one_of(st.none(), st.integers(min_value=1, max_value=120)),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
     @settings(deadline=None)
-    def test_budget_spans_cover_exactly_within_budget(self, weights, budget):
+    def test_budget_spans_cover_exactly_within_budget(self, weights, budget, max_items):
         weights = np.asarray(weights, dtype=np.int64)
-        spans = list(budget_spans(weights, budget))
+        spans = list(budget_spans(weights, budget, max_items=max_items))
         # Spans tile [0, n) exactly.
         expected_start = 0
         for lo, hi in spans:
@@ -135,6 +136,8 @@ class TestWorkspace:
             for lo, hi in spans:
                 if hi - lo > 1:
                     assert int(weights[lo:hi].sum()) <= budget
+        if max_items is not None:
+            assert all(hi - lo <= max_items for lo, hi in spans)
 
 
 class TestKeyCountsOwnership:
