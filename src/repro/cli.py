@@ -673,14 +673,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     try:
         with _maybe_trace(args.trace_out):
             serve_async(
-                args.artifacts,
+                service,
                 host=args.host,
                 port=args.port,
-                quiet=False,
                 max_batch=args.coalesce_max_batch,
                 max_delay=args.coalesce_max_delay_ms / 1000.0,
                 max_pending_updates=args.max_pending_updates,
-                service=service,
             )
         return 0
     finally:

@@ -19,7 +19,7 @@ import math
 import re
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -425,6 +425,29 @@ class MetricRegistry:
         """
         with self._lock:
             self._callbacks.append(callback)
+
+    def gauges_from(
+        self,
+        source: Callable[[], Mapping[str, Any]],
+        rows: Sequence[Tuple[str, str, str]],
+    ) -> None:
+        """Mirror a stats dict as gauges, one per ``(key, family, help)`` row.
+
+        Registers one scrape callback that calls ``source()`` once and sets
+        each row's gauge to the value under its key.  A missing or ``None``
+        key leaves that gauge at its last value; a source that raises
+        leaves all of its gauges there, and no other source's.
+        """
+        gauges = [(key, self.gauge(name, help_text)) for key, name, help_text in rows]
+
+        def refresh() -> None:
+            values = source()
+            for key, gauge in gauges:
+                value = values.get(key)
+                if value is not None:
+                    gauge.set(value)
+
+        self.register_callback(refresh)
 
     def render(self) -> str:
         """Prometheus text exposition format 0.0.4."""

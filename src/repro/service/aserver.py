@@ -6,18 +6,16 @@ serialize round trip is the whole cost.  This front end amortises it like
 an inference-serving batcher:
 
 * **persistent connections** — a hand-rolled HTTP/1.1 protocol layer over
-  ``asyncio.start_server``: keep-alive by default, pipelining supported
+  asyncio streams: keep-alive by default, pipelining supported
   (requests are parsed as fast as they arrive; responses are written back
   in order by a per-connection writer task).
 * **micro-batching** — concurrent point-θ requests across *all*
   connections coalesce into one vectorized ``TipIndex`` gather per
   event-loop tick (:class:`~repro.service.coalesce.ThetaCoalescer`, with
   ``max_batch`` / ``max_delay`` knobs).
-* **precomputed hot JSON** — ``/healthz`` bytes are rendered once per
-  health state (``ok``/``degraded``, from the SLO monitor); bare
-  ``/stats`` responses are cached for a short TTL so monitoring polls
-  never touch an artifact (pass any query parameter, e.g.
-  ``/stats?fresh=1``, to bypass the cache).
+* **cached stats** — bare ``/stats`` responses are cached for a short TTL
+  so monitoring polls never touch an artifact (pass any query parameter,
+  e.g. ``/stats?fresh=1``, to bypass the cache).
 * **bulk protocol** — ``POST /theta/batch`` with
   ``Content-Type: application/x-ndjson`` treats every body line as one
   batch request and streams back one JSON answer per line.
@@ -26,15 +24,21 @@ an inference-serving batcher:
   (:class:`~repro.service.coalesce.UpdateAdmissionController`); overflow
   answers 503 + ``Retry-After`` immediately, so a write burst never
   stalls the coalesced read pipeline.
+* **read deadlines** — one server-wide sweep closes a connection idle
+  between requests for :data:`_IDLE_TIMEOUT_SECONDS` (never one awaiting
+  a response), answers 408 when a request's line and headers take longer
+  than :data:`_HEADER_TIMEOUT_SECONDS` from its first byte, and a header
+  block over :data:`_MAX_HEADER_BYTES` is answered 431.
 
-Routing stays :meth:`~repro.service.server.TipService.handle` (the θ fast
-path goes through its vectorized twin
-:meth:`~repro.service.server.TipService.theta_payloads`), so served and
-offline answers are byte-for-byte identical — the serving benchmark
-asserts exactly that.  That fall-through also covers the sharded query
-surface and the replication plane; the routes in :data:`_EXECUTOR_ROUTES`
-block, so they hop to the default executor and the event loop keeps
-serving reads meanwhile.
+Routing is :meth:`~repro.service.server.TipService.handle` and its route
+table (:data:`~repro.service.server.ROUTES`), so served and offline
+answers are byte-for-byte identical — the serving benchmark asserts
+exactly that.  Each row's ``execution`` says how a request runs: inline,
+on the default executor (blocking routes, so the event loop keeps serving
+reads meanwhile), through the coalescer (via the vectorized twin
+:meth:`~repro.service.server.TipService.theta_payloads`) or through
+admission control.  This module names only the paths the transport owns:
+``/metrics``, the cached bare ``/stats`` and NDJSON on ``/theta/batch``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .resilience import Deadline
 from .server import (
     MAX_REQUEST_BODY_BYTES,
     METRICS_CONTENT_TYPE,
+    ROUTE_TABLE,
     TipService,
     error_payload,
     parse_post_body,
@@ -66,8 +71,10 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -78,12 +85,17 @@ _PIPELINE_DEPTH = 1024
 
 _MAX_HEADERS = 100
 
-#: Routes whose handler blocks: a profile samples for up to
-#: ``MAX_PROFILE_SECONDS``, replaying a replicated record runs a streaming
-#: repair, and a snapshot reads and encodes the whole artifact (sleeping
-#: while an update holds the mutation seqlock odd).  They run on the
-#: default executor so the event loop keeps serving.
-_EXECUTOR_ROUTES = frozenset({"/debug/profile", "/replication/apply", "/replication/snapshot"})
+#: Seconds a connection may sit idle between requests, with no response
+#: outstanding, before it is closed.
+_IDLE_TIMEOUT_SECONDS = 60.0
+
+#: Seconds from a request's first byte to the end of its header block;
+#: a slower request is answered 408 and its connection closed.
+_HEADER_TIMEOUT_SECONDS = 10.0
+
+#: Cap on the bytes of one request's header lines (the request line has
+#: the stream reader's 64 KiB line limit); a larger block is answered 431.
+_MAX_HEADER_BYTES = 32 * 1024
 
 
 class _BadRequest(ServiceError):
@@ -96,6 +108,31 @@ class _BadRequest(ServiceError):
     def __init__(self, message: str, *, status: int = 400, route: str = "<unknown>"):
         super().__init__(message, status=status)
         self.route = route
+
+
+class _Reader(asyncio.StreamReader):
+    """One connection's read side, with the state the deadline sweep reads.
+
+    ``first_byte`` is the monotonic time of the first byte received since
+    the read loop last finished a header block or body (``None`` while
+    nothing has come; bytes already buffered behind a pipelined request
+    count from the next arrival).  ``in_head`` is set while a request line
+    and headers are read, ``pending`` counts responses queued and not yet
+    written, and ``idle_since`` is when ``pending`` last fell to 0.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.first_byte: float | None = None
+        self.in_head = True
+        self.pending = 0
+        self.idle_since = time.monotonic()
+
+    def feed_data(self, data: bytes) -> None:
+        """Buffer ``data``, stamping the first byte of a new request."""
+        if self.first_byte is None:
+            self.first_byte = time.monotonic()
+        super().feed_data(data)
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -161,23 +198,24 @@ class AsyncTipServer:
         # /stats observability for the new layer, via the shared service.
         service.transport_metrics["coalescer"] = self.coalescer.metrics
         service.transport_metrics["updates"] = self.admission.metrics
-        # Hot JSON: the /healthz payload is a pure function of the served
-        # artifact set (fixed for the server's lifetime) and the SLO
-        # health state, so one rendered body per state suffices.
-        self._healthz_bodies: dict[str, bytes] = {}
         self._stats_cache: tuple[float, bytes] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set = set()
+        self._sweeper: asyncio.TimerHandle | None = None
+        self._connections: dict[asyncio.Task, _Reader] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket (``port=0`` picks a free port)."""
+        loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port, reuse_address=True)
+        self._server = await loop.create_server(
+            lambda: asyncio.StreamReaderProtocol(
+                _Reader(loop=loop), self._on_connection, loop=loop),
+            self.host, self.port, reuse_address=True)
+        self._sweep()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -200,10 +238,12 @@ class AsyncTipServer:
         """Stop listening and cancel every open connection task."""
         if self._server is not None:
             self._server.close()
-        for task in list(self._conn_tasks):
+        if self._sweeper is not None:
+            self._sweeper.cancel()
+        for task in list(self._connections):
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         self.admission.close()
@@ -219,25 +259,45 @@ class AsyncTipServer:
         # means we own it outright.
         task = asyncio.get_running_loop().create_task(
             self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
+        self._connections[task] = reader
+        task.add_done_callback(self._connections.pop)
 
-    async def _handle_connection(self, reader, writer) -> None:
+    def _sweep(self) -> None:
+        """Enforce the read deadlines on every connection, then re-arm.
+
+        One timer for the whole server instead of a timeout around every
+        read: the hot path only stamps times and counts responses.
+        """
+        now = time.monotonic()
+        for reader in self._connections.values():
+            if reader.pending or not reader.in_head:
+                continue  # answering, or reading a body: never cut off
+            if reader.first_byte is None:
+                if now - reader.idle_since > _IDLE_TIMEOUT_SECONDS:
+                    reader.set_exception(TimeoutError("idle connection"))
+            elif now - reader.first_byte > _HEADER_TIMEOUT_SECONDS:
+                reader.set_exception(_BadRequest(
+                    f"request headers not received within "
+                    f"{_HEADER_TIMEOUT_SECONDS:g}s", status=408))
+        self._sweeper = asyncio.get_running_loop().call_later(
+            min(_IDLE_TIMEOUT_SECONDS, _HEADER_TIMEOUT_SECONDS) / 4, self._sweep)
+
+    async def _handle_connection(self, reader: _Reader, writer) -> None:
         try:
             await self._serve_connection(reader, writer)
         except (ConnectionError, TimeoutError):
-            pass  # client went away mid-request
+            pass  # client went away mid-request, or sat idle too long
         finally:
             writer.close()
 
-    async def _serve_connection(self, reader, writer) -> None:
+    async def _serve_connection(self, reader: _Reader, writer) -> None:
         # Reader/writer split: the read loop parses requests as fast as the
         # socket delivers them and enqueues a response *slot* per request;
         # the writer task resolves slots in order.  A burst of pipelined
         # point-θ requests is therefore fully parsed — and lands in one
         # coalescer batch — before any response is awaited.
         queue: asyncio.Queue = asyncio.Queue(maxsize=_PIPELINE_DEPTH)
-        writer_task = asyncio.create_task(self._drain_responses(queue, writer))
+        writer_task = asyncio.create_task(self._drain_responses(queue, reader, writer))
         try:
             while True:
                 try:
@@ -248,11 +308,13 @@ class AsyncTipServer:
                     # and scanners show up in the request metrics.
                     self.service.observe_request(
                         "async", error.route, error.status, 0.0, quiet=self.quiet)
+                    reader.pending += 1
                     await queue.put((self._render_error(error, close=True), True))
                     break
                 if request is None:
                     break  # EOF
                 item, close = self._dispatch(*request)
+                reader.pending += 1
                 await queue.put((item, close))
                 if close:
                     break
@@ -269,7 +331,7 @@ class AsyncTipServer:
             except Exception:
                 writer_task.cancel()
 
-    async def _drain_responses(self, queue: asyncio.Queue, writer) -> None:
+    async def _drain_responses(self, queue: asyncio.Queue, reader: _Reader, writer) -> None:
         # On a write failure the loop keeps *consuming* slots (so a read
         # loop blocked on a full queue is never deadlocked, and pending
         # coalescer futures are still awaited) — it just stops writing.
@@ -291,14 +353,18 @@ class AsyncTipServer:
                         await writer.drain()  # one syscall per pipelined burst
                 except (ConnectionError, RuntimeError):
                     broken = True
+            reader.pending -= 1
+            if not reader.pending:
+                reader.idle_since = time.monotonic()
             if close:
                 break
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader: _Reader):
         """Parse one HTTP/1.1 request; None on clean EOF.
 
         Returns ``(method, route, params, headers, body, keep_alive)``.
         """
+        reader.in_head = True
         while True:
             try:
                 line = await reader.readline()
@@ -317,19 +383,30 @@ class AsyncTipServer:
             raise _BadRequest(f"unsupported protocol {version.decode('latin-1')!r}")
         route, params = _split_target(target.decode("latin-1"))
         headers: dict[str, str] = {}
+        header_bytes = 0
         for _ in range(_MAX_HEADERS):
             try:
                 header_line = await reader.readline()
             except (ValueError, asyncio.LimitOverrunError):
                 raise _BadRequest("header line too long", route=route) from None
+            except _BadRequest as error:  # the sweep's header deadline
+                error.route = route
+                raise
             if header_line in (b"\r\n", b"\n", b""):
                 break
+            header_bytes += len(header_line)
+            if header_bytes > _MAX_HEADER_BYTES:
+                raise _BadRequest(
+                    f"header block exceeds the {_MAX_HEADER_BYTES}-byte cap",
+                    status=431, route=route)
             name, separator, value = header_line.decode("latin-1").partition(":")
             if not separator:
                 raise _BadRequest("malformed header line", route=route)
             headers[name.strip().lower()] = value.strip()
         else:
             raise _BadRequest("too many headers", route=route)
+        reader.in_head = False
+        reader.first_byte = None
         raw_length = headers.get("content-length") or "0"
         # ASCII digits only (RFC 9110): int() would also take "+5", "1_0"
         # and non-ASCII digits, framing the body differently from a proxy.
@@ -347,6 +424,7 @@ class AsyncTipServer:
                 body = await reader.readexactly(content_length)
             except asyncio.IncompleteReadError:
                 return None
+            reader.first_byte = None
         connection = headers.get("connection", "").lower()
         keep_alive = (
             connection != "close"
@@ -395,21 +473,8 @@ class AsyncTipServer:
                     return self._render(
                         200, service.metrics_text().encode("utf-8"),
                         close=close, content_type=METRICS_CONTENT_TYPE), close
-                if route == "/healthz":
-                    service.count_requests("/healthz")
-                    status = service.slo.evaluate()["status"]
-                    healthz = self._healthz_bodies.get(status)
-                    if healthz is None:
-                        healthz = _json_bytes(
-                            {"status": status, "artifacts": service.artifact_names})
-                        self._healthz_bodies[status] = healthz
-                    return self._render(200, healthz, close=close), close
                 if route == "/stats" and not params and self.stats_cache_seconds > 0:
                     return self._render(200, self._stats_body(), close=close), close
-                if route == "/theta":
-                    future = self._coalesce(params)
-                    if future is not None:
-                        return self._deferred(future, close, _theta_json), close
                 request_body = None
             elif method == "POST":
                 content_type = headers.get("content-type", "")
@@ -420,14 +485,20 @@ class AsyncTipServer:
                         200, self._ndjson_batch(params, body), close=close,
                         content_type="application/x-ndjson"), close
                 request_body = parse_post_body(body)
-                if route == "/update":
-                    task = asyncio.get_running_loop().create_task(
-                        self.admission.submit(params, request_body))
-                    return self._deferred(task, close), close
             else:
                 raise ServiceError(
                     f"method {method} not allowed; use GET or POST", status=405)
-            if route in _EXECUTOR_ROUTES:
+            row = ROUTE_TABLE.get(route)
+            execution = row.execution if row is not None else "inline"
+            if execution == "coalesced" and method == "GET":
+                future = self._coalesce(params)
+                if future is not None:
+                    return self._deferred(future, close, _theta_json), close
+            elif execution == "admitted" and method == "POST":
+                task = asyncio.get_running_loop().create_task(
+                    self.admission.submit(params, request_body))
+                return self._deferred(task, close), close
+            elif execution == "executor":
                 work = asyncio.get_running_loop().run_in_executor(
                     None, functools.partial(service.handle, route, params, request_body))
                 return self._deferred(work, close), close
@@ -538,56 +609,28 @@ class AsyncTipServer:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-async def _serve_until_stopped(server: AsyncTipServer, *,
-                               ready_event: threading.Event | None) -> None:
+async def _serve_until_stopped(server: AsyncTipServer) -> None:
     await server.start()
     host, port = server.address
     if not server.quiet:
         names = server.service.artifact_names
         print(f"serving {len(names)} artifact(s) ({', '.join(names)}) "
               f"on http://{host}:{port} [transport=async]")
-    if ready_event is not None:
-        ready_event.set()
     try:
         await server.serve_forever()
     finally:
         await server.close()
 
 
-def serve_async(
-    artifact_paths,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8750,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    quiet: bool = False,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_delay: float = 0.0,
-    max_pending_updates: int = 4,
-    shards: int | None = None,
-    service: TipService | None = None,
-    ready_event: threading.Event | None = None,
-) -> None:
-    """Serve artifacts on the async transport until interrupted.
+def serve_async(service: TipService, *, quiet: bool = False, **options) -> None:
+    """Serve ``service`` on the async transport until interrupted.
 
-    The body of ``repro serve``.
+    The body of ``repro serve``; ``options`` are :class:`AsyncTipServer`'s
+    keywords.
     """
-    server = AsyncTipServer(
-        artifact_paths,
-        service=service,
-        host=host,
-        port=port,
-        cache_capacity=cache_capacity,
-        mmap=mmap,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        max_pending_updates=max_pending_updates,
-        shards=shards,
-        quiet=quiet,
-    )
+    server = AsyncTipServer(service=service, quiet=quiet, **options)
     try:
-        asyncio.run(_serve_until_stopped(server, ready_event=ready_event))
+        asyncio.run(_serve_until_stopped(server))
     except KeyboardInterrupt:
         pass
 
@@ -623,22 +666,13 @@ class AsyncServerHandle:
         self._thread.join(timeout)
 
 
-def start_server_thread(
-    artifact_paths=None,
-    *,
-    service: TipService | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache_capacity: int = 8,
-    mmap: bool = True,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_delay: float = 0.0,
-    max_pending_updates: int = 4,
-    retry_after_seconds: float = 1.0,
-    stats_cache_seconds: float = 0.05,
-    quiet: bool = True,
-) -> AsyncServerHandle:
-    """Start an :class:`AsyncTipServer` on a daemon thread and wait for bind."""
+def start_server_thread(artifact_paths=None, **options) -> AsyncServerHandle:
+    """Start an :class:`AsyncTipServer` on a daemon thread and wait for bind.
+
+    ``options`` are :class:`AsyncTipServer`'s keywords; ``port`` defaults
+    to 0, a free port.
+    """
+    options.setdefault("port", 0)
     started = threading.Event()
     box: dict = {}
 
@@ -647,20 +681,7 @@ def start_server_thread(
 
         async def main() -> None:
             """Build, start and run the server inside the thread's loop."""
-            server = AsyncTipServer(
-                artifact_paths,
-                service=service,
-                host=host,
-                port=port,
-                cache_capacity=cache_capacity,
-                mmap=mmap,
-                max_batch=max_batch,
-                max_delay=max_delay,
-                max_pending_updates=max_pending_updates,
-                retry_after_seconds=retry_after_seconds,
-                stats_cache_seconds=stats_cache_seconds,
-                quiet=quiet,
-            )
+            server = AsyncTipServer(artifact_paths, **options)
             await server.start()
             box["server"] = server
             box["loop"] = asyncio.get_running_loop()

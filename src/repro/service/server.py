@@ -25,8 +25,17 @@ Endpoints (all JSON)::
 Diagnostic (operator) routes — ``GET /slo``, ``GET /debug/memory``,
 ``GET /debug/profile`` — and, when replication is attached, the
 replication plane (``GET /replication/status``, ``GET /replication/log``,
-``POST /replication/apply``) ride the same dispatch; see
-:data:`DIAGNOSTIC_ENDPOINTS`.
+``POST /replication/apply``, ``GET /replication/snapshot``) ride the same
+dispatch; see :data:`DIAGNOSTIC_ENDPOINTS`.
+
+Every route is one :class:`Route` row of :data:`ROUTES`: its path, the
+handler method, whether it is a diagnostic, and how the HTTP front end
+runs it.  :meth:`TipService.handle`, :data:`ENDPOINTS`,
+:data:`DIAGNOSTIC_ENDPOINTS` and the request-metric labels all read that
+table.  Each scrape-time gauge mirrors the dict its subsystem serves (the
+``/stats`` blocks, the fault plan, memory residency) through
+:meth:`~repro.obs.metrics.MetricRegistry.gauges_from`, one callback per
+source, so a failing source freezes only its own gauges.
 
 The service can also answer from **θ-range shards** instead of one
 monolithic index: pass ``shards=N`` to scatter/gather over an in-memory
@@ -52,18 +61,22 @@ from __future__ import annotations
 import json
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..engine.shm import live_segment_stats
 from ..errors import (
     DeadlineExceededError,
     ReproError,
     ServiceError,
     StreamingError,
 )
+from ..kernels.workspace import live_workspace_stats
 from ..obs.log import log_request
 from ..obs.memory import memory_snapshot, rss_bytes
 from ..obs.metrics import BATCH_SIZE_BUCKETS, MetricRegistry
@@ -82,6 +95,9 @@ from .sharding import ShardRouter, is_shard_plan, read_shard_plan
 
 __all__ = [
     "TipService",
+    "Route",
+    "ROUTES",
+    "ROUTE_TABLE",
     "ENDPOINTS",
     "DIAGNOSTIC_ENDPOINTS",
     "DOCUMENTED_METRICS",
@@ -90,37 +106,59 @@ __all__ = [
     "parse_post_body",
 ]
 
-#: The eight routes of the JSON API.
-ENDPOINTS = (
-    "/healthz",
-    "/stats",
-    "/theta",
-    "/theta/batch",
-    "/top-k",
-    "/k-tip",
-    "/community",
-    "/update",
+@dataclass(frozen=True)
+class Route:
+    """One row of the route table.
+
+    ``handler`` names the :class:`TipService` method that answers the
+    route; it takes ``(artifact, params, body)``.  ``diagnostic`` rows are
+    operator surfaces, kept out of :data:`ENDPOINTS`.  ``execution`` tells
+    the HTTP front end how to run the handler: ``inline`` on the event
+    loop; ``executor`` on a worker thread, because it blocks; ``coalesced``
+    through the point-θ batcher (GET only); ``admitted`` through update
+    admission control (POST only; other methods run inline).
+    """
+
+    path: str
+    handler: str
+    diagnostic: bool = False
+    execution: str = "inline"
+
+
+#: Every route :meth:`TipService.handle` answers.  The ``executor`` rows
+#: block: a profile samples for up to ``MAX_PROFILE_SECONDS``, replaying a
+#: replicated record runs a streaming repair, and a snapshot reads and
+#: encodes the whole artifact (sleeping while an update holds the
+#: mutation seqlock odd).
+ROUTES = (
+    Route("/healthz", "_healthz"),
+    Route("/stats", "_stats"),
+    Route("/theta", "_theta", execution="coalesced"),
+    Route("/theta/batch", "_theta_batch"),
+    Route("/top-k", "_top_k"),
+    Route("/k-tip", "_k_tip"),
+    Route("/community", "_community"),
+    Route("/update", "_apply_update", execution="admitted"),
+    Route("/slo", "_slo", diagnostic=True),
+    Route("/debug/memory", "_debug_memory", diagnostic=True),
+    Route("/debug/profile", "_debug_profile", diagnostic=True, execution="executor"),
+    Route("/replication/status", "_replication_status", diagnostic=True),
+    Route("/replication/log", "_replication_log", diagnostic=True),
+    Route("/replication/apply", "_replication_apply", diagnostic=True, execution="executor"),
+    Route("/replication/snapshot", "_replication_snapshot", diagnostic=True, execution="executor"),
 )
+
+#: Route rows by path.
+ROUTE_TABLE = {route.path: route for route in ROUTES}
+
+#: The eight routes of the JSON API.
+ENDPOINTS = tuple(route.path for route in ROUTES if not route.diagnostic)
 
 #: Deep-diagnostics routes.  Kept out of :data:`ENDPOINTS` on purpose:
 #: that tuple is the *JSON API contract* the serving benchmarks compare
 #: against the offline path and across versions, while these are operator
 #: surfaces that may grow or change shape between PRs.
-DIAGNOSTIC_ENDPOINTS = (
-    "/slo",
-    "/debug/memory",
-    "/debug/profile",
-    "/replication/status",
-    "/replication/log",
-    "/replication/apply",
-    "/replication/snapshot",
-)
-
-#: Routes that get their own label value in request metrics; everything
-#: else collapses into ``<unknown>`` so scanners can't grow the label set.
-#: ``/metrics`` is deliberately NOT in :data:`ENDPOINTS` (it is a transport
-#: concern, not part of the JSON API contract the benchmarks compare).
-_COUNTED_ROUTES = ENDPOINTS + DIAGNOSTIC_ENDPOINTS + ("/metrics",)
+DIAGNOSTIC_ENDPOINTS = tuple(route.path for route in ROUTES if route.diagnostic)
 
 #: ``Content-Type`` of the Prometheus text exposition format 0.0.4.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -169,7 +207,8 @@ DOCUMENTED_METRICS = (
 
 def metric_route(route: str) -> str:
     """Normalise a request path into a bounded metric label value."""
-    return route if route in _COUNTED_ROUTES else "<unknown>"
+    return route if route in ROUTE_TABLE or route == "/metrics" else "<unknown>"
+
 
 #: Hard cap on one response's vertex payload; override per-request with a
 #: smaller ``limit``.
@@ -309,8 +348,10 @@ class TipService:
         # asserts byte-identity of volatile payloads against offline handle().
         self._last_profile: dict | None = None
         self._last_memory: dict | None = None
-        self._init_metrics()
         self._requests_lock = threading.Lock()
+        self._init_metrics()
+        # The route table, bound once: dispatch is one dict lookup.
+        self._handlers = {route.path: getattr(self, route.handler) for route in ROUTES}
         # One writer at a time: /update batches serialize here while readers
         # keep answering from the previous snapshot.
         self._update_lock = threading.Lock()
@@ -349,13 +390,24 @@ class TipService:
 
     def artifact_path(self, name: str) -> Path:
         """Filesystem path of a served artifact or shard plan, by name."""
+        return self._resolve(name)[1]
+
+    def _resolve(self, name: str | None) -> tuple[str, Path]:
+        """``(name, path)`` of a served artifact; ``None`` names the only one."""
+        if name is None:
+            if len(self._artifacts) != 1:
+                raise ServiceError(
+                    "multiple artifacts served; pass artifact=NAME "
+                    f"(one of: {', '.join(self._artifacts)})"
+                )
+            name = next(iter(self._artifacts))
         path = self._artifacts.get(name)
         if path is None:
             raise ServiceError(
                 f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
                 status=404,
             )
-        return path
+        return name, path
 
     def attach_replication(self, coordinator) -> None:
         """Join a replication topology (called by the coordinator).
@@ -432,7 +484,9 @@ class TipService:
 
         Instantiating them here — rather than lazily on first use — is what
         guarantees a scrape renders the complete documented set (with zero
-        values) from the very first request.
+        values) from the very first request.  Each source of scrape-time
+        gauges gets its own callback, so one that fails leaves the others
+        refreshing.
         """
         registry = self.registry
         self.http_requests_total = registry.counter(
@@ -454,63 +508,51 @@ class TipService:
             "repro_coalesce_wait_seconds",
             "Seconds a point-theta request waited in the coalescer queue.",
         )
-        self._admission_queue_depth = registry.gauge(
-            "repro_admission_queue_depth",
-            "Updates admitted but not yet completed (async transport).",
-        )
-        self._admission_rejections = registry.gauge(
-            "repro_admission_rejections_total",
-            "Update batches rejected with 503 by admission control.",
-        )
-        self._cache_hits = registry.gauge(
-            "repro_cache_hits_total", "Index cache hits since startup.")
-        self._cache_misses = registry.gauge(
-            "repro_cache_misses_total", "Index cache misses since startup.")
-        self._cache_evictions = registry.gauge(
-            "repro_cache_evictions_total", "Index cache LRU evictions since startup.")
-        self._cache_entries = registry.gauge(
-            "repro_cache_entries", "Indexes currently resident in the cache.")
-        self._cache_hit_ratio = registry.gauge(
-            "repro_cache_hit_ratio", "Index cache hit ratio in [0, 1].")
-        self._service_requests = registry.gauge(
+        # Admission control lives in the HTTP front end; an offline service
+        # has no admission queue, so its gauges stay 0.
+        registry.gauges_from(lambda: self.transport_metrics.get("updates", dict)(), (
+            ("pending", "repro_admission_queue_depth",
+             "Updates admitted but not yet completed (async transport)."),
+            ("admission_rejections", "repro_admission_rejections_total",
+             "Update batches rejected with 503 by admission control."),
+        ))
+        registry.gauges_from(self.cache.stats, (
+            ("hits", "repro_cache_hits_total", "Index cache hits since startup."),
+            ("misses", "repro_cache_misses_total", "Index cache misses since startup."),
+            ("evictions", "repro_cache_evictions_total", "Index cache LRU evictions since startup."),
+            ("entries", "repro_cache_entries", "Indexes currently resident in the cache."),
+            ("hit_rate", "repro_cache_hit_ratio", "Index cache hit ratio in [0, 1]."),
+        ))
+        service_requests = registry.gauge(
             "repro_service_requests_total",
             "Requests dispatched by the shared service, by route.",
             labelnames=("route",),
         )
-        self._start_time = registry.gauge(
-            "repro_server_start_time_seconds",
-            "Unix time the service was constructed.",
-        )
-        self._uptime = registry.gauge(
-            "repro_server_uptime_seconds", "Seconds since service construction.")
-        self._updates_applied = registry.gauge(
+        registry.gauges_from(self._server_stats, (
+            ("started_unix", "repro_server_start_time_seconds", "Unix time the service was constructed."),
+            ("uptime_seconds", "repro_server_uptime_seconds", "Seconds since service construction."),
+        ))
+        updates_applied = registry.gauge(
             "repro_updates_applied_total",
             "Edge-update batches applied to the artifact, by artifact.",
             labelnames=("artifact",),
         )
-        self._staleness = registry.gauge(
+        staleness = registry.gauge(
             "repro_artifact_staleness_seconds",
             "Seconds since the artifact was last built or updated, by artifact.",
             labelnames=("artifact",),
         )
-        self._memory_rss = registry.gauge(
-            "repro_memory_rss_bytes", "Resident set size of the serving process.")
-        self._memory_tracemalloc = registry.gauge(
-            "repro_memory_tracemalloc_bytes",
-            "Python heap bytes currently traced by tracemalloc (0 when off).",
-        )
-        self._memory_workspace = registry.gauge(
-            "repro_memory_workspace_bytes",
-            "Bytes currently held by live wedge-workspace scratch arenas.",
-        )
-        self._memory_shm = registry.gauge(
-            "repro_memory_shm_bytes",
-            "Bytes of shared-memory segments this process currently owns.",
-        )
-        self._memory_artifact = registry.gauge(
-            "repro_memory_artifact_bytes",
-            "On-disk bytes of served artifact arrays (memmapped when loaded).",
-        )
+        registry.gauges_from(self._memory_stats, (
+            ("rss_bytes", "repro_memory_rss_bytes", "Resident set size of the serving process."),
+            ("tracemalloc_bytes", "repro_memory_tracemalloc_bytes",
+             "Python heap bytes currently traced by tracemalloc (0 when off)."),
+            ("workspace_bytes", "repro_memory_workspace_bytes",
+             "Bytes currently held by live wedge-workspace scratch arenas."),
+            ("shm_bytes", "repro_memory_shm_bytes",
+             "Bytes of shared-memory segments this process currently owns."),
+            ("artifact_bytes", "repro_memory_artifact_bytes",
+             "On-disk bytes of served artifact arrays (memmapped when loaded)."),
+        ))
         self._slo_burn_rate = registry.gauge(
             "repro_slo_burn_rate",
             "Error-budget burn rate per objective (>1 means breached).",
@@ -521,131 +563,102 @@ class TipService:
             "1 while the objective holds (or has no data), 0 while breached.",
             labelnames=("objective",),
         )
-        self._replication_offset = registry.gauge(
-            "repro_replication_offset",
-            "Newest replication-log offset this replica has applied "
-            "(on the leader: appended).",
-        )
-        self._replication_lag = registry.gauge(
-            "repro_replication_lag",
-            "Log records this follower (on the leader: its laggiest "
-            "follower) is behind the leader's head.",
-        )
-        self._replication_staleness = registry.gauge(
-            "repro_replication_staleness_seconds",
-            "Seconds since this follower last verified it matched the "
-            "leader's log head (0 on the leader).",
-        )
-        self._resilience_retries = registry.gauge(
-            "repro_resilience_retries_total",
-            "Replication push/poll attempts retried after a retryable failure.",
-        )
-        self._resilience_breakers_open = registry.gauge(
-            "repro_resilience_breakers_open",
-            "Circuit breakers currently in the open state.",
-        )
-        self._resilience_breaker_open_seconds = registry.gauge(
-            "repro_resilience_breaker_open_seconds",
-            "Longest time any circuit breaker has currently been open.",
-        )
-        self._resilience_resyncs = registry.gauge(
-            "repro_resilience_resyncs_total",
-            "Follower snapshot re-bootstraps performed after divergence "
-            "or log compaction (0 on the leader).",
-        )
-        self._resilience_degraded = registry.gauge(
-            "repro_resilience_degraded_total",
-            "Requests answered with a partial (degraded: true) payload "
-            "because a deadline expired mid-gather.",
-        )
-        self._resilience_deadline_exceeded = registry.gauge(
-            "repro_resilience_deadline_exceeded_total",
-            "Requests failed with 503 because their deadline_ms budget "
-            "expired before any answer existed.",
-        )
-        self._faults_armed = registry.gauge(
-            "repro_faults_armed",
-            "1 while a deterministic fault-injection plan is armed.",
-        )
-        self._faults_injected = registry.gauge(
-            "repro_faults_injected_total",
-            "Faults injected by the armed plan since it was installed.",
-        )
         for objective in self.slo.objectives:
             self._slo_burn_rate.labels(objective=objective.name).set(0.0)
             self._slo_ok.labels(objective=objective.name).set(1.0)
-        self._start_time.set(self.started_unix)
-        registry.register_callback(self._collect_metrics)
+        registry.gauges_from(
+            lambda: self.replication.status() if self.replication is not None else {}, (
+                ("offset", "repro_replication_offset",
+                 "Newest replication-log offset this replica has applied "
+                 "(on the leader: appended)."),
+                ("lag", "repro_replication_lag",
+                 "Log records this follower (on the leader: its laggiest "
+                 "follower) is behind the leader's head."),
+                ("staleness_seconds", "repro_replication_staleness_seconds",
+                 "Seconds since this follower last verified it matched the "
+                 "leader's log head (0 on the leader)."),
+            ))
+        registry.gauges_from(self._resilience_stats, (
+            ("retries_total", "repro_resilience_retries_total",
+             "Replication push/poll attempts retried after a retryable failure."),
+            ("breakers_open", "repro_resilience_breakers_open",
+             "Circuit breakers currently in the open state."),
+            ("breaker_open_seconds", "repro_resilience_breaker_open_seconds",
+             "Longest time any circuit breaker has currently been open."),
+            ("resyncs", "repro_resilience_resyncs_total",
+             "Follower snapshot re-bootstraps performed after divergence "
+             "or log compaction (0 on the leader)."),
+            ("degraded_total", "repro_resilience_degraded_total",
+             "Requests answered with a partial (degraded: true) payload "
+             "because a deadline expired mid-gather."),
+            ("deadline_exceeded_total", "repro_resilience_deadline_exceeded_total",
+             "Requests failed with 503 because their deadline_ms budget "
+             "expired before any answer existed."),
+        ))
+        registry.gauges_from(faults.metrics, (
+            ("armed", "repro_faults_armed", "1 while a deterministic fault-injection plan is armed."),
+            ("injected_total", "repro_faults_injected_total",
+             "Faults injected by the armed plan since it was installed."),
+        ))
 
-    def _collect_metrics(self) -> None:
-        """Scrape-time refresh of gauges whose sources live elsewhere."""
-        self._uptime.set(time.monotonic() - self._started_monotonic)
-        cache = self.cache.stats()
-        self._cache_hits.set(cache["hits"])
-        self._cache_misses.set(cache["misses"])
-        self._cache_evictions.set(cache["evictions"])
-        self._cache_entries.set(cache["entries"])
-        self._cache_hit_ratio.set(cache["hit_rate"])
+        def refresh_labelled() -> None:
+            for route, count in self._server_stats()["requests_total"].items():
+                service_requests.labels(route=route).set(count)
+            for name, (applied, stale) in self._artifact_freshness().items():
+                updates_applied.labels(artifact=name).set(applied)
+                staleness.labels(artifact=name).set(stale)
+            # The scrape drives periodic SLO evaluation (one snapshot per
+            # scrape feeds the rolling windows).
+            self.slo.evaluate()
+            for objective, (burn, ok) in self.slo.burn_rates().items():
+                self._slo_burn_rate.labels(objective=objective).set(burn)
+                self._slo_ok.labels(objective=objective).set(1.0 if ok else 0.0)
+
+        registry.register_callback(refresh_labelled)
+
+    def _server_stats(self) -> dict:
+        """The ``/stats`` ``server`` block."""
         with self._requests_lock:
             requests = dict(self.requests)
-        for route, count in requests.items():
-            self._service_requests.labels(route=route).set(count)
-        # Admission metrics come from the HTTP front end when one is
-        # attached; an offline service has no admission queue, so the zero
-        # defaults from construction stand.
-        provider = self.transport_metrics.get("updates")
-        if provider is not None:
-            updates = provider()
-            self._admission_queue_depth.set(updates.get("pending", 0))
-            self._admission_rejections.set(updates.get("admission_rejections", 0))
-        now = time.time()
-        for name, path in self._artifacts.items():
-            try:
-                manifest = self._read_manifest_retrying(path)
-            except ReproError:
-                continue  # mid-swap or corrupt; skip this artifact, not the scrape
-            streaming = manifest.streaming
-            self._updates_applied.labels(artifact=name).set(
-                int(streaming.get("updates_applied", 0)))
-            freshest = streaming.get("last_update_unix") or manifest.created_unix
-            self._staleness.labels(artifact=name).set(max(0.0, now - float(freshest)))
-        # Memory residency gauges refresh from cheap direct reads (no
-        # tracemalloc snapshot: taking one per scrape when tracing would
-        # cost more than the signal is worth).
-        import tracemalloc
+        # Uptime from the monotonic clock so an NTP step can never produce
+        # a negative or jumping value mid-poll.
+        return {
+            "started_unix": self.started_unix,
+            "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "requests_total": requests,
+        }
 
-        from ..engine.shm import live_segment_stats
-        from ..kernels.workspace import live_workspace_stats
-
-        self._memory_rss.set(rss_bytes() or 0)
-        self._memory_tracemalloc.set(
-            tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else 0)
-        self._memory_workspace.set(live_workspace_stats()["current_bytes"])
-        self._memory_shm.set(live_segment_stats()["bytes"])
-        self._memory_artifact.set(self._artifact_bytes_total())
-        if self.replication is not None:
-            offset, lag, staleness = self.replication.gauge_values()
-            self._replication_offset.set(offset)
-            self._replication_lag.set(lag)
-            if staleness is not None:
-                self._replication_staleness.set(staleness)
-            self._resilience_retries.set(
-                self.replication.retry_policy.stats()["retries_total"])
-            self._resilience_resyncs.set(self.replication.resyncs)
-        self._resilience_breakers_open.set(self.breakers.open_count())
-        self._resilience_breaker_open_seconds.set(self.breakers.oldest_open_seconds())
+    def _resilience_stats(self) -> dict:
+        """The ``/stats`` ``resilience`` block."""
+        resilience: dict = {
+            "breakers": self.breakers.snapshot(),
+            "faults": faults.metrics(),
+        }
         with self._requests_lock:
-            self._resilience_degraded.set(self.degraded_total)
-            self._resilience_deadline_exceeded.set(self.deadline_exceeded_total)
-        fault_state = faults.metrics()
-        self._faults_armed.set(1.0 if fault_state["armed"] else 0.0)
-        self._faults_injected.set(fault_state["injected_total"])
-        # The scrape drives periodic SLO evaluation (one snapshot per
-        # scrape feeds the rolling windows).
-        self.slo.evaluate()
-        for objective, (burn, ok) in self.slo.burn_rates().items():
-            self._slo_burn_rate.labels(objective=objective).set(burn)
-            self._slo_ok.labels(objective=objective).set(1.0 if ok else 0.0)
+            resilience["degraded_total"] = self.degraded_total
+            resilience["deadline_exceeded_total"] = self.deadline_exceeded_total
+        if self.replication is not None:
+            resilience["retry"] = self.replication.retry_policy.stats()
+            resilience["resyncs"] = self.replication.resyncs
+            resilience["retries_total"] = resilience["retry"]["retries_total"]
+        resilience["breakers_open"] = self.breakers.open_count()
+        resilience["breaker_open_seconds"] = self.breakers.oldest_open_seconds()
+        return resilience
+
+    def _memory_stats(self) -> dict:
+        """Residency behind the ``repro_memory_*`` gauges, from cheap reads.
+
+        No tracemalloc snapshot (``/debug/memory`` takes one): one per
+        scrape would cost more than the signal is worth.
+        """
+        return {
+            "rss_bytes": rss_bytes(),
+            "tracemalloc_bytes":
+                tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else 0,
+            "workspace_bytes": live_workspace_stats()["current_bytes"],
+            "shm_bytes": live_segment_stats()["bytes"],
+            "artifact_bytes": sum(map(self._array_bytes, self._artifacts.values())),
+        }
 
     def metrics_text(self) -> str:
         """Render the registry in Prometheus text format (``GET /metrics``)."""
@@ -690,17 +703,23 @@ class TipService:
 
     def _worst_staleness(self) -> float | None:
         """Largest current staleness across served artifacts, in seconds."""
+        return max((stale for _, stale in self._artifact_freshness().values()),
+                   default=None)
+
+    def _artifact_freshness(self) -> dict[str, tuple[int, float]]:
+        """``{name: (updates applied, staleness seconds)}`` per readable manifest."""
         now = time.time()
-        worst: float | None = None
-        for path in self._artifacts.values():
+        freshness = {}
+        for name, path in self._artifacts.items():
             try:
                 manifest = self._read_manifest_retrying(path)
             except ReproError:
-                continue
-            freshest = manifest.streaming.get("last_update_unix") or manifest.created_unix
-            staleness = max(0.0, now - float(freshest))
-            worst = staleness if worst is None else max(worst, staleness)
-        return worst
+                continue  # mid-swap or corrupt; skip this artifact, not the scrape
+            streaming = manifest.streaming
+            freshest = streaming.get("last_update_unix") or manifest.created_unix
+            freshness[name] = (int(streaming.get("updates_applied", 0)),
+                               max(0.0, now - float(freshest)))
+        return freshness
 
     # ------------------------------------------------------------------
     # Memory telemetry (GET /debug/memory)
@@ -709,11 +728,7 @@ class TipService:
         """Per-artifact array bytes (memmapped when loaded) + scratch peaks."""
         artifacts: dict = {}
         for name, path in self._artifacts.items():
-            try:
-                array_bytes = (path / ARRAYS_FILENAME).stat().st_size
-            except OSError:
-                array_bytes = 0
-            entry: dict = {"array_bytes": int(array_bytes), "loaded": False,
+            entry: dict = {"array_bytes": self._array_bytes(path), "loaded": False,
                            "peak_scratch_bytes": None}
             try:
                 manifest = self._read_manifest_retrying(path)
@@ -725,16 +740,14 @@ class TipService:
             artifacts[name] = entry
         return artifacts
 
-    def _artifact_bytes_total(self) -> int:
-        total = 0
-        for path in self._artifacts.values():
-            try:
-                total += (path / ARRAYS_FILENAME).stat().st_size
-            except OSError:
-                pass
-        return total
+    @staticmethod
+    def _array_bytes(path: Path) -> int:
+        try:
+            return (path / ARRAYS_FILENAME).stat().st_size
+        except OSError:
+            return 0
 
-    def _memory_payload(self, params: dict) -> dict:
+    def _debug_memory(self, artifact, params: dict, body) -> dict:
         if _flag_param(params, "cached"):
             if self._last_memory is None:
                 raise ServiceError("no memory snapshot collected yet", status=404)
@@ -748,7 +761,7 @@ class TipService:
         self._last_memory = payload
         return payload
 
-    def _profile_payload(self, params: dict) -> dict:
+    def _debug_profile(self, artifact, params: dict, body) -> dict:
         if _flag_param(params, "last"):
             if self._last_profile is None:
                 raise ServiceError("no profile collected yet", status=404)
@@ -831,16 +844,9 @@ class TipService:
 
     def _manifest_summary(self, name: str | None) -> dict:
         """Per-artifact /stats summary from the manifest alone (no load)."""
-        if name is None and len(self._artifacts) == 1:
-            name = next(iter(self._artifacts))
-        path = self._artifacts.get(name or "")
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(name)
         if name in self._routers:
-            return self._plan_summary(str(name), path)
+            return self._plan_summary(name, path)
         manifest = self._read_manifest_retrying(path)
         streaming = manifest.streaming
         summary = {
@@ -879,7 +885,7 @@ class TipService:
             },
         }
         if self.shard_count:
-            view = self._shard_views.get(str(name))
+            view = self._shard_views.get(name)
             summary["sharding"] = {
                 "mode": "in-memory",
                 "n_shards": view[1].n_shards if view else self.shard_count,
@@ -889,20 +895,7 @@ class TipService:
 
     def index_for(self, name: str | None = None) -> TipIndex | ShardRouter:
         """The query engine for an artifact name: index, plan, or shard view."""
-        if name is None:
-            if len(self._artifacts) == 1:
-                name = next(iter(self._artifacts))
-            else:
-                raise ServiceError(
-                    "multiple artifacts served; pass artifact=NAME "
-                    f"(one of: {', '.join(self._artifacts)})"
-                )
-        path = self._artifacts.get(name)
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(name)
         if name in self._routers:
             return self._routers[name]
         index = self.cache.get_or_load(path, mmap=self.mmap)
@@ -927,13 +920,12 @@ class TipService:
         """
         engine = self.index_for(name)
         if isinstance(engine, ShardRouter):
-            resolved = name if name is not None else self.artifact_names[0]
-            if resolved in self._routers:
+            name, path = self._resolve(name)
+            if name in self._routers:
                 raise ServiceError(
-                    f"{resolved!r} is a persisted shard plan; replication "
+                    f"{name!r} is a persisted shard plan; replication "
                     "needs the source *.tipidx artifact", status=409)
-            return self.cache.get_or_load(
-                self._artifacts[resolved], mmap=self.mmap)
+            return self.cache.get_or_load(path, mmap=self.mmap)
         return engine
 
     # ------------------------------------------------------------------
@@ -977,20 +969,7 @@ class TipService:
         if not inserts and not deletes:
             raise ServiceError('update body must carry "insert" and/or "delete" edges')
 
-        name = artifact
-        if name is None:
-            if len(self._artifacts) != 1:
-                raise ServiceError(
-                    "multiple artifacts served; pass artifact=NAME "
-                    f"(one of: {', '.join(self._artifacts)})"
-                )
-            name = next(iter(self._artifacts))
-        path = self._artifacts.get(name)
-        if path is None:
-            raise ServiceError(
-                f"unknown artifact {name!r} (serving: {', '.join(self._artifacts)})",
-                status=404,
-            )
+        name, path = self._resolve(artifact)
         if name in self._routers:
             raise ServiceError(
                 "shard plans are read-only; apply updates to the source "
@@ -1229,7 +1208,7 @@ class TipService:
         }
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch (see ROUTES)
     # ------------------------------------------------------------------
     def handle(self, route: str, params: dict | None = None, body: dict | None = None) -> dict:
         """Serve one request; returns a JSON-able payload or raises ServiceError."""
@@ -1238,163 +1217,145 @@ class TipService:
         # Only known routes get their own counter entry; arbitrary scanner
         # paths would otherwise grow the Counter (and /stats) without bound.
         self.count_requests(route)
-        artifact = params.get("artifact")
-
-        if route == "/healthz":
-            # Liveness always answers 200; SLO breaches surface as a
-            # ``degraded`` status so orchestrators can alarm without
-            # restarting a server that is up but slow.
-            slo = self.slo.evaluate()
-            return {"status": slo["status"], "artifacts": self.artifact_names}
-
-        if route == "/slo":
-            if _flag_param(params, "cached"):
-                cached = self.slo.last_payload
-                if cached is None:
-                    raise ServiceError("no SLO evaluation recorded yet", status=404)
-                return cached
-            return self.slo.evaluate()
-
-        if route == "/debug/memory":
-            return self._memory_payload(params)
-
-        if route == "/debug/profile":
-            return self._profile_payload(params)
-
-        if route.startswith("/replication/"):
-            if self.replication is None:
-                raise ServiceError(
-                    "replication is not configured on this server "
-                    "(start with --role leader or --role follower)", status=404)
-            if route == "/replication/status":
-                return self.replication.status()
-            if route == "/replication/log":
-                return self.replication.log_payload(params)
-            if route == "/replication/apply":
-                return self.replication.handle_push(body)
-            if route == "/replication/snapshot":
-                return self.replication.snapshot_payload()
-
-        if route == "/stats":
-            payload: dict = {"artifacts": {}}
-            names = [artifact] if artifact else self.artifact_names
-            want_histogram = _flag_param(params, "histogram")
-            for name in names:
-                summary = self._manifest_summary(name)
-                if want_histogram:
-                    # The histogram needs the index; everything else comes
-                    # from the manifest so a monitoring poll of /stats never
-                    # cold-loads (and LRU-thrashes) unqueried artifacts.
-                    index = self.index_for(name)
-                    summary["histogram"] = {
-                        str(level): count for level, count in index.histogram().items()
-                    }
-                payload["artifacts"][name] = summary
-            # Cache metrics are read after the summaries so the loads they
-            # triggered are reflected in the numbers.
-            payload["cache"] = self.cache.stats()
-            with self._requests_lock:
-                payload["requests"] = dict(self.requests)
-                payload["updates"] = dict(self.update_modes)
-                # Uptime from the monotonic clock so an NTP step can never
-                # produce a negative or jumping value mid-poll.
-                payload["server"] = {
-                    "started_unix": self.started_unix,
-                    "uptime_seconds": time.monotonic() - self._started_monotonic,
-                    "requests_total": dict(self.requests),
-                }
-            if self.transport_metrics:
-                payload["transport"] = {
-                    name: provider() for name, provider in self.transport_metrics.items()
-                }
-            if self.replication is not None:
-                payload["replication"] = self.replication.status()
-            resilience: dict = {
-                "breakers": self.breakers.snapshot(),
-                "faults": faults.metrics(),
-            }
-            with self._requests_lock:
-                resilience["degraded_total"] = self.degraded_total
-                resilience["deadline_exceeded_total"] = self.deadline_exceeded_total
-            if self.replication is not None:
-                resilience["retry"] = self.replication.retry_policy.stats()
-                resilience["resyncs"] = self.replication.resyncs
-            payload["resilience"] = resilience
-            return payload
-
-        if route == "/update":
-            return self._apply_update(artifact, params, body)
-
-        if route == "/theta":
-            deadline = Deadline.from_params(params)
-            index = self.index_for(artifact)
-            vertex = self._int_param(params, "vertex")
-            if deadline is not None and deadline.expired():
-                self.count_deadline_exceeded()
-                deadline.raise_if_expired("/theta")
-            return {"vertex": vertex, "theta": index.theta(vertex)}
-
-        if route == "/theta/batch":
-            if body is not None and "deadline_ms" in body:
-                deadline = Deadline.from_params(body)
-            else:
-                deadline = Deadline.from_params(params)
-            index = self.index_for(artifact)
-            vertices = self._vertices_param(params, body)
-            if deadline is None:
-                thetas = index.theta_batch(vertices)
-                return {"vertices": vertices, "thetas": thetas}
-            return self._theta_batch_deadline(index, vertices, deadline)
-
-        if route == "/top-k":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            if k > MAX_RESPONSE_VERTICES:
-                raise ServiceError(
-                    f"top-k is capped at {MAX_RESPONSE_VERTICES} vertices per "
-                    f"response, got k={k}"
-                )
-            vertices, thetas = index.top_k(k)
-            return {"k": k, "vertices": vertices, "thetas": thetas}
-
-        if route == "/k-tip":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            limit = (
-                self._int_param(params, "limit")
-                if "limit" in params else MAX_RESPONSE_VERTICES
+        handler = self._handlers.get(route)
+        if handler is None:
+            raise ServiceError(
+                f"unknown route {route!r}; endpoints: {', '.join(ENDPOINTS)}; "
+                f"diagnostics: {', '.join(DIAGNOSTIC_ENDPOINTS)}", status=404
             )
-            if limit < 0:
-                raise ServiceError(f"limit must be non-negative, got {limit}")
-            limit = min(limit, MAX_RESPONSE_VERTICES)
-            size = index.k_tip_size(k)
-            members = index.k_tip_members(k, limit=limit)
-            return {
-                "k": k,
-                "size": size,
-                "truncated": bool(size > limit),
-                "vertices": members,
-            }
+        return handler(params.get("artifact"), params, body)
 
-        if route == "/community":
-            index = self.index_for(artifact)
-            k = self._int_param(params, "k")
-            vertex = self._int_param(params, "vertex") if "vertex" in params else None
-            candidates = index.k_tip_size(k)
-            if candidates > MAX_COMMUNITY_VERTICES:
-                raise ServiceError(
-                    f"level {k} has {candidates} vertices; community extraction "
-                    f"is capped at {MAX_COMMUNITY_VERTICES} — query a higher k"
-                )
-            components = index.communities(k, vertex=vertex)
-            return {
-                "k": k,
-                "vertex": vertex,
-                "n_communities": len(components),
-                "communities": components,
-            }
+    def _healthz(self, artifact, params: dict, body) -> dict:
+        # Liveness always answers 200; SLO breaches surface as a
+        # ``degraded`` status so orchestrators can alarm without
+        # restarting a server that is up but slow.
+        return {"status": self.slo.evaluate()["status"], "artifacts": self.artifact_names}
 
-        raise ServiceError(
-            f"unknown route {route!r}; endpoints: {', '.join(ENDPOINTS)}; "
-            f"diagnostics: {', '.join(DIAGNOSTIC_ENDPOINTS)}", status=404
+    def _slo(self, artifact, params: dict, body) -> dict:
+        if _flag_param(params, "cached"):
+            cached = self.slo.last_payload
+            if cached is None:
+                raise ServiceError("no SLO evaluation recorded yet", status=404)
+            return cached
+        return self.slo.evaluate()
+
+    def _coordinator(self):
+        """The attached replication coordinator; 404 without one."""
+        if self.replication is None:
+            raise ServiceError(
+                "replication is not configured on this server "
+                "(start with --role leader or --role follower)", status=404)
+        return self.replication
+
+    def _replication_status(self, artifact, params: dict, body) -> dict:
+        return self._coordinator().status()
+
+    def _replication_log(self, artifact, params: dict, body) -> dict:
+        return self._coordinator().log_payload(params)
+
+    def _replication_apply(self, artifact, params: dict, body) -> dict:
+        return self._coordinator().handle_push(body)
+
+    def _replication_snapshot(self, artifact, params: dict, body) -> dict:
+        return self._coordinator().snapshot_payload()
+
+    def _stats(self, artifact, params: dict, body) -> dict:
+        payload: dict = {"artifacts": {}}
+        names = [artifact] if artifact else self.artifact_names
+        want_histogram = _flag_param(params, "histogram")
+        for name in names:
+            summary = self._manifest_summary(name)
+            if want_histogram:
+                # The histogram needs the index; everything else comes
+                # from the manifest so a monitoring poll of /stats never
+                # cold-loads (and LRU-thrashes) unqueried artifacts.
+                index = self.index_for(name)
+                summary["histogram"] = {
+                    str(level): count for level, count in index.histogram().items()
+                }
+            payload["artifacts"][name] = summary
+        # Cache metrics are read after the summaries so the loads they
+        # triggered are reflected in the numbers.
+        payload["cache"] = self.cache.stats()
+        server = self._server_stats()
+        payload["requests"] = dict(server["requests_total"])
+        with self._requests_lock:
+            payload["updates"] = dict(self.update_modes)
+        payload["server"] = server
+        if self.transport_metrics:
+            payload["transport"] = {
+                name: provider() for name, provider in self.transport_metrics.items()
+            }
+        if self.replication is not None:
+            payload["replication"] = self.replication.status()
+        payload["resilience"] = self._resilience_stats()
+        return payload
+
+    def _theta(self, artifact, params: dict, body) -> dict:
+        deadline = Deadline.from_params(params)
+        index = self.index_for(artifact)
+        vertex = self._int_param(params, "vertex")
+        if deadline is not None and deadline.expired():
+            self.count_deadline_exceeded()
+            deadline.raise_if_expired("/theta")
+        return {"vertex": vertex, "theta": index.theta(vertex)}
+
+    def _theta_batch(self, artifact, params: dict, body) -> dict:
+        if body is not None and "deadline_ms" in body:
+            deadline = Deadline.from_params(body)
+        else:
+            deadline = Deadline.from_params(params)
+        index = self.index_for(artifact)
+        vertices = self._vertices_param(params, body)
+        if deadline is None:
+            thetas = index.theta_batch(vertices)
+            return {"vertices": vertices, "thetas": thetas}
+        return self._theta_batch_deadline(index, vertices, deadline)
+
+    def _top_k(self, artifact, params: dict, body) -> dict:
+        index = self.index_for(artifact)
+        k = self._int_param(params, "k")
+        if k > MAX_RESPONSE_VERTICES:
+            raise ServiceError(
+                f"top-k is capped at {MAX_RESPONSE_VERTICES} vertices per "
+                f"response, got k={k}"
+            )
+        vertices, thetas = index.top_k(k)
+        return {"k": k, "vertices": vertices, "thetas": thetas}
+
+    def _k_tip(self, artifact, params: dict, body) -> dict:
+        index = self.index_for(artifact)
+        k = self._int_param(params, "k")
+        limit = (
+            self._int_param(params, "limit")
+            if "limit" in params else MAX_RESPONSE_VERTICES
         )
+        if limit < 0:
+            raise ServiceError(f"limit must be non-negative, got {limit}")
+        limit = min(limit, MAX_RESPONSE_VERTICES)
+        size = index.k_tip_size(k)
+        members = index.k_tip_members(k, limit=limit)
+        return {
+            "k": k,
+            "size": size,
+            "truncated": bool(size > limit),
+            "vertices": members,
+        }
+
+    def _community(self, artifact, params: dict, body) -> dict:
+        index = self.index_for(artifact)
+        k = self._int_param(params, "k")
+        vertex = self._int_param(params, "vertex") if "vertex" in params else None
+        candidates = index.k_tip_size(k)
+        if candidates > MAX_COMMUNITY_VERTICES:
+            raise ServiceError(
+                f"level {k} has {candidates} vertices; community extraction "
+                f"is capped at {MAX_COMMUNITY_VERTICES} — query a higher k"
+            )
+        components = index.communities(k, vertex=vertex)
+        return {
+            "k": k,
+            "vertex": vertex,
+            "n_communities": len(components),
+            "communities": components,
+        }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import shutil
 import socket
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ from repro.datasets.generators import planted_blocks
 from repro.service.aserver import start_server_thread
 from repro.service.artifacts import save_artifact
 from repro.service.server import (
+    DIAGNOSTIC_ENDPOINTS,
     DOCUMENTED_METRICS,
     ENDPOINTS,
     METRICS_CONTENT_TYPE,
@@ -163,7 +165,9 @@ class TestAsyncMetrics:
         (b"POST /theta/batch HTTP/1.1\r\nHost: x\r\n"
          b"Content-Length: 67108864\r\n\r\n", "/theta/batch", "413"),
         (b"NOT A REQUEST\r\n\r\n", "<unknown>", "400"),
-    ], ids=["oversized-body", "malformed-request-line"])
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 32 * 1024 + b"\r\n",
+         "/healthz", "431"),
+    ], ids=["oversized-body", "malformed-request-line", "oversized-header-block"])
     def test_protocol_rejections_are_counted(self, handle, raw, route, status):
         key = ('repro_http_requests_total'
                f'{{transport="async",route="{route}",status="{status}"}}')
@@ -192,15 +196,138 @@ class TestOfflineService:
             assert f"# TYPE {name} " in text, name
 
     def test_metric_route_normalisation(self):
-        for route in ENDPOINTS:
+        for route in ENDPOINTS + DIAGNOSTIC_ENDPOINTS:
             assert metric_route(route) == route
         assert metric_route("/metrics") == "/metrics"
         assert metric_route("/etc/passwd") == "<unknown>"
+        assert metric_route("/replication/other") == "<unknown>"
 
     def test_metrics_is_not_a_json_endpoint(self):
         # /metrics is a transport concern; the JSON API surface (and the
         # byte-identical transport comparison built on it) is unchanged.
         assert "/metrics" not in ENDPOINTS
+
+
+#: Label names of every labelled documented family (``le`` aside); every
+#: other documented family is unlabelled.
+_FAMILY_LABELS = {
+    "repro_http_requests_total": {"transport", "route", "status"},
+    "repro_http_request_seconds": {"transport", "route"},
+    "repro_service_requests_total": {"route"},
+    "repro_updates_applied_total": {"artifact"},
+    "repro_artifact_staleness_seconds": {"artifact"},
+    "repro_slo_burn_rate": {"objective"},
+    "repro_slo_ok": {"objective"},
+}
+_FAMILY_TYPES = {
+    "repro_http_requests_total": "counter",
+    "repro_http_request_seconds": "histogram",
+    "repro_coalesce_batch_size": "histogram",
+    "repro_coalesce_wait_seconds": "histogram",
+}
+
+#: Keys ``/stats`` carries, block by block; monitoring and tipbench read
+#: them.  A block may gain keys, never lose one.
+_STATS_KEYS = {
+    (): {"artifacts", "cache", "requests", "resilience", "server", "updates"},
+    ("cache",): {"capacity", "entries", "evictions", "hit_rate", "hits", "misses"},
+    ("server",): {"requests_total", "started_unix", "uptime_seconds"},
+    ("resilience",): {"breakers", "deadline_exceeded_total", "degraded_total", "faults"},
+    ("transport", "coalescer"): {
+        "batches_flushed", "coalesce_wait_p50_ms", "coalesce_wait_p99_ms",
+        "largest_batch", "max_batch", "max_delay_ms", "mean_batch_size",
+        "peak_queue_depth", "queue_depth", "requests_coalesced",
+        "size_triggered_flushes"},
+    ("transport", "updates"): {
+        "admission_rejections", "admitted", "completed", "max_pending",
+        "peak_pending", "pending", "retry_after_seconds"},
+}
+
+
+def _families(text):
+    """``{family: (TYPE, label names seen on its samples)}`` of a scrape."""
+    kinds = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            kinds[name] = kind
+    labels = {name: set() for name in kinds}
+    for key in _parse_samples(text):
+        name, _, rest = key.partition("{")
+        if name not in kinds:
+            name = re.sub(r"_(bucket|sum|count)$", "", name)
+        labels[name] |= set(re.findall(r'([a-zA-Z_]+)="', rest)) - {"le"}
+    return {name: (kind, labels[name]) for name, kind in kinds.items()}
+
+
+class TestTelemetrySurface:
+    """Every documented family keeps its TYPE and labels; /stats keeps its keys."""
+
+    def _check_families(self, text):
+        families = _families(text)
+        for name in DOCUMENTED_METRICS:
+            kind, labels = families[name]
+            assert kind == _FAMILY_TYPES.get(name, "gauge"), name
+            assert labels == _FAMILY_LABELS.get(name, set()), name
+
+    def _check_stats(self, payload, *, served):
+        for path, keys in _STATS_KEYS.items():
+            if path and path[0] == "transport" and not served:
+                continue
+            block = payload
+            for part in path:
+                block = block[part]
+            assert keys <= set(block), (path, keys - set(block))
+        assert ("transport" in payload) is served
+
+    def test_offline_service(self, artifact):
+        service = TipService([artifact])
+        service.handle("/theta", {"vertex": "1"})
+        service.observe_request("async", "/theta", 200, 0.001)
+        self._check_families(service.metrics_text())
+        self._check_stats(service.handle("/stats"), served=False)
+
+    def test_served(self, artifact):
+        handle = start_server_thread([artifact])
+        try:
+            for target in ("/theta?vertex=1", "/healthz", "/top-k?k=2"):
+                urllib.request.urlopen(handle.base_url + target, timeout=10).read()
+            text = _get_text(f"{handle.base_url}/metrics")[2]
+            self._check_families(text)
+            assert 'repro_http_requests_total{transport="async",' in text
+            with urllib.request.urlopen(
+                    f"{handle.base_url}/stats?fresh=1", timeout=10) as response:
+                self._check_stats(json.loads(response.read()), served=True)
+        finally:
+            handle.stop()
+
+    def test_a_failing_source_leaves_the_other_gauges_refreshing(
+            self, artifact, tmp_path):
+        """One scrape callback per source: replication raising freezes only
+        the replication gauges."""
+        from repro.service import faults
+        from repro.service.replication import ReplicationCoordinator
+
+        copy = tmp_path / "leader.tipidx"
+        shutil.copytree(artifact, copy)
+        service = TipService([copy])
+        coordinator = ReplicationCoordinator(service, role="leader")
+
+        def broken():
+            raise RuntimeError("replication status unavailable")
+
+        coordinator.status = broken
+        coordinator.gauge_values = broken
+        service.handle("/theta", {"vertex": "1"})  # one cache miss
+        service.count_degraded()
+        service.observe_request("async", "/theta", 500, 0.001)
+        with faults.armed(faults.FaultPlan.parse("shard.gather:error:count=1", seed=1)):
+            samples = _parse_samples(service.metrics_text())
+        assert samples["repro_cache_misses_total"] == "1"
+        assert samples["repro_resilience_degraded_total"] == "1"
+        assert samples["repro_faults_armed"] == "1"
+        assert float(samples['repro_slo_burn_rate{objective="availability"}']) > 1.0
+        assert samples['repro_slo_ok{objective="availability"}'] == "0"
 
 
 class TestCli:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
+from repro.service import aserver
 from repro.service.artifacts import save_artifact
 from repro.service.aserver import start_server_thread
 from repro.service.server import TipService, error_payload, parse_post_body, to_jsonable
@@ -292,6 +293,93 @@ class TestProtocolEdges:
         assert status == 200
 
 
+def _read_until_closed(sock) -> bytes:
+    raw = b""
+    while chunk := sock.recv(65536):
+        raw += chunk
+    return raw
+
+
+class TestReadDeadlines:
+    """Idle and header deadlines, shortened here, and the header-byte cap."""
+
+    DEADLINE = 0.3
+
+    @pytest.fixture
+    def server(self, artifact, monkeypatch):
+        monkeypatch.setattr(aserver, "_IDLE_TIMEOUT_SECONDS", self.DEADLINE)
+        monkeypatch.setattr(aserver, "_HEADER_TIMEOUT_SECONDS", self.DEADLINE)
+        handle = start_server_thread([artifact[0]])
+        yield handle
+        handle.stop()
+
+    def _counted(self, handle, route, status):
+        key = (f'repro_http_requests_total{{transport="async",route="{route}",'
+               f'status="{status}"}} ')
+        text = handle.service.metrics_text()
+        return sum(int(float(line[len(key):])) for line in text.splitlines()
+                   if line.startswith(key))
+
+    def test_silent_connection_is_closed(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # closed without an answer
+            assert time.monotonic() - started < 5.0
+        deadline = time.monotonic() + 5.0
+        while server.server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server.server._connections
+
+    @pytest.mark.parametrize("partial, route", [
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", "/healthz"),
+        (b"GET /heal", "<unknown>"),
+    ], ids=["half-header-block", "half-request-line"])
+    def test_incomplete_head_gets_408_and_close(self, server, partial, route):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(partial)
+            raw = _read_until_closed(sock)
+        assert raw.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"Connection: close" in raw
+        assert self._counted(server, route, 408) == 1
+
+    def test_idle_keep_alive_connection_answers_before_the_deadline(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            reader = _ResponseReader(sock)
+            for _ in range(3):
+                sock.sendall(_get_request("/healthz"))
+                assert " 200 " in reader.read_response()[0]
+                time.sleep(self.DEADLINE / 6)
+
+    def test_connection_awaiting_a_blocked_route_is_kept(self, artifact, monkeypatch):
+        monkeypatch.setattr(aserver, "_IDLE_TIMEOUT_SECONDS", self.DEADLINE)
+        monkeypatch.setattr(aserver, "_HEADER_TIMEOUT_SECONDS", self.DEADLINE)
+        service = TipService([artifact[0]])
+        original = service.handle
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(route, params=None, body=None):
+            if route == "/debug/profile":  # an executor route
+                entered.set()
+                release.wait(timeout=30)
+            return original(route, params, body)
+
+        service.handle = blocking
+        handle = start_server_thread(service=service)
+        try:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                reader = _ResponseReader(sock)
+                sock.sendall(_get_request("/debug/profile?last=1"))
+                assert entered.wait(timeout=10)
+                time.sleep(4 * self.DEADLINE)  # well past the idle deadline
+                release.set()
+                assert " 404 " in reader.read_response()[0]  # no profile yet
+                sock.sendall(_get_request("/healthz"))  # still open
+                assert " 200 " in reader.read_response()[0]
+        finally:
+            release.set()
+            handle.stop()
+
+
 class TestStatsAndMetrics:
     def test_stats_exposes_transport_metrics(self, async_server):
         host, port = async_server.address
@@ -438,6 +526,20 @@ class TestParserFuzz:
         closed_early = bool(responses) and b"Connection: close" in responses[-1][1]
         assert len(responses) == len(requests) or closed_early
         assert all(status < 500 for status, _ in responses), responses
+        _assert_still_serving(async_server.address)
+
+    @FUZZ
+    @given(pad=st.integers(0, 64) | st.integers(
+               aserver._MAX_HEADER_BYTES - 64, aserver._MAX_HEADER_BYTES + 64),
+           data=st.data())
+    def test_header_byte_cap(self, async_server, pad, data):
+        head = b"Host: fuzz\r\nX-Pad: " + b"a" * pad + b"\r\n"
+        request = b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n"
+        responses = _exchange(async_server.address,
+                              data.draw(_write_splits(st.just(request))))
+        over = len(head) > aserver._MAX_HEADER_BYTES
+        assert [status for status, _ in responses] == [431 if over else 200]
+        assert (b"Connection: close" in responses[0][1]) is over
         _assert_still_serving(async_server.address)
 
     @FUZZ

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +274,35 @@ class TestServiceConstruction:
         for off in ({}, {"histogram": "0"}, {"histogram": "false"}):
             payload = service.handle("/stats", dict(off))
             assert "histogram" not in payload["artifacts"][name]
+
+
+class TestServeCommand:
+    """``repro serve`` itself, as a process: it binds, answers, and exits on SIGINT."""
+
+    def test_serve_answers_and_exits_cleanly_on_sigint(self, artifact, tmp_path):
+        path, _ = artifact
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(path), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=tmp_path, env=env)
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 30)
+            assert ready, "repro serve printed no address within 30 s"
+            banner = process.stdout.readline().decode()
+            match = re.search(r"http://[0-9.]+:[0-9]+", banner)
+            assert match, banner
+            url = match.group(0)
+            status, payload = _get(url, "/healthz")
+            assert status == 200 and payload["status"] == "ok"
+            with urllib.request.urlopen(url + "/metrics", timeout=10) as response:
+                text = response.read().decode()
+            assert "# TYPE repro_http_requests_total counter" in text
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=15) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=15)
+            process.stdout.close()
