@@ -49,7 +49,6 @@ from .core import (
 from .errors import (
     ArtifactError,
     ArtifactMismatchError,
-    BudgetExceededError,
     DatasetError,
     DecompositionError,
     GraphConstructionError,
@@ -139,7 +138,6 @@ __all__ = [
     "GraphFormatError",
     "VertexSideError",
     "DecompositionError",
-    "BudgetExceededError",
     "DatasetError",
     "ArtifactError",
     "ArtifactMismatchError",

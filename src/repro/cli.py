@@ -146,8 +146,7 @@ def _algorithm_kwargs(args: argparse.Namespace, algorithm: str) -> dict:
             kwargs["n_partitions"] = args.partitions
     else:
         # The sequential baselines take the memory policy as a workspace
-        # object (their own ``wedge_budget`` argument is the traversal cap
-        # reproducing the paper's DNF entries, a different knob).
+        # object.
         from .kernels.workspace import WedgeWorkspace, resolve_wedge_budget
 
         kwargs["workspace"] = WedgeWorkspace(

@@ -212,7 +212,7 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
         workspace = WedgeWorkspace(
             wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids
         )
-        tips, counters = peel_levels(
+        tips, counters, _ = peel_levels(
             induced_graph, "U", job.init_supports[share], labels=labels,
             peel_kernel=job.peel_kernel, workspace=workspace,
         )

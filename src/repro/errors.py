@@ -13,7 +13,6 @@ __all__ = [
     "GraphFormatError",
     "VertexSideError",
     "DecompositionError",
-    "BudgetExceededError",
     "DatasetError",
     "ArtifactError",
     "ArtifactMismatchError",
@@ -55,19 +54,6 @@ class DecompositionError(ReproError):
     was violated) rather than bad user input, and is surfaced prominently in
     tests.
     """
-
-
-class BudgetExceededError(ReproError):
-    """Raised when an execution budget (wedges or seconds) is exhausted.
-
-    The benchmark harness uses budgets to reproduce the paper's ``t = inf``
-    (did not finish in 10 days) entries at laptop scale.
-    """
-
-    def __init__(self, message: str, *, wedges_traversed: int = 0, elapsed_seconds: float = 0.0):
-        super().__init__(message)
-        self.wedges_traversed = wedges_traversed
-        self.elapsed_seconds = elapsed_seconds
 
 
 class DatasetError(ReproError):

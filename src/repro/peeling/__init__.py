@@ -1,7 +1,6 @@
 """Peeling substrates: support structures, the update routine and baselines."""
 
 from .base import PeelingCounters, TipDecompositionResult
-from .bucketing import BucketQueue
 from .bup import bup_decomposition, peel_sequential
 from .minheap import LazyMinHeap
 from .parbutterfly import parbutterfly_decomposition
@@ -11,7 +10,6 @@ from .update import PEEL_KERNELS, SupportUpdate, peel_batch, peel_vertex
 __all__ = [
     "PeelingCounters",
     "TipDecompositionResult",
-    "BucketQueue",
     "bup_decomposition",
     "peel_sequential",
     "LazyMinHeap",

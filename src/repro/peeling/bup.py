@@ -4,17 +4,18 @@ BUP initialises supports with per-vertex butterfly counts and repeatedly
 peels a vertex with minimum support, recording that support as its tip
 number and decrementing the supports of its 2-hop neighbours.  This is the
 algorithm of Sariyuce & Pinar and the sequential baseline of Table 3
-(:func:`peel_sequential`, one vertex per heap pop); streaming repair
-re-peels its regions with it too.
+(:func:`peel_sequential`, one vertex per heap pop); tests use it as the
+oracle of the level form.
 
-:func:`peel_levels` is the kernel RECEIPT FD applies to a worker's share
-of induced subgraphs.  Every vertex popped while a subset's minimum support
-is ``s`` gets θ = ``s``, because decrements clamp at ``s`` (Alg. 4,
-Lemma 2), so a whole level is peeled as one batch — ParB's round, inside
-one of CD's independent subsets — with the same tip numbers.  Subsets share
-no wedges, so every subset of the share takes its own level in the same
-round and the round is a single :func:`~repro.peeling.update.peel_batch`
-with per-vertex floors.
+:func:`peel_levels` peels one support level per round.  Every vertex
+popped while the minimum support is ``s`` gets θ = ``s``, because
+decrements clamp at ``s`` (Alg. 4, Lemma 2), so a whole level is peeled as
+one batch with the same tip numbers.  With one label it is the ParB
+baseline's round loop; RECEIPT FD applies it to a worker's share of
+induced subgraphs, and streaming repair to its re-peel regions.  Subsets
+share no wedges, so every subset of a share takes its own level in the
+same round and the round is a single
+:func:`~repro.peeling.update.peel_batch` with per-vertex floors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..butterfly.counting import ButterflyCounts, count_per_vertex
-from ..errors import BudgetExceededError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..graph.dynamic import PeelableAdjacency
 from ..kernels.workspace import WedgeWorkspace
@@ -38,10 +38,9 @@ def _start_peel(
     graph: BipartiteGraph,
     side: str,
     initial_supports: np.ndarray,
-    enable_dgm: bool,
     workspace: WedgeWorkspace,
 ) -> tuple[np.ndarray, PeelableAdjacency]:
-    """A checked, owned copy of the supports and a fresh adjacency view."""
+    """A checked, owned copy of the supports and a fresh, never-compacted view."""
     side = validate_side(side)
     n_side = graph.side_size(side)
     supports = np.array(initial_supports, dtype=np.int64, copy=True)
@@ -49,7 +48,7 @@ def _start_peel(
         raise ValueError(
             f"initial_supports has {supports.shape[0]} entries, expected {n_side}"
         )
-    adjacency = PeelableAdjacency(graph, side, enable_dgm=enable_dgm,
+    adjacency = PeelableAdjacency(graph, side, enable_dgm=False,
                                   narrow_ids=workspace.narrow_ids)
     return supports, adjacency
 
@@ -59,34 +58,22 @@ def peel_sequential(
     side: str,
     initial_supports: np.ndarray,
     *,
-    enable_dgm: bool = False,
     counters: PeelingCounters | None = None,
-    wedge_budget: int | None = None,
-    record_peel_order: bool = False,
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
-) -> tuple[np.ndarray, PeelingCounters, list[int]]:
-    """Core sequential peeling loop of BUP and of streaming region re-peels.
+) -> tuple[np.ndarray, PeelingCounters]:
+    """Core sequential peeling loop of BUP: one minimum-support vertex per pop.
 
     Parameters
     ----------
     graph:
-        Graph to peel (for a streaming region, an induced subgraph).
+        Graph to peel.
     side:
         Side being peeled.
     initial_supports:
-        Supports at the start of peeling (butterfly counts for BUP, the
-        repaired supports of a streaming region).
-    enable_dgm:
-        Whether to compact adjacency lists periodically.
+        Supports at the start of peeling (butterfly counts for BUP).
     counters:
         Counter object to accumulate into (a fresh one is created if absent).
-    wedge_budget:
-        Optional cap on traversed wedges; exceeding it raises
-        :class:`~repro.errors.BudgetExceededError` (used to reproduce the
-        paper's "did not finish" entries).
-    record_peel_order:
-        When ``True`` the returned list contains vertices in peel order.
     peel_kernel:
         Support-update kernel: the shared vectorized ``"batched"`` kernel
         (default) or the per-vertex ``"reference"`` formulation.
@@ -97,14 +84,13 @@ def peel_sequential(
 
     Returns
     -------
-    (tip_numbers, counters, peel_order)
+    (tip_numbers, counters)
     """
     counters = counters if counters is not None else PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
-    supports, adjacency = _start_peel(graph, side, initial_supports, enable_dgm, workspace)
+    supports, adjacency = _start_peel(graph, side, initial_supports, workspace)
     tip_numbers = np.zeros(supports.shape[0], dtype=np.int64)
     heap = LazyMinHeap(supports)
-    peel_order: list[int] = []
 
     while heap:
         vertex, support = heap.pop_min()
@@ -112,8 +98,6 @@ def peel_sequential(
         adjacency.mark_peeled(vertex)
         counters.vertices_peeled += 1
         counters.synchronization_rounds += 1
-        if record_peel_order:
-            peel_order.append(vertex)
 
         update = peel_vertex(adjacency, supports, vertex, support, kernel=peel_kernel,
                              workspace=workspace)
@@ -122,20 +106,10 @@ def peel_sequential(
         counters.support_updates += update.support_updates
         heap.decrease_many(update.updated_vertices, update.new_supports)
 
-        compacted = adjacency.maybe_compact()
-        if compacted:
-            counters.dgm_compactions += 1
-
-        if wedge_budget is not None and counters.wedges_traversed > wedge_budget:
-            raise BudgetExceededError(
-                f"wedge budget of {wedge_budget} exceeded during sequential peeling",
-                wedges_traversed=counters.wedges_traversed,
-            )
-
     counters.peak_scratch_bytes = max(
         counters.peak_scratch_bytes, workspace.peak_scratch_bytes
     )
-    return tip_numbers, counters, peel_order
+    return tip_numbers, counters
 
 
 def peel_levels(
@@ -147,8 +121,8 @@ def peel_levels(
     counters: PeelingCounters | None = None,
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
-) -> tuple[np.ndarray, PeelingCounters]:
-    """Bottom-up peeling one support level per round (RECEIPT FD's peel).
+) -> tuple[np.ndarray, PeelingCounters, list[tuple[int, int]]]:
+    """Bottom-up peeling one support level per round (ParB, FD, streaming repair).
 
     ``labels`` (non-decreasing along the peeled side's ids; all zero when
     omitted) splits the side into subsets that must share no wedge — the
@@ -175,11 +149,13 @@ def peel_levels(
 
     Returns
     -------
-    (tip_numbers, counters)
+    (tip_numbers, counters, rounds)
+        ``rounds`` holds one ``(vertices peeled, wedges traversed)`` pair per
+        round, in order.
     """
     counters = counters if counters is not None else PeelingCounters()
     workspace = workspace if workspace is not None else WedgeWorkspace()
-    supports, adjacency = _start_peel(graph, side, initial_supports, False, workspace)
+    supports, adjacency = _start_peel(graph, side, initial_supports, workspace)
     n_side = supports.shape[0]
     if labels is None:
         labels = np.zeros(n_side, dtype=np.int64)
@@ -193,6 +169,7 @@ def peel_levels(
     floors = np.zeros(n_side, dtype=np.int64)
     alive = adjacency.alive_mask()
     remaining = np.arange(n_side, dtype=np.int64)
+    rounds: list[tuple[int, int]] = []
 
     while True:
         remaining = remaining[alive[remaining]]
@@ -219,11 +196,12 @@ def peel_levels(
         counters.wedges_traversed += update.wedges_traversed
         counters.peeling_wedges += update.wedges_traversed
         counters.support_updates += update.support_updates
+        rounds.append((int(batch.size), int(update.wedges_traversed)))
 
     counters.peak_scratch_bytes = max(
         counters.peak_scratch_bytes, workspace.peak_scratch_bytes
     )
-    return tip_numbers, counters
+    return tip_numbers, counters, rounds
 
 
 def bup_decomposition(
@@ -231,8 +209,6 @@ def bup_decomposition(
     side: str = "U",
     *,
     counts: ButterflyCounts | None = None,
-    enable_dgm: bool = False,
-    wedge_budget: int | None = None,
     peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> TipDecompositionResult:
@@ -246,11 +222,6 @@ def bup_decomposition(
         Side to decompose, ``"U"`` by default.
     counts:
         Pre-computed butterfly counts (counted fresh when omitted).
-    enable_dgm:
-        The classic baseline does not compact adjacency lists; enabling DGM
-        here is only used by ablation experiments.
-    wedge_budget:
-        Optional traversal cap (reproduces the paper's DNF entries).
     peel_kernel:
         Support-update kernel (``"batched"`` or ``"reference"``).
     workspace:
@@ -274,9 +245,8 @@ def bup_decomposition(
         initial = counts.counts(side).copy()
 
         with tracer.span("bup.peel"):
-            tip_numbers, counters, _ = peel_sequential(
-                graph, side, initial,
-                enable_dgm=enable_dgm, counters=counters, wedge_budget=wedge_budget,
+            tip_numbers, counters = peel_sequential(
+                graph, side, initial, counters=counters,
                 peel_kernel=peel_kernel, workspace=workspace,
             )
     counters.elapsed_seconds = run_span.duration

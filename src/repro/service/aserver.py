@@ -26,9 +26,10 @@ an inference-serving batcher:
   stalls the coalesced read pipeline.
 * **read deadlines** — one server-wide sweep closes a connection idle
   between requests for :data:`_IDLE_TIMEOUT_SECONDS` (never one awaiting
-  a response), answers 408 when a request's line and headers take longer
-  than :data:`_HEADER_TIMEOUT_SECONDS` from its first byte, and a header
-  block over :data:`_MAX_HEADER_BYTES` is answered 431.
+  a response) and answers 408 when a request's line and headers take
+  longer than :data:`_HEADER_TIMEOUT_SECONDS` from its first byte, or its
+  body longer than that from the end of its header block; a header block
+  over :data:`_MAX_HEADER_BYTES` is answered 431.
 
 Routing is :meth:`~repro.service.server.TipService.handle` and its route
 table (:data:`~repro.service.server.ROUTES`), so served and offline
@@ -89,8 +90,9 @@ _MAX_HEADERS = 100
 #: outstanding, before it is closed.
 _IDLE_TIMEOUT_SECONDS = 60.0
 
-#: Seconds from a request's first byte to the end of its header block;
-#: a slower request is answered 408 and its connection closed.
+#: Seconds from a request's first byte to the end of its header block, and
+#: from there to the end of its body; a slower request is answered 408 and
+#: its connection closed.
 _HEADER_TIMEOUT_SECONDS = 10.0
 
 #: Cap on the bytes of one request's header lines (the request line has
@@ -113,12 +115,13 @@ class _BadRequest(ServiceError):
 class _Reader(asyncio.StreamReader):
     """One connection's read side, with the state the deadline sweep reads.
 
-    ``first_byte`` is the monotonic time of the first byte received since
-    the read loop last finished a header block or body (``None`` while
-    nothing has come; bytes already buffered behind a pipelined request
-    count from the next arrival).  ``in_head`` is set while a request line
-    and headers are read, ``pending`` counts responses queued and not yet
-    written, and ``idle_since`` is when ``pending`` last fell to 0.
+    ``first_byte`` is when the read in progress started its deadline: the
+    first byte received since the read loop last finished a request
+    (``None`` while nothing has come; bytes already buffered behind a
+    pipelined request count from the next arrival), or, while a body is
+    read, the end of its header block.  ``in_head`` is set while a request
+    line and headers are read, ``pending`` counts responses queued and not
+    yet written, and ``idle_since`` is when ``pending`` last fell to 0.
     """
 
     def __init__(self, **kwargs):
@@ -270,14 +273,15 @@ class AsyncTipServer:
         """
         now = time.monotonic()
         for reader in self._connections.values():
-            if reader.pending or not reader.in_head:
-                continue  # answering, or reading a body: never cut off
+            if reader.in_head and reader.pending:
+                continue  # answering: the next request waits its turn
             if reader.first_byte is None:
-                if now - reader.idle_since > _IDLE_TIMEOUT_SECONDS:
+                if reader.in_head and now - reader.idle_since > _IDLE_TIMEOUT_SECONDS:
                     reader.set_exception(TimeoutError("idle connection"))
             elif now - reader.first_byte > _HEADER_TIMEOUT_SECONDS:
+                part = "headers" if reader.in_head else "body"
                 reader.set_exception(_BadRequest(
-                    f"request headers not received within "
+                    f"request {part} not received within "
                     f"{_HEADER_TIMEOUT_SECONDS:g}s", status=408))
         self._sweeper = asyncio.get_running_loop().call_later(
             min(_IDLE_TIMEOUT_SECONDS, _HEADER_TIMEOUT_SECONDS) / 4, self._sweep)
@@ -420,10 +424,14 @@ class AsyncTipServer:
                 f"{MAX_REQUEST_BODY_BYTES}-byte cap", status=413, route=route)
         body = b""
         if content_length:
+            reader.first_byte = time.monotonic()  # the body's deadline starts
             try:
                 body = await reader.readexactly(content_length)
             except asyncio.IncompleteReadError:
                 return None
+            except _BadRequest as error:  # the sweep's body deadline
+                error.route = route
+                raise
             reader.first_byte = None
         connection = headers.get("connection", "").lower()
         keep_alive = (

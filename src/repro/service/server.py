@@ -77,7 +77,7 @@ from ..errors import (
     StreamingError,
 )
 from ..kernels.workspace import live_workspace_stats
-from ..obs.log import log_request
+from ..obs.log import get_logger, log_request
 from ..obs.memory import memory_snapshot, rss_bytes
 from ..obs.metrics import BATCH_SIZE_BUCKETS, MetricRegistry
 from ..obs.profile import (
@@ -105,6 +105,9 @@ __all__ = [
     "error_payload",
     "parse_post_body",
 ]
+
+_LOG = get_logger("repro.service.server")
+
 
 @dataclass(frozen=True)
 class Route:
@@ -231,6 +234,19 @@ def _flag_param(params: dict, key: str) -> bool:
     """Boolean query parameter: absent/empty/``0``/``false`` mean off."""
     value = str(params.get(key, "")).strip().lower()
     return value not in ("", "0", "false", "no")
+
+
+def _stats_block(source) -> dict:
+    """One ``/stats`` block; a source that raises gives its error instead.
+
+    So one broken subsystem degrades its own block, not the whole answer
+    (as its gauges freeze alone on ``/metrics``).
+    """
+    try:
+        return source()
+    except Exception as error:  # a broken subsystem must not take down /stats
+        _LOG.warning("/stats block source failed", exc_info=True)
+        return {"error": f"{type(error).__name__}: {error}"}
 
 
 def error_payload(error: Exception, *, status: int | None = None) -> dict:
@@ -1276,7 +1292,7 @@ class TipService:
             payload["artifacts"][name] = summary
         # Cache metrics are read after the summaries so the loads they
         # triggered are reflected in the numbers.
-        payload["cache"] = self.cache.stats()
+        payload["cache"] = _stats_block(self.cache.stats)
         server = self._server_stats()
         payload["requests"] = dict(server["requests_total"])
         with self._requests_lock:
@@ -1284,11 +1300,12 @@ class TipService:
         payload["server"] = server
         if self.transport_metrics:
             payload["transport"] = {
-                name: provider() for name, provider in self.transport_metrics.items()
+                name: _stats_block(provider)
+                for name, provider in self.transport_metrics.items()
             }
         if self.replication is not None:
-            payload["replication"] = self.replication.status()
-        payload["resilience"] = self._resilience_stats()
+            payload["replication"] = _stats_block(self.replication.status)
+        payload["resilience"] = _stats_block(self._resilience_stats)
         return payload
 
     def _theta(self, artifact, params: dict, body) -> dict:

@@ -52,7 +52,7 @@ from ..kernels.wedges import gather_batch_wedges
 from ..kernels.workspace import WedgeWorkspace, workspace_or_default
 from ..obs.trace import current_tracer
 from ..peeling.base import PeelingCounters
-from ..peeling.bup import peel_sequential
+from ..peeling.bup import peel_levels
 from .deltas import EdgeBatch, apply_batch
 from .support import RegionDelta, support_delta
 
@@ -494,8 +494,8 @@ def apply_update(
             return _result(MODE_FULL, new_tips, new_counts, new_center, k_seed=k_seed,
                            delta=delta, n_repeeled=n_side, damage=1.0)
 
-        # 3. Localized exact re-peel per region: FD-style induced subgraph
-        #    + ⋈init (Alg. 4), everything else keeps its old tip number.
+        # 3. Localized exact re-peel per region: FD's induced subgraph, ⋈init
+        #    and level peel (Alg. 4); everything else keeps its old tip number.
         working = new_graph if side == "U" else new_graph.swap_sides()
         new_tips = tip_numbers.copy()
         n_repeeled = 0
@@ -508,7 +508,7 @@ def apply_update(
                 counts = count_per_vertex_priority(induced.graph, workspace=workspace)
                 counters.wedges_traversed += counts.wedges_traversed
                 counters.counting_wedges += counts.wedges_traversed
-                region_tips, peel_counters, _ = peel_sequential(
+                region_tips, peel_counters, _ = peel_levels(
                     induced.graph, "U", counts.u_counts,
                     peel_kernel=config.peel_kernel, workspace=workspace,
                 )

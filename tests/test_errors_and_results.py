@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    BudgetExceededError,
     DatasetError,
     DecompositionError,
     GraphConstructionError,
@@ -18,17 +17,11 @@ from repro.peeling.base import PeelingCounters, TipDecompositionResult
 class TestErrorHierarchy:
     @pytest.mark.parametrize("error_type", [
         GraphConstructionError, GraphFormatError, VertexSideError,
-        DecompositionError, BudgetExceededError, DatasetError,
+        DecompositionError, DatasetError,
     ])
     def test_all_derive_from_repro_error(self, error_type):
         assert issubclass(error_type, ReproError)
         assert issubclass(error_type, Exception)
-
-    def test_budget_error_payload(self):
-        error = BudgetExceededError("out of budget", wedges_traversed=42, elapsed_seconds=1.5)
-        assert error.wedges_traversed == 42
-        assert error.elapsed_seconds == 1.5
-        assert "out of budget" in str(error)
 
     def test_catching_base_class(self):
         with pytest.raises(ReproError):

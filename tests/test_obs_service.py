@@ -329,6 +329,40 @@ class TestTelemetrySurface:
         assert float(samples['repro_slo_burn_rate{objective="availability"}']) > 1.0
         assert samples['repro_slo_ok{objective="availability"}'] == "0"
 
+    def test_a_failing_source_fails_only_its_stats_block(self, artifact, tmp_path):
+        """/stats answers with the error in the failing block's place, offline
+        and over HTTP, and serves every other block."""
+        from repro.service.replication import ReplicationCoordinator
+
+        copy = tmp_path / "leader.tipidx"
+        shutil.copytree(artifact, copy)
+        service = TipService([copy])
+        coordinator = ReplicationCoordinator(service, role="leader")
+
+        def broken():
+            raise RuntimeError("replication status unavailable")
+
+        coordinator.status = broken
+        failed = {"error": "RuntimeError: replication status unavailable"}
+        offline = service.handle("/stats")
+        assert offline["replication"] == failed
+        self._check_stats(offline, served=False)
+
+        service.transport_metrics["broken"] = broken
+        assert service.handle("/stats")["transport"]["broken"] == failed
+        del service.transport_metrics["broken"]
+
+        handle = start_server_thread(service=service)
+        try:
+            with urllib.request.urlopen(
+                    f"{handle.base_url}/stats?fresh=1", timeout=10) as response:
+                assert response.status == 200
+                served = json.loads(response.read())
+        finally:
+            handle.stop()
+        assert served["replication"] == failed
+        self._check_stats(served, served=True)
+
 
 class TestCli:
     def test_decompose_trace_out_and_summary(self, tmp_path, capsys):

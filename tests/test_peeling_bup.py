@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.verification import check_basic_invariants
 from repro.butterfly.counting import count_per_vertex_priority
-from repro.errors import BudgetExceededError
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
 from repro.peeling.bup import bup_decomposition, peel_sequential
 
@@ -99,35 +98,9 @@ class TestResultStructure:
 
 
 class TestSequentialPeelKernel:
-    def test_peel_sequential_with_dgm_matches_without(self, blocks_graph):
-        counts = count_per_vertex_priority(blocks_graph).u_counts
-        with_dgm, _, _ = peel_sequential(blocks_graph, "U", counts, enable_dgm=True)
-        without_dgm, _, _ = peel_sequential(blocks_graph, "U", counts, enable_dgm=False)
-        assert np.array_equal(with_dgm, without_dgm)
-
-    def test_peel_order_recorded(self, blocks_graph):
-        counts = count_per_vertex_priority(blocks_graph).u_counts
-        tips, _, order = peel_sequential(
-            blocks_graph, "U", counts, record_peel_order=True
-        )
-        assert sorted(order) == list(range(blocks_graph.n_u))
-        # Tip numbers along the peel order are non-decreasing (fundamental
-        # property of bottom-up peeling).
-        assert np.all(np.diff(tips[order]) >= 0)
-
     def test_wrong_support_length_rejected(self, blocks_graph):
         with pytest.raises(ValueError, match="entries"):
             peel_sequential(blocks_graph, "U", np.zeros(3))
-
-    def test_wedge_budget_enforced(self, blocks_graph):
-        counts = count_per_vertex_priority(blocks_graph).u_counts
-        with pytest.raises(BudgetExceededError):
-            peel_sequential(blocks_graph, "U", counts, wedge_budget=1)
-
-    def test_budget_error_in_bup(self, blocks_graph):
-        with pytest.raises(BudgetExceededError) as info:
-            bup_decomposition(blocks_graph, "U", wedge_budget=1)
-        assert info.value.wedges_traversed > 1
 
 
 class TestSideSymmetry:

@@ -1,10 +1,11 @@
-"""Exactness of FD's level-batched subset peel (``peel_levels``).
+"""Exactness of the level-batched peel (``peel_levels``) of FD and ParB.
 
 ``peel_levels`` peels every vertex at a subset's minimum support as one
-batch; ``peel_sequential`` pops one vertex at a time.  On the induced
+batch; ``peel_sequential`` (BUP) pops one vertex at a time.  On the induced
 subgraphs and ``⋈init`` vectors of real CD runs, both must assign the same
-tip numbers and traverse the same wedges with either peel kernel, and the
-two kernels must agree on every counter of the level loop.
+tip numbers and traverse the same wedges with either peel kernel, the two
+kernels must agree on every counter of the level loop, and the per-round
+records must add up to the counters.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ def _assert_levels_exact(graph: BipartiteGraph, n_partitions: int) -> None:
         init = cd.init_supports[subset]
         level_counters = {}
         for kernel in KERNELS:
-            expected, sequential, _ = peel_sequential(
-                induced, "U", init, enable_dgm=False, peel_kernel=kernel)
-            tips, counters = peel_levels(induced, "U", init, peel_kernel=kernel)
+            expected, sequential = peel_sequential(induced, "U", init, peel_kernel=kernel)
+            tips, counters, rounds = peel_levels(induced, "U", init, peel_kernel=kernel)
             assert np.array_equal(tips, expected), kernel
             assert counters.vertices_peeled == subset.size
             assert counters.wedges_traversed == sequential.wedges_traversed
+            assert len(rounds) == counters.synchronization_rounds
+            assert sum(n for n, _ in rounds) == counters.vertices_peeled
+            assert sum(w for _, w in rounds) == counters.wedges_traversed
+            assert all(n > 0 for n, _ in rounds)
             level_counters[kernel] = counters
         for name in KERNEL_COUNTERS:
             assert (getattr(level_counters["batched"], name)
@@ -67,9 +71,10 @@ class TestPeelLevelsExactness:
             peel_levels(blocks_graph, "U", np.zeros(3))
 
     def test_empty_side(self):
-        tips, counters = peel_levels(BipartiteGraph(0, 3, []), "U", np.zeros(0))
+        tips, counters, rounds = peel_levels(BipartiteGraph(0, 3, []), "U", np.zeros(0))
         assert tips.size == 0
         assert counters.vertices_peeled == 0
+        assert rounds == []
 
 
 class TestReceiptMatchesBup:

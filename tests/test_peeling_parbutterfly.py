@@ -1,9 +1,7 @@
 """Unit tests for the ParButterfly-style (ParB) baseline."""
 
 import numpy as np
-import pytest
 
-from repro.errors import BudgetExceededError
 from repro.graph.builders import complete_bipartite, empty_graph, star
 from repro.peeling.bup import bup_decomposition
 from repro.peeling.parbutterfly import parbutterfly_decomposition
@@ -25,11 +23,6 @@ class TestCorrectness:
     def test_star_and_empty(self):
         assert parbutterfly_decomposition(star(5), "U").max_tip_number == 0
         assert parbutterfly_decomposition(empty_graph(3, 3), "U").tip_numbers.tolist() == [0, 0, 0]
-
-    def test_bucket_count_does_not_change_result(self, blocks_graph):
-        narrow = parbutterfly_decomposition(blocks_graph, "U", n_buckets=4)
-        wide = parbutterfly_decomposition(blocks_graph, "U", n_buckets=256)
-        assert np.array_equal(narrow.tip_numbers, wide.tip_numbers)
 
 
 class TestRoundStructure:
@@ -65,27 +58,8 @@ class TestRoundStructure:
         assert sum(r.total_work for r in regions) == result.counters.peeling_wedges
 
 
-class TestBudgets:
-    def test_wedge_budget(self, blocks_graph):
-        with pytest.raises(BudgetExceededError):
-            parbutterfly_decomposition(blocks_graph, "U", wedge_budget=1)
-
-    def test_round_budget(self, blocks_graph):
-        with pytest.raises(BudgetExceededError):
-            parbutterfly_decomposition(blocks_graph, "U", round_budget=1)
-
-    def test_budget_error_carries_progress(self, blocks_graph):
-        try:
-            parbutterfly_decomposition(blocks_graph, "U", round_budget=2)
-        except BudgetExceededError as error:
-            assert error.wedges_traversed > 0
-        else:  # pragma: no cover
-            pytest.fail("expected BudgetExceededError")
-
-
 class TestMetadata:
     def test_result_fields(self, blocks_graph):
         result = parbutterfly_decomposition(blocks_graph, "U")
         assert result.algorithm == "ParB"
-        assert result.extra["n_buckets"] == 128
         assert result.counters.vertices_peeled == blocks_graph.n_u

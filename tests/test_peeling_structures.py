@@ -1,9 +1,8 @@
-"""Unit tests for the min-support retrieval structures (heap and buckets)."""
+"""Unit tests for the min-support retrieval structure (the lazy heap)."""
 
 import numpy as np
 import pytest
 
-from repro.peeling.bucketing import BucketQueue
 from repro.peeling.minheap import LazyMinHeap
 
 
@@ -94,82 +93,3 @@ class TestLazyMinHeap:
             del current[vertex]
             popped.append(support)
         assert popped == sorted(popped)
-
-
-class TestBucketQueue:
-    def test_extracts_minimum_bucket(self):
-        buckets = BucketQueue(np.array([4, 1, 1, 3]))
-        vertices, level = buckets.next_bucket()
-        assert level == 1
-        assert sorted(vertices) == [1, 2]
-
-    def test_update_moves_vertex(self):
-        buckets = BucketQueue(np.array([5, 9]))
-        buckets.update(1, 2)
-        vertices, level = buckets.next_bucket()
-        assert vertices == [1]
-        assert level == 2
-
-    def test_update_increase_rejected(self):
-        buckets = BucketQueue(np.array([5, 9]))
-        with pytest.raises(ValueError):
-            buckets.update(0, 6)
-
-    def test_overflow_rebucketing(self):
-        # Values far beyond the initial window force a re-bucketing pass.
-        supports = np.array([1, 2, 500, 1000])
-        buckets = BucketQueue(supports, n_buckets=4, bucket_width=1)
-        order = []
-        while buckets:
-            vertices, level = buckets.next_bucket()
-            order.extend((vertex, level) for vertex in vertices)
-        assert [level for _, level in order] == [1, 2, 500, 1000]
-        assert buckets.rebuckets >= 1
-
-    def test_bucket_width_groups_ranges(self):
-        supports = np.array([0, 1, 2, 3, 4, 5])
-        buckets = BucketQueue(supports, n_buckets=2, bucket_width=3)
-        vertices, level = buckets.next_bucket()
-        assert sorted(vertices) == [0, 1, 2]
-        assert level == 0
-        vertices, level = buckets.next_bucket()
-        assert sorted(vertices) == [3, 4, 5]
-
-    def test_empty_raises(self):
-        buckets = BucketQueue(np.array([1]))
-        buckets.next_bucket()
-        assert not buckets
-        with pytest.raises(IndexError):
-            buckets.next_bucket()
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BucketQueue(np.array([1]), n_buckets=0)
-        with pytest.raises(ValueError):
-            BucketQueue(np.array([1]), bucket_width=0)
-
-    def test_full_drain_is_sorted_by_support(self):
-        rng = np.random.default_rng(5)
-        supports = rng.integers(0, 1000, size=100)
-        buckets = BucketQueue(supports, n_buckets=16)
-        drained_levels = []
-        while buckets:
-            vertices, level = buckets.next_bucket()
-            for vertex in vertices:
-                assert supports[vertex] == level
-            drained_levels.append(level)
-        assert drained_levels == sorted(drained_levels)
-        assert sum(1 for _ in drained_levels) == len(set(supports.tolist()))
-
-    def test_current_support_tracking(self):
-        buckets = BucketQueue(np.array([5, 7]))
-        assert buckets.current_support(0) == 5
-        buckets.update(0, 3)
-        assert buckets.current_support(0) == 3
-
-    def test_update_after_extraction_ignored(self):
-        buckets = BucketQueue(np.array([1, 5]))
-        buckets.next_bucket()
-        buckets.update(0, 0)  # vertex already extracted; must not crash
-        vertices, _ = buckets.next_bucket()
-        assert vertices == [1]

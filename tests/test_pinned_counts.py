@@ -4,8 +4,8 @@ For every graph, variant (RECEIPT, RECEIPT-, RECEIPT--) and side, the test
 compares a digest of θ, of CD's subsets, bounds and ⋈init and of its
 iteration records, plus every pvBcnt, CD and FD counter except the
 timing- and arena-dependent ``elapsed_seconds`` and ``peak_scratch_bytes``,
-with ``data/pinned_counts.json``.  ParB's rounds and wedges are pinned
-too.  The graphs are the registry's ``tr`` and ``it`` stand-ins, committed
+with ``data/pinned_counts.json``.  ParB's rounds, wedges, support updates
+and peeled vertices are pinned too.  The graphs are the registry's ``tr`` and ``it`` stand-ins, committed
 as gzip'd edge lists so the pin does not depend on NumPy's random streams.
 
 A change that moves any of these on purpose regenerates the file (and
@@ -72,7 +72,9 @@ def receipt_summary(graph, variant: str, side: str) -> dict:
 
 def parb_summary(graph, side: str) -> dict:
     counters = parbutterfly_decomposition(graph, side).counters
-    return {"rounds": counters.synchronization_rounds, "wedges": counters.wedges_traversed}
+    return {"rounds": counters.synchronization_rounds, "wedges": counters.wedges_traversed,
+            "support_updates": counters.support_updates,
+            "vertices_peeled": counters.vertices_peeled}
 
 
 def load_pinned() -> dict:

@@ -301,7 +301,7 @@ def _read_until_closed(sock) -> bytes:
 
 
 class TestReadDeadlines:
-    """Idle and header deadlines, shortened here, and the header-byte cap."""
+    """Idle, header and body deadlines, shortened here."""
 
     DEADLINE = 0.3
 
@@ -341,6 +341,22 @@ class TestReadDeadlines:
         assert raw.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
         assert b"Connection: close" in raw
         assert self._counted(server, route, 408) == 1
+
+    def test_stalled_body_gets_408_and_close(self, server):
+        # The body promises 10 bytes and 3 arrive: the deadline runs from the
+        # end of the header block, then the connection is answered and gone.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"POST /theta/batch HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 10\r\n\r\n[1,")
+            raw = _read_until_closed(sock)
+        assert raw.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"Connection: close" in raw
+        assert b"request body not received" in raw
+        assert self._counted(server, "/theta/batch", 408) == 1
+        deadline = time.monotonic() + 5.0
+        while server.server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server.server._connections
 
     def test_idle_keep_alive_connection_answers_before_the_deadline(self, server):
         with socket.create_connection(server.address, timeout=10) as sock:
@@ -459,8 +475,9 @@ def _write_splits(draw, payloads):
     return [payload[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _exchange(address, chunks):
-    """Write ``chunks``, half-close, read to EOF; parse every response.
+def _exchange(address, chunks, *, half_close=True):
+    """Write ``chunks``, half-close (unless told not to), read to EOF; parse
+    every response.
 
     Returns ``[(status, head)]``.  Every response must open with a
     well-formed status line and carry its full ``Content-Length`` body.
@@ -471,7 +488,8 @@ def _exchange(address, chunks):
         try:
             for chunk in chunks:
                 sock.sendall(chunk)
-            sock.shutdown(socket.SHUT_WR)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
         except OSError:  # EPIPE, ECONNRESET or ENOTCONN
             pass  # the server already answered and hung up (protocol error, HTTP/1.0)
         try:
@@ -554,6 +572,36 @@ class TestParserFuzz:
         assert len(responses) <= len(requests)
         assert all(status < 500 for status, _ in responses), responses
         _assert_still_serving(async_server.address)
+
+    # Last in the class: the shortened deadlines hold until the class ends.
+    @pytest.fixture(scope="class")
+    def deadline_server(self, artifact):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aserver, "_IDLE_TIMEOUT_SECONDS", TestReadDeadlines.DEADLINE)
+            patch.setattr(aserver, "_HEADER_TIMEOUT_SECONDS", TestReadDeadlines.DEADLINE)
+            handle = start_server_thread([artifact[0]])
+            yield handle
+            handle.stop()
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(requests=st.lists(_READ_ONLY_REQUESTS, max_size=3),
+           body=st.binary(min_size=1, max_size=64), data=st.data())
+    def test_stalled_body(self, deadline_server, requests, body, data):
+        sent = data.draw(st.integers(0, len(body) - 1))
+        stalled = _post_request("/theta/batch", body, "application/json")
+        payload = b"".join(requests) + stalled[:len(stalled) - len(body) + sent]
+        responses = _exchange(deadline_server.address,
+                              data.draw(_write_splits(st.just(payload))), half_close=False)
+        # The connection stays open until the body deadline answers 408,
+        # unless a malformed target was answered and closed it first.
+        *answered, (last_status, last_head) = responses
+        assert b"Connection: close" in last_head
+        if last_status == 408:
+            assert len(answered) == len(requests)
+        else:
+            assert len(responses) <= len(requests)
+        assert all(status < 500 for status, _ in responses), responses
+        _assert_still_serving(deadline_server.address)
 
 
 class TestAsyncUpdates:
