@@ -20,7 +20,6 @@ __all__ = [
     "segment_sums",
     "compact_csr",
     "int_bincount",
-    "csr_entry_keys",
     "locate_csr_entries",
     "insert_csr_entries",
     "delete_csr_entries",
@@ -129,44 +128,38 @@ def compact_csr(
     return kept_before[offsets], values[keep]
 
 
-def csr_entry_keys(offsets: np.ndarray, values: np.ndarray, value_bound: int) -> np.ndarray:
-    """Scalar sort key ``row * value_bound + value`` of every CSR entry.
-
-    When every row's values are sorted ascending (the invariant all CSR
-    adjacencies in this library maintain), the returned key array is globally
-    sorted, which turns membership tests and patch-position lookups into one
-    ``searchsorted`` each (:func:`locate_csr_entries`).
-    """
-    rows = segment_ids(np.diff(offsets))
-    return rows * np.int64(value_bound) + values
-
-
 def locate_csr_entries(
     offsets: np.ndarray,
     values: np.ndarray,
     rows: np.ndarray,
     query_values: np.ndarray,
     value_bound: int,
-    *,
-    entry_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Position of each ``(row, value)`` query in the flat CSR value array.
 
     Returns ``(positions, present)``: ``positions[i]`` is where the query
     would sit in ``values`` (the exact index when ``present[i]``, the
-    insertion point otherwise).  ``entry_keys`` may be passed to reuse a
-    previously built :func:`csr_entry_keys` array across several lookups.
+    insertion point otherwise).  Only the rows the queries touch are
+    gathered: keyed ``local_row * value_bound + value`` they are globally
+    sorted (every row's values ascend), so one ``searchsorted`` places
+    every query and the cost follows the touched rows, not the whole CSR.
+    Query values must lie in ``[0, value_bound)``.
     """
-    if entry_keys is None:
-        entry_keys = csr_entry_keys(offsets, values, value_bound)
-    query_keys = (
-        np.asarray(rows, dtype=np.int64) * np.int64(value_bound)
-        + np.asarray(query_values, dtype=np.int64)
-    )
-    positions = np.searchsorted(entry_keys, query_keys, side="left")
-    present = np.zeros(positions.shape[0], dtype=bool)
-    in_range = positions < entry_keys.shape[0]
-    present[in_range] = entry_keys[positions[in_range]] == query_keys[in_range]
+    rows = np.asarray(rows, dtype=np.int64)
+    query_values = np.asarray(query_values, dtype=np.int64)
+    touched = np.unique(rows)
+    gathered, lengths = gather_rows(offsets, values, touched)
+    bound = np.int64(value_bound)
+    local_rows = np.searchsorted(touched, rows)
+    gathered_keys = segment_ids(lengths) * bound + gathered
+    query_keys = local_rows * bound + query_values
+    local = np.searchsorted(gathered_keys, query_keys)
+    present = np.zeros(rows.shape[0], dtype=bool)
+    inside = local < gathered_keys.shape[0]
+    present[inside] = gathered_keys[local[inside]] == query_keys[inside]
+    # ``local`` lands inside the query's own gathered row, so the offset
+    # into that row carries over to the full CSR.
+    positions = offsets[rows] + (local - segment_offsets(lengths)[local_rows])
     return positions, present
 
 
@@ -176,16 +169,13 @@ def insert_csr_entries(
     rows: np.ndarray,
     new_values: np.ndarray,
     value_bound: int,
-    *,
-    entry_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Insert ``(row, value)`` entries into a CSR, keeping rows sorted.
 
-    The streaming write path: one ``searchsorted`` finds every insertion
-    point against the globally sorted entry keys (pass ``entry_keys`` to
-    reuse a prebuilt :func:`csr_entry_keys` array) and one ``np.insert``
-    splices all new entries in a single pass — no per-row Python loop and no
-    full rebuild/sort of the adjacency.  Entries must not already be present
+    The streaming write path: :func:`locate_csr_entries` finds every
+    insertion point inside the touched rows and one ``np.insert`` splices
+    all new entries in a single pass — no per-row Python loop and no full
+    rebuild/sort of the adjacency.  Entries must not already be present
     and must be unique within the batch (``ValueError`` otherwise).
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -198,15 +188,11 @@ def insert_csr_entries(
     sorted_keys = rows * np.int64(value_bound) + new_values
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("duplicate (row, value) entries in the insert batch")
-    positions, present = locate_csr_entries(
-        offsets, values, rows, new_values, value_bound, entry_keys=entry_keys
-    )
+    positions, present = locate_csr_entries(offsets, values, rows, new_values, value_bound)
     if present.any():
         raise ValueError(f"{int(present.sum())} inserted entries already present in the CSR")
     merged = np.insert(values, positions, new_values)
-    per_row = np.zeros(offsets.shape[0], dtype=np.int64)
-    np.add.at(per_row, rows + 1, 1)
-    return offsets + np.cumsum(per_row), merged
+    return _shift_offsets(offsets, rows, 1), merged
 
 
 def delete_csr_entries(
@@ -215,29 +201,30 @@ def delete_csr_entries(
     rows: np.ndarray,
     del_values: np.ndarray,
     value_bound: int,
-    *,
-    entry_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Remove ``(row, value)`` entries from a CSR in one compaction pass.
+    """Remove ``(row, value)`` entries from a CSR: one ``np.delete`` plus an offsets shift.
 
     Every entry must be present and unique within the batch
-    (``ValueError`` otherwise); removal reuses :func:`compact_csr`, and
-    ``entry_keys`` may carry a prebuilt :func:`csr_entry_keys` array.
+    (``ValueError`` otherwise).
     """
     rows = np.asarray(rows, dtype=np.int64)
     del_values = np.asarray(del_values, dtype=np.int64)
     if rows.size == 0:
         return offsets, values
-    positions, present = locate_csr_entries(
-        offsets, values, rows, del_values, value_bound, entry_keys=entry_keys
-    )
+    positions, present = locate_csr_entries(offsets, values, rows, del_values, value_bound)
     if not present.all():
         raise ValueError(f"{int((~present).sum())} deleted entries not present in the CSR")
     if np.unique(positions).shape[0] != positions.shape[0]:
         raise ValueError("duplicate (row, value) entries in the delete batch")
-    keep = np.ones(values.shape[0], dtype=bool)
-    keep[positions] = False
-    return compact_csr(offsets, values, keep)
+    return _shift_offsets(offsets, rows, -1), np.delete(values, positions)
+
+
+def _shift_offsets(offsets: np.ndarray, rows: np.ndarray, step: int) -> np.ndarray:
+    """Offsets after every row in ``rows`` grew by ``step`` entries (per occurrence)."""
+    per_row = np.bincount(rows, minlength=offsets.shape[0] - 1)
+    shift = np.zeros(offsets.shape[0], dtype=np.int64)
+    np.cumsum(per_row, out=shift[1:])
+    return offsets + step * shift
 
 
 def int_bincount(

@@ -48,7 +48,7 @@ import numpy as np
 from ..errors import ArtifactError, ArtifactMismatchError
 from ..graph.bipartite import BipartiteGraph
 from ..peeling.base import PeelingCounters, TipDecompositionResult
-from .index import level_csr, sorted_order
+from .index import TipIndex
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -221,6 +221,7 @@ def save_artifact(
     overwrite: bool = False,
     streaming: dict | None = None,
     center_butterflies: np.ndarray | None = None,
+    index: TipIndex | None = None,
 ) -> ArtifactManifest:
     """Persist a decomposition (plus its graph CSR) as an artifact directory.
 
@@ -249,6 +250,12 @@ def save_artifact(
         Optional per-vertex butterfly counts of the *non*-decomposed side.
         When stored, streaming updates maintain them incrementally and a
         damage fallback can skip its global re-count phase.
+    index:
+        A :class:`~repro.service.index.TipIndex` over ``result``'s tip
+        numbers whose θ order and level CSR are written as they are (the
+        ``/update`` path hands over the repaired index, so a clean update
+        sorts nothing).  Derived with
+        :meth:`~repro.service.index.TipIndex.from_result` when omitted.
     """
     path = Path(path)
     if result.tip_numbers.shape[0] != graph.side_size(result.side):
@@ -261,16 +268,19 @@ def save_artifact(
             f"artifact path {path} already exists; pass overwrite=True to replace it"
         )
 
-    order = sorted_order(result.tip_numbers)
-    level_values, level_offsets = level_csr(result.tip_numbers[order])
+    if index is None:
+        index = TipIndex.from_result(result)
+    level_values = index.level_values
     csr = graph.csr_arrays()
     arrays: dict[str, np.ndarray] = {
-        "tip_numbers": np.ascontiguousarray(result.tip_numbers, dtype=np.int64),
-        "initial_butterflies": np.ascontiguousarray(result.initial_butterflies, dtype=np.int64),
-        "order": order,
-        "level_values": level_values,
-        "level_offsets": level_offsets,
-        **{key: np.ascontiguousarray(value, dtype=np.int64) for key, value in csr.items()},
+        key: np.ascontiguousarray(value, dtype=np.int64) for key, value in (
+            ("tip_numbers", result.tip_numbers),
+            ("initial_butterflies", result.initial_butterflies),
+            ("order", index.order),
+            ("level_values", level_values),
+            ("level_offsets", index.level_offsets),
+            *csr.items(),
+        )
     }
     if center_butterflies is not None:
         arrays["center_butterflies"] = np.ascontiguousarray(center_butterflies, dtype=np.int64)
@@ -450,6 +460,13 @@ def load_artifact(
         graph changed.
     expected_fingerprint:
         When given, the manifest fingerprint must match exactly.
+
+    Every load checks the arrays' shapes against the manifest, then reads
+    ``order``, ``tip_numbers`` and the level arrays once to check the θ
+    order (a permutation, ids ascending within each level) against the
+    level CSR (strictly rising, 0 to n); a corrupt artifact raises
+    :class:`~repro.errors.ArtifactError` and is never served.  The other
+    arrays stay unread until a query pages them in.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -498,4 +515,40 @@ def load_artifact(
                 f"artifact {path} array {key!r} has shape {list(arrays[key].shape)} "
                 f"but the manifest declares {meta.get('shape')}"
             )
+    problem = _theta_order_problem(
+        arrays["tip_numbers"], arrays["order"], arrays["level_values"], arrays["level_offsets"]
+    )
+    if problem:
+        raise ArtifactError(f"artifact {path} has a corrupt θ order: {problem}")
     return TipArtifact(path=path, manifest=manifest, arrays=arrays, mmapped=mmapped)
+
+
+def _theta_order_problem(tip_numbers, order, level_values, level_offsets) -> str:
+    """What is wrong with an artifact's θ order and level CSR ("" when nothing).
+
+    O(n) structural checks run on every load: an update that changes no θ
+    re-saves the loaded order as it is, so a corrupt one must not get past
+    the load that first reads it.
+    """
+    n = tip_numbers.shape[0]
+    if order.shape != (n,) or level_offsets.shape != (level_values.shape[0] + 1,):
+        return "array lengths disagree"
+    order = np.asarray(order, dtype=np.int64)
+    if n and (order.min() < 0 or order.max() >= n):
+        return "order holds ids out of range"
+    hit = np.zeros(n, dtype=bool)
+    hit[order] = True
+    if not hit.all():
+        return "order is not a permutation"
+    sizes = np.diff(level_offsets)
+    if level_offsets[0] != 0 or level_offsets[-1] != n or np.any(sizes <= 0):
+        return f"level offsets do not rise strictly from 0 to {n}"
+    if np.any(np.diff(level_values) <= 0):
+        return "level values do not rise strictly"
+    sorted_tips = np.asarray(tip_numbers, dtype=np.int64)[order]
+    if not np.array_equal(sorted_tips, np.repeat(level_values, sizes)):
+        return "tip numbers in order disagree with the level CSR"
+    tied = sorted_tips[1:] == sorted_tips[:-1]
+    if np.any(order[1:][tied] <= order[:-1][tied]):
+        return "ids do not ascend within a level"
+    return ""

@@ -59,6 +59,7 @@ omitted when a single artifact is being served.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import tracemalloc
@@ -264,16 +265,22 @@ def error_payload(error: Exception, *, status: int | None = None) -> dict:
     return payload
 
 
+def _reject_constant(literal: str):
+    raise ServiceError(f"request body is not valid JSON: {literal} is not a JSON number")
+
+
 def parse_post_body(raw: bytes) -> dict:
     """Decode a POST body into the JSON object :meth:`TipService.handle` takes.
 
     Malformed JSON and non-object bodies answer a structured 400
-    (:class:`ServiceError`), never a 500.
+    (:class:`ServiceError`), never a 500.  So do the non-standard literals
+    ``NaN``, ``Infinity`` and ``-Infinity``, which ``json.loads`` would
+    otherwise accept.
     """
     if not raw:
         return {}
     try:
-        body = json.loads(raw.decode("utf-8"))
+        body = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise ServiceError("request body is not valid JSON") from None
     if not isinstance(body, dict):
@@ -984,6 +991,16 @@ class TipService:
         deletes = self._edge_list(body, "delete")
         if not inserts and not deletes:
             raise ServiceError('update body must carry "insert" and/or "delete" edges')
+        config_kwargs: dict = {}
+        if "damage_threshold" in body:
+            threshold = body["damage_threshold"]
+            # NaN and the infinities would raise deep inside the repair, and a
+            # negative value would silently force a full rebuild; a bool is
+            # not a number here.
+            if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+                    or not 0 <= threshold < math.inf):
+                raise ServiceError('"damage_threshold" must be a finite number >= 0')
+            config_kwargs["damage_threshold"] = threshold
 
         name, path = self._resolve(artifact)
         if name in self._routers:
@@ -1003,12 +1020,6 @@ class TipService:
             index = self.cache.get_or_load(path, mmap=self.mmap)
             manifest = read_manifest(path)
             decomposition = dict(manifest.decomposition)
-            config_kwargs: dict = {}
-            if "damage_threshold" in body:
-                try:
-                    config_kwargs["damage_threshold"] = float(body["damage_threshold"])
-                except (TypeError, ValueError):
-                    raise ServiceError('"damage_threshold" must be a number') from None
             algorithm = str(decomposition.get("algorithm") or "receipt").lower()
             config_kwargs["full_algorithm"] = algorithm
             if algorithm.startswith("receipt"):
@@ -1069,6 +1080,7 @@ class TipService:
                 overwrite=True,
                 streaming=streaming,
                 center_butterflies=update.center_butterflies,
+                index=repaired,
             )
             # Atomic swap: the repaired index goes straight into the cache
             # under its new fingerprint, the displaced snapshot is dropped.

@@ -7,9 +7,10 @@ Batches are validated *in full* against the current graph before anything
 is touched, so a rejected batch is a no-op.
 
 Applying a batch never rebuilds the graph from its edge list.  Both CSR
-directions are patched in place-shape (delete = one compaction pass, insert
-= one ``searchsorted`` + one splice, see :mod:`repro.kernels.csr`) and the
-result is wrapped zero-copy with
+directions are patched (delete = one ``np.delete``, insert = one
+``np.insert``, each plus an offsets shift), with every entry located by a
+search inside only the rows the batch touches (:mod:`repro.kernels.csr`),
+and the result is wrapped zero-copy with
 :meth:`~repro.graph.bipartite.BipartiteGraph.from_csr_arrays`.  The patched
 graph is bit-identical — CSR arrays and therefore fingerprint — to a graph
 constructed from scratch on the updated edge set, which is what lets the
@@ -24,12 +25,7 @@ import numpy as np
 
 from ..errors import StreamingError
 from ..graph.bipartite import BipartiteGraph
-from ..kernels.csr import (
-    csr_entry_keys,
-    delete_csr_entries,
-    insert_csr_entries,
-    locate_csr_entries,
-)
+from ..kernels.csr import delete_csr_entries, insert_csr_entries, locate_csr_entries
 
 __all__ = ["EdgeBatch", "validate_batch", "apply_batch"]
 
@@ -88,16 +84,13 @@ def _check_ranges(edges: np.ndarray, n_u: int, n_v: int, label: str) -> None:
         )
 
 
-def validate_batch(
-    graph: BipartiteGraph, batch: EdgeBatch, *, entry_keys: np.ndarray | None = None
-) -> None:
+def validate_batch(graph: BipartiteGraph, batch: EdgeBatch) -> None:
     """Check a batch against the graph; raise :class:`StreamingError` if invalid.
 
     Rules: every id in range, no edge repeated within or across the two
     lists, every insert currently absent, every delete currently present.
     The whole batch is validated before any patching, so callers can treat
-    ``apply_batch`` as transactional.  ``entry_keys`` may carry the graph's
-    prebuilt U-side :func:`~repro.kernels.csr.csr_entry_keys` array.
+    ``apply_batch`` as transactional.
     """
     n_u, n_v = graph.n_u, graph.n_v
     _check_ranges(batch.inserts, n_u, n_v, "insert")
@@ -115,18 +108,14 @@ def validate_batch(
         )
 
     u_offsets, u_neighbors = graph.csr("U")
-    if entry_keys is None:
-        entry_keys = csr_entry_keys(u_offsets, u_neighbors, n_v)
     _, present = locate_csr_entries(
-        u_offsets, u_neighbors, batch.inserts[:, 0], batch.inserts[:, 1], n_v,
-        entry_keys=entry_keys,
+        u_offsets, u_neighbors, batch.inserts[:, 0], batch.inserts[:, 1], n_v
     )
     if present.any():
         u, v = batch.inserts[present][0]
         raise StreamingError(f"insert edge ({int(u)}, {int(v)}) already exists")
     _, present = locate_csr_entries(
-        u_offsets, u_neighbors, batch.deletes[:, 0], batch.deletes[:, 1], n_v,
-        entry_keys=entry_keys,
+        u_offsets, u_neighbors, batch.deletes[:, 0], batch.deletes[:, 1], n_v
     )
     if not present.all():
         u, v = batch.deletes[~present][0]
@@ -140,38 +129,30 @@ def apply_batch(
 
     Deletes are applied before inserts (the two sets are disjoint, so the
     order only matters for intermediate array sizes).  Vertex-set sizes are
-    fixed: streams mutate edges, not the id space.  Each side's entry-key
-    array is built once and shared between validation and that side's first
-    patch, so a batch costs three O(E) key passes instead of five.
+    fixed: streams mutate edges, not the id space.  Every lookup searches
+    only the rows the batch touches; the one O(E) cost per side and list is
+    the copy into the new value array.
     """
+    if validate:
+        validate_batch(graph, batch)
+    if batch.is_empty:
+        return graph
     u_offsets, u_neighbors = graph.csr("U")
     v_offsets, v_neighbors = graph.csr("V")
     n_u, n_v = graph.n_u, graph.n_v
-    u_keys = csr_entry_keys(u_offsets, u_neighbors, n_v) if batch.n_changes else None
-    if validate:
-        validate_batch(graph, batch, entry_keys=u_keys)
-    if batch.is_empty:
-        return graph
-    v_keys = csr_entry_keys(v_offsets, v_neighbors, n_u)
-
     if batch.deletes.shape[0]:
         u_offsets, u_neighbors = delete_csr_entries(
-            u_offsets, u_neighbors, batch.deletes[:, 0], batch.deletes[:, 1], n_v,
-            entry_keys=u_keys,
+            u_offsets, u_neighbors, batch.deletes[:, 0], batch.deletes[:, 1], n_v
         )
         v_offsets, v_neighbors = delete_csr_entries(
-            v_offsets, v_neighbors, batch.deletes[:, 1], batch.deletes[:, 0], n_u,
-            entry_keys=v_keys,
+            v_offsets, v_neighbors, batch.deletes[:, 1], batch.deletes[:, 0], n_u
         )
-        u_keys = v_keys = None  # the arrays just changed
     if batch.inserts.shape[0]:
         u_offsets, u_neighbors = insert_csr_entries(
-            u_offsets, u_neighbors, batch.inserts[:, 0], batch.inserts[:, 1], n_v,
-            entry_keys=u_keys,
+            u_offsets, u_neighbors, batch.inserts[:, 0], batch.inserts[:, 1], n_v
         )
         v_offsets, v_neighbors = insert_csr_entries(
-            v_offsets, v_neighbors, batch.inserts[:, 1], batch.inserts[:, 0], n_u,
-            entry_keys=v_keys,
+            v_offsets, v_neighbors, batch.inserts[:, 1], batch.inserts[:, 0], n_u
         )
     return BipartiteGraph.from_csr_arrays(
         n_u, n_v, u_offsets, u_neighbors, v_offsets, v_neighbors, name=graph.name

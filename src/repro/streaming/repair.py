@@ -476,7 +476,9 @@ def apply_update(
         k_seed = int(floors.min())
         work = new_graph.wedge_work_per_vertex(side)
         total_work = int(work.sum())
-        work_budget = int(config.damage_threshold * total_work)
+        # Saturate: a huge finite threshold means "never fall back", not an
+        # int64 overflow.
+        work_budget = int(min(config.damage_threshold * total_work, np.iinfo(np.int64).max))
         with tracer.span("streaming.repair_region"):
             regions, closure_wedges = _repair_region(
                 new_graph, side, dirty, floors, tip_numbers, work, work_budget,

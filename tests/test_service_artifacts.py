@@ -19,6 +19,7 @@ from repro.engine import ThreadBackend
 from repro.errors import ArtifactError, ArtifactMismatchError
 from repro.graph.builders import from_edge_list
 from repro.service.artifacts import (
+    ARRAYS_FILENAME,
     ARTIFACT_FORMAT_VERSION,
     MANIFEST_FILENAME,
     TipArtifact,
@@ -189,12 +190,59 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="format version"):
             load_artifact(path)
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_swapped_order_entries_raise(self, graph, tmp_path, mmap):
+        """A same-shape corruption of ``order`` is caught on load."""
+        result = _decompose(graph)
+        path = tmp_path / "idx.tipidx"
+        save_artifact(path, graph, result)
+
+        def swap_across_levels(arrays):
+            order = arrays["order"]
+            order[[0, -1]] = order[[-1, 0]]
+
+        assert result.tip_numbers.min() < result.tip_numbers.max()
+        _rewrite_arrays(path, swap_across_levels)
+        with pytest.raises(ArtifactError, match="corrupt θ order"):
+            load_artifact(path, mmap=mmap)
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda arrays: arrays["order"].__setitem__(0, arrays["order"][1]), "permutation"),
+        (lambda arrays: arrays["order"].__setitem__(0, -1), "out of range"),
+        (lambda arrays: arrays["level_offsets"].__setitem__(1, 0), "level offsets"),
+        (lambda arrays: arrays["level_values"].__setitem__(0, 10**6), "level values"),
+        (lambda arrays: arrays["tip_numbers"].__setitem__(
+            arrays["order"][0], arrays["level_values"][0] - 1), "disagree"),
+        (lambda arrays: arrays["order"].__setitem__(
+            [0, 1], arrays["order"][[1, 0]]), "ascend within a level"),
+    ], ids=["duplicate-id", "negative-id", "empty-level", "falling-values",
+            "theta-mismatch", "ties-descending"])
+    def test_structural_checks_name_the_problem(self, graph, tmp_path, corrupt, problem):
+        result = _decompose(graph)
+        path = tmp_path / "idx.tipidx"
+        save_artifact(path, graph, result)
+        sizes = np.diff(load_artifact(path).arrays["level_offsets"])
+        assert sizes[0] >= 2 and sizes.size >= 2
+        _rewrite_arrays(path, corrupt)
+        with pytest.raises(ArtifactError, match=problem):
+            load_artifact(path)
+
     def test_no_stale_temp_dirs_after_save(self, graph, tmp_path):
         result = _decompose(graph)
         save_artifact(tmp_path / "a.tipidx", graph, result)
         save_artifact(tmp_path / "a.tipidx", graph, result, overwrite=True)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "a.tipidx"]
         assert leftovers == []
+
+
+def _rewrite_arrays(path, corrupt):
+    """Rewrite ``arrays.npz`` after ``corrupt`` edited its arrays in place."""
+    with np.load(path / ARRAYS_FILENAME) as payload:
+        arrays = {key: payload[key].copy() for key in payload.files}
+    shapes = {key: value.shape for key, value in arrays.items()}
+    corrupt(arrays)
+    assert {key: value.shape for key, value in arrays.items()} == shapes
+    np.savez(path / ARRAYS_FILENAME, **arrays)
 
 
 class TestEmptyGraph:

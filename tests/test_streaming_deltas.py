@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StreamingError
 from repro.graph.bipartite import BipartiteGraph
-from repro.kernels.csr import (
-    csr_entry_keys,
-    delete_csr_entries,
-    insert_csr_entries,
-    locate_csr_entries,
-)
+from repro.kernels.csr import delete_csr_entries, insert_csr_entries, locate_csr_entries
 from repro.service.artifacts import graph_fingerprint
 from repro.streaming import EdgeBatch, apply_batch, validate_batch
 
@@ -25,11 +20,6 @@ def _graph():
 # kernels.csr patch primitives
 # ----------------------------------------------------------------------
 class TestCsrPatchKernels:
-    def test_entry_keys_are_globally_sorted(self):
-        offsets, neighbors = _graph().csr("U")
-        keys = csr_entry_keys(offsets, neighbors, 4)
-        assert np.all(np.diff(keys) > 0)
-
     def test_locate_finds_present_and_absent(self):
         offsets, neighbors = _graph().csr("U")
         positions, present = locate_csr_entries(
@@ -38,6 +28,17 @@ class TestCsrPatchKernels:
         assert present.tolist() == [True, False, True]
         assert neighbors[positions[0]] == 2
         assert neighbors[positions[2]] == 2
+
+    def test_locate_handles_no_queries_and_empty_rows(self):
+        offsets = np.array([0, 0, 2, 2], dtype=np.int64)
+        values = np.array([1, 3], dtype=np.int64)
+        positions, present = locate_csr_entries(
+            offsets, values, np.array([0, 2, 1, 1, 1]), np.array([2, 0, 0, 3, 4]), 5
+        )
+        assert positions.tolist() == [0, 2, 0, 1, 2]
+        assert present.tolist() == [False, False, False, True, False]
+        positions, present = locate_csr_entries(offsets, values, np.zeros(0), np.zeros(0), 5)
+        assert positions.shape == present.shape == (0,)
 
     def test_insert_keeps_rows_sorted(self):
         offsets, neighbors = _graph().csr("U")
@@ -138,23 +139,53 @@ class TestApplyBatch:
 
 
 @st.composite
-def graph_and_batch(draw, max_u=10, max_v=10, max_edges=40, max_changes=8):
-    """A random graph plus a valid insert/delete batch against it."""
+def graph_and_batch(draw, max_u=10, max_v=10, max_edges=40):
+    """A random graph plus a valid insert/delete batch against it.
+
+    The batch toggles a set of ``(u, v)`` pairs (present ones are deleted,
+    absent ones inserted), so it is valid by construction.  The set always
+    holds a pair in the first and the last row of each side, several pairs
+    of one row, and every pair of one row — that row is emptied by the
+    deletes and refilled by the inserts.
+    """
     n_u = draw(st.integers(min_value=1, max_value=max_u))
     n_v = draw(st.integers(min_value=1, max_value=max_v))
     possible = [(u, v) for u in range(n_u) for v in range(n_v)]
     n_edges = draw(st.integers(min_value=0, max_value=min(max_edges, len(possible))))
-    indices = draw(
-        st.lists(st.integers(min_value=0, max_value=len(possible) - 1),
-                 min_size=n_edges, max_size=n_edges, unique=True)
-    )
-    present = [possible[i] for i in indices]
-    absent = [edge for i, edge in enumerate(possible) if i not in set(indices)]
-    n_del = draw(st.integers(min_value=0, max_value=min(len(present), max_changes)))
-    n_ins = draw(st.integers(min_value=0, max_value=min(len(absent), max_changes)))
-    deletes = present[:n_del]
-    inserts = absent[:n_ins]
-    return BipartiteGraph(n_u, n_v, present), EdgeBatch.from_lists(inserts or None, deletes or None)
+    present = set(draw(st.lists(st.sampled_from(possible), min_size=n_edges,
+                                max_size=n_edges, unique=True)))
+    u_ids = st.integers(min_value=0, max_value=n_u - 1)
+    v_ids = st.integers(min_value=0, max_value=n_v - 1)
+    toggled = set(draw(st.lists(st.sampled_from(possible), max_size=6)))
+    toggled |= {(0, draw(v_ids)), (n_u - 1, draw(v_ids)),
+                (draw(u_ids), 0), (draw(u_ids), n_v - 1)}
+    hot = draw(u_ids)
+    toggled |= {(hot, v) for v in draw(st.sets(v_ids, min_size=1, max_size=4))}
+    refilled = draw(u_ids)
+    toggled |= {(refilled, v) for v in range(n_v)}
+    deletes = sorted(toggled & present)
+    inserts = sorted(toggled - present)
+    if draw(st.booleans()):
+        inserts = draw(st.permutations(inserts))
+    return (BipartiteGraph(n_u, n_v, sorted(present)),
+            EdgeBatch.from_lists(inserts or None, deletes or None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=graph_and_batch())
+def test_locate_matches_brute_force(case):
+    """``locate_csr_entries`` against its definition, on both CSR sides."""
+    graph, batch = case
+    queries = batch.changed_edges()
+    for side, (rows, values), bound in (("U", queries.T, graph.n_v),
+                                        ("V", queries[:, ::-1].T, graph.n_u)):
+        offsets, neighbors = graph.csr(side)
+        positions, present = locate_csr_entries(offsets, neighbors, rows, values, bound)
+        for row, value, position, found in zip(rows, values, positions, present):
+            row_values = neighbors[offsets[row]:offsets[row + 1]].tolist()
+            assert found == (value in row_values)
+            expected = offsets[row] + sum(1 for entry in row_values if entry < value)
+            assert position == expected
 
 
 @settings(max_examples=60, deadline=None)

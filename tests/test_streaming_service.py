@@ -6,21 +6,29 @@ surfaced by ``/stats``, and the ``repro update`` CLI command.
 """
 
 import json
+import tempfile
 import urllib.error
 import urllib.request
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
 from repro.graph.bipartite import BipartiteGraph
-from repro.service.artifacts import read_manifest
+from repro.peeling.base import TipDecompositionResult
+from repro.peeling.bup import bup_decomposition
+from repro.service.artifacts import ARRAYS_FILENAME, read_manifest, save_artifact
 from repro.service.build import build_index_artifact
+from repro.service.index import level_csr, sorted_order
 from repro.service.aserver import start_server_thread
-from repro.service.server import ENDPOINTS, TipService
+from repro.service.replication import ReplicationCoordinator
+from repro.service.server import ENDPOINTS, TipService, parse_post_body
 
 
 @pytest.fixture
@@ -167,6 +175,158 @@ class TestUpdateEndpointOffline:
         summary = next(iter(stats["artifacts"].values()))
         assert "histogram" in summary
         assert "streaming" in summary and "format_version" in summary
+
+
+def _repairing_delete(graph):
+    """A delete inside a planted block, so the batch needs a repair."""
+    fresh = _fresh(graph)
+    edge = next(edge for edge in graph.edge_array().tolist()
+                if fresh.tip_numbers[edge[0]] > 0)
+    return {"delete": [edge]}
+
+
+# ----------------------------------------------------------------------
+# Exactness of the write path: what /update saves == a from-scratch save
+# ----------------------------------------------------------------------
+def _npz_members(path):
+    with zipfile.ZipFile(path / ARRAYS_FILENAME) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def _assert_saved_like_scratch(path, service, scratch):
+    """Each saved array equals a from-scratch save of the served graph and θ."""
+    index = service.index_for()
+    order = sorted_order(index.tip_numbers)
+    level_values, level_offsets = level_csr(index.tip_numbers[order])
+    assert np.array_equal(index.order, order)
+    assert np.array_equal(index.level_values, level_values)
+    assert np.array_equal(index.level_offsets, level_offsets)
+    result = TipDecompositionResult(
+        tip_numbers=index.tip_numbers, side=index.side,
+        initial_butterflies=index.initial_butterflies, algorithm=index.algorithm,
+    )
+    save_artifact(scratch, index.graph, result, overwrite=True,
+                  center_butterflies=index.center_butterflies)
+    assert _npz_members(path) == _npz_members(scratch)
+    fresh = bup_decomposition(index.graph, "U")
+    assert np.array_equal(index.tip_numbers, fresh.tip_numbers)
+
+
+@st.composite
+def write_stream(draw, max_u=8, max_v=7, max_batches=5):
+    """A random graph plus ``/update`` bodies that reach every update mode.
+
+    The last U and V vertices stay isolated except for the pendant edge
+    between them, whose toggles are clean by construction; the other
+    batches toggle random pairs among the remaining ids under a damage
+    threshold of 0.0 (any repair becomes a full rebuild) or 1.0.
+    """
+    n_u = draw(st.integers(min_value=3, max_value=max_u))
+    n_v = draw(st.integers(min_value=3, max_value=max_v))
+    core = [(u, v) for u in range(n_u - 1) for v in range(n_v - 1)]
+    present = set(draw(st.lists(st.sampled_from(core), max_size=len(core), unique=True)))
+    start = BipartiteGraph(n_u, n_v, sorted(present))
+    pendant = (n_u - 1, n_v - 1)
+    bodies = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_batches))):
+        if draw(st.booleans()):
+            toggled = {pendant}
+            threshold = 1.0
+        else:
+            toggled = set(draw(st.lists(st.sampled_from(core), min_size=1, max_size=3)))
+            threshold = draw(st.sampled_from([0.0, 1.0]))
+        bodies.append({"insert": [list(edge) for edge in sorted(toggled - present)],
+                       "delete": [list(edge) for edge in sorted(toggled & present)],
+                       "damage_threshold": threshold})
+        present ^= toggled
+    return start, pendant, bodies
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=write_stream())
+def test_update_saves_what_a_scratch_save_writes(case):
+    start, pendant, bodies = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.tipidx"
+        build_index_artifact(start, path, side="U", n_partitions=2)
+        service = TipService([path])
+        for body in bodies:
+            mode = service.handle("/update", {}, body)["mode"]
+            if [list(pendant)] in (body["insert"], body["delete"]):
+                assert mode == "clean"
+            elif body["damage_threshold"] == 0.0:
+                assert mode in ("clean", "full")
+            _assert_saved_like_scratch(path, service, Path(tmp) / "scratch.tipidx")
+
+
+def test_write_path_modes_all_save_like_scratch(artifact, graph, tmp_path):
+    """One fixed stream that takes each of the three modes."""
+    service = TipService([artifact])
+    in_block = _repairing_delete(graph)
+    assert graph.degree(39, "U") == graph.degree(29, "V") == 0
+    pendant = [[39, 29]]  # an edge between two isolated vertices holds no butterfly
+    modes = []
+    for body in ({"insert": pendant}, {"delete": pendant},
+                 {**in_block, "damage_threshold": 1.0},
+                 {"insert": in_block["delete"], "damage_threshold": 0.0}):
+        modes.append(service.handle("/update", {}, body)["mode"])
+        _assert_saved_like_scratch(artifact, service, tmp_path / "scratch.tipidx")
+    assert modes == ["clean", "clean", "incremental", "full"]
+
+
+class TestDamageThreshold:
+    """``damage_threshold`` must be a finite number >= 0, checked before any write."""
+
+    @staticmethod
+    def _leader(artifact):
+        service = TipService([artifact])
+        return service, ReplicationCoordinator(service, role="leader")
+
+    @pytest.mark.parametrize("threshold", [
+        float("nan"), float("inf"), float("-inf"), -1.0, True, "0.5", None, [0.5],
+    ], ids=["nan", "inf", "-inf", "negative", "bool", "string", "null", "list"])
+    def test_bad_threshold_is_400_and_writes_nothing(self, artifact, graph, threshold):
+        service, coordinator = self._leader(artifact)
+        before = read_manifest(artifact).fingerprint
+        body = {**_repairing_delete(graph), "damage_threshold": threshold}
+        with pytest.raises(ServiceError, match="damage_threshold") as excinfo:
+            service.handle("/update", {}, body)
+        assert excinfo.value.status == 400
+        assert read_manifest(artifact).fingerprint == before
+        assert coordinator.status()["offset"] == 0
+
+    def test_huge_finite_threshold_never_falls_back(self, artifact, graph):
+        service, _ = self._leader(artifact)
+        for threshold in (1e308, 10**30):
+            body = {**_repairing_delete(service.index_for().graph),
+                    "damage_threshold": threshold}
+            assert service.handle("/update", {}, body)["mode"] != "full"
+
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_standard_json_constants_are_invalid(self, literal):
+        with pytest.raises(ServiceError, match="not valid JSON") as excinfo:
+            parse_post_body(b'{"damage_threshold": ' + literal + b"}")
+        assert excinfo.value.status == 400
+
+    def test_nan_literal_over_http_is_400(self, artifact, graph):
+        service, coordinator = self._leader(artifact)
+        before = read_manifest(artifact).fingerprint
+        edge = _repairing_delete(graph)["delete"][0]
+        body = f'{{"delete": [[{edge[0]}, {edge[1]}]], "damage_threshold": NaN}}'
+        handle = start_server_thread(service=service)
+        try:
+            request = urllib.request.Request(
+                handle.base_url + "/update", data=body.encode(),
+                headers={"Content-Type": "application/json"}, method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
+        finally:
+            handle.stop()
+        assert read_manifest(artifact).fingerprint == before
+        assert coordinator.status()["offset"] == 0
 
 
 class TestUpdateEndpointHttp:
