@@ -6,8 +6,11 @@ A plain script (no pytest harness) so CI can run it directly:
 
 For each selected dataset stand-in it runs the RECEIPT CD phase twice —
 once with the vectorized batched kernel, once with the per-vertex reference
-loop — verifies that wedge traversal, support updates and subset contents
-agree exactly, and records wall time for both.  Results (wall time + wedges
+loop of ``repro.peeling.reference`` (the library never calls it: the
+reference run rebinds the names the algorithms call the kernel by, with
+``unittest.mock.patch``) — verifies that wedge traversal, support updates
+and subset contents agree exactly and that the reference peeled every
+round, and records wall time for both.  Results (wall time + wedges
 traversed per dataset and kernel, plus the speedup) are written to
 ``BENCH_peeling.json`` at the repository root so successive CI runs chart
 the performance trajectory of the peeling hot path.
@@ -30,18 +33,41 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
-
-import numpy as np
+from unittest import mock
 
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.kernels.workspace import WedgeWorkspace
+from repro.peeling.reference import peel_batch_reference, peel_vertex_reference
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 QUICK_DATASETS = ("it", "de")
 SPEEDUP_FLOOR = 3.5
+
+
+def peel_kernel(kernel: str, calls: list) -> ExitStack:
+    """A context in which the decompositions peel with ``kernel``.
+
+    ``"reference"`` rebinds the three names RECEIPT, BUP and ParB call
+    Alg. 2's ``update`` by to the per-vertex reference (which takes no
+    ``workspace``) and appends one entry to ``calls`` per reference call.
+    """
+    def shim(reference):
+        def peel(adjacency, supports, peeled, threshold, *, workspace=None):
+            calls.append(reference.__name__)
+            return reference(adjacency, supports, peeled, threshold)
+        return peel
+
+    stack = ExitStack()
+    if kernel == "reference":
+        for site, reference in (("repro.core.cd.peel_batch", peel_batch_reference),
+                                ("repro.peeling.bup.peel_batch", peel_batch_reference),
+                                ("repro.peeling.bup.peel_vertex", peel_vertex_reference)):
+            stack.enter_context(mock.patch(site, shim(reference)))
+    return stack
 
 
 def run_cd(graph, initial_supports, *, kernel: str, n_partitions: int,
@@ -49,20 +75,22 @@ def run_cd(graph, initial_supports, *, kernel: str, n_partitions: int,
     elapsed = None
     for _ in range(rounds):
         workspace = WedgeWorkspace()  # fresh arena per run: exact peak accounting
-        start = time.perf_counter()
-        result = coarse_grained_decomposition(
-            graph,
-            initial_supports,
-            n_partitions,
-            enable_huc=False,  # isolate the peel kernel: no re-count shortcuts
-            enable_dgm=True,
-            peel_kernel=kernel,
-            workspace=workspace,
-        )
-        lap = time.perf_counter() - start
+        calls: list = []
+        with peel_kernel(kernel, calls):
+            start = time.perf_counter()
+            result = coarse_grained_decomposition(
+                graph,
+                initial_supports,
+                n_partitions,
+                enable_huc=False,  # isolate the peel kernel: no re-count shortcuts
+                enable_dgm=True,
+                workspace=workspace,
+            )
+            lap = time.perf_counter() - start
         elapsed = lap if elapsed is None else min(elapsed, lap)
     return {
         "kernel": kernel,
+        "reference_calls": len(calls),
         "cd_seconds": elapsed,
         "peak_scratch_bytes": int(result.counters.peak_scratch_bytes),
         "wedges_traversed": int(result.counters.wedges_traversed),
@@ -89,6 +117,14 @@ def bench_dataset(key: str, *, scale: float, n_partitions: int, rounds: int) -> 
                 f"{key}: batched and reference kernels disagree on {counter}: "
                 f"{runs['batched'][counter]} != {runs['reference'][counter]}"
             )
+    # Without HUC every CD round peels, so the reference must have run once
+    # per round; otherwise both runs took the batched kernel.
+    if (runs["batched"]["reference_calls"] != 0
+            or runs["reference"]["reference_calls"] != runs["reference"]["synchronization_rounds"]):
+        raise AssertionError(
+            f"{key}: the reference kernel ran {runs['reference']['reference_calls']} times "
+            f"over {runs['reference']['synchronization_rounds']} CD rounds"
+        )
 
     speedup = runs["reference"]["cd_seconds"] / max(runs["batched"]["cd_seconds"], 1e-9)
     return {

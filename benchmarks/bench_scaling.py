@@ -17,8 +17,8 @@ parallel part of RECEIPT — through the execution engine:
 Every run is checked for bit-identical tip numbers, ``wedges_traversed``
 and ``support_updates`` against the serial oracle — the script exits
 non-zero on any mismatch.  Wall-clock times, measured speedups and the LPT
-cost-model projection (``repro.distributed.simulate_fd_fanout``) are
-written to ``BENCH_scaling.json`` at the repository root.
+projection of FD's own share schedule (``repro.core.fd.fd_share_schedule``)
+are written to ``BENCH_scaling.json`` at the repository root.
 
 ``--check-speedup`` additionally gates that the largest process fan-out
 beats the 1-worker process run; apply it on multicore hardware only —
@@ -43,9 +43,8 @@ import numpy as np
 
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
-from repro.core.fd import fine_grained_decomposition
+from repro.core.fd import fd_share_schedule, fine_grained_decomposition
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.distributed.simulation import simulate_fd_fanout
 from repro.engine import ProcessBackend, ThreadBackend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,17 +138,20 @@ def main(argv=None) -> int:
             result, seconds = run_fd(graph, cd_result, engine=engine, rounds=rounds)
         check_identical(serial_result, result, f"process[{workers}]")
         process_seconds[workers] = seconds
-        projection = simulate_fd_fanout(graph, cd_result.subsets, workers)
+        # The ideal speedup of FD's LPT shares: total estimated work over
+        # the makespan.
+        _, schedule = fd_share_schedule(graph, cd_result.subsets, workers)
+        projected = schedule.total_work / schedule.makespan if schedule.makespan > 0 else 1.0
         runs.append({
             "backend": "process",
             "workers": workers,
             "fd_seconds": round(seconds, 4),
             "speedup_vs_serial": round(serial_seconds / max(seconds, 1e-9), 2),
-            "projected_speedup_lpt": round(projection.projected_speedup, 2),
-            "load_imbalance_lpt": round(projection.schedule.imbalance, 3),
+            "projected_speedup_lpt": round(projected, 2),
+            "load_imbalance_lpt": round(schedule.imbalance, 3),
         })
         print(f"process[{workers}]: fd={seconds:.4f}s "
-              f"(projected ideal speedup {projection.projected_speedup:.2f}x)")
+              f"(projected ideal speedup {projected:.2f}x)")
 
     max_workers = max(worker_counts)
     with ThreadBackend(max_workers) as engine:

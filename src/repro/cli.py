@@ -53,9 +53,9 @@ processes one share of the subset peels (bit-identical results, real
 wall-clock scaling on multicore hardware), ``thread`` gives each share to
 one of ``--threads`` pool threads, and ``serial`` is the single-process
 default.  Counting and CD run on the calling thread under every backend.
-``compare`` forwards the same ``--peel-kernel`` / ``--partitions`` /
-``--threads`` / ``--backend`` configuration to both algorithms so the
-comparison exercises exactly the configured kernels.
+``compare`` forwards the same ``--partitions`` / ``--threads`` /
+``--backend`` configuration to both algorithms so the comparison exercises
+exactly the configured engine.
 
 Every decomposition command also accepts ``--wedge-budget N`` — the cap on
 wedge endpoints a kernel chunk may materialise at once, which bounds the
@@ -81,7 +81,6 @@ from .errors import ReproError
 from .graph.bipartite import BipartiteGraph
 from .graph.io import load_graph
 from .graph.statistics import graph_statistics
-from .peeling.update import PEEL_KERNELS
 
 __all__ = ["main", "build_parser"]
 
@@ -108,11 +107,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every command that runs a decomposition."""
     parser.add_argument("--partitions", type=int, default=None,
                         help="number of RECEIPT partitions P (default: library default)")
-    parser.add_argument("--peel-kernel", default="batched",
-                        choices=list(PEEL_KERNELS),
-                        help="support-update kernel: the vectorized batch kernel "
-                             "(default) or the per-vertex reference loop "
-                             "(ablation baseline)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker count for RECEIPT's execution backend")
     parser.add_argument("--backend", default="serial", choices=list(BACKEND_NAMES),
@@ -132,12 +126,12 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 def _algorithm_kwargs(args: argparse.Namespace, algorithm: str) -> dict:
     """Keyword arguments for one algorithm from the shared execution flags.
 
-    Every algorithm takes the peel kernel; the RECEIPT variants additionally
-    take the thread count, backend and partition count.  Building the dict
-    per algorithm lets ``compare`` forward one configuration to two
-    different algorithms without tripping unknown-argument errors.
+    The RECEIPT variants take the thread count, backend and partition count.
+    Building the dict per algorithm lets ``compare`` forward one
+    configuration to two different algorithms without tripping
+    unknown-argument errors.
     """
-    kwargs: dict = {"peel_kernel": args.peel_kernel}
+    kwargs: dict = {}
     if algorithm.lower().startswith("receipt"):
         kwargs["n_threads"] = args.threads
         kwargs["backend"] = args.backend
@@ -463,8 +457,8 @@ def _command_compare(args: argparse.Namespace) -> int:
     graph = _load(args)
     side = args.side.upper()
     # Both algorithms receive the same execution configuration, so the
-    # comparison exercises the configured kernel/partitions/backend rather
-    # than silently falling back to library defaults.  One trace covers
+    # comparison exercises the configured partitions/backend/wedge budget
+    # rather than silently falling back to library defaults.  One trace covers
     # both runs; the root spans name the algorithms apart.
     with _maybe_trace(args.trace_out):
         first = tip_decomposition(graph, side, algorithm=args.first,
@@ -494,7 +488,6 @@ def _command_build_index(args: argparse.Namespace) -> int:
             args.output,
             side=args.side.upper(),
             algorithm=args.algorithm,
-            peel_kernel=args.peel_kernel,
             backend=args.backend,
             n_threads=args.threads,
             n_partitions=args.partitions,

@@ -101,7 +101,6 @@ def coarse_grained_decomposition(
     enable_dgm: bool = True,
     huc_cost_factor: float = 1.0,
     adaptive_targets: bool = True,
-    peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> CoarseDecompositionResult:
     """Partition the ``U`` side into tip-number-range subsets (Alg. 3).
@@ -135,10 +134,6 @@ def coarse_grained_decomposition(
         subset aims at the static average ``total work / P`` — the naive
         scheme the paper's adaptive mechanism improves on; exposed for the
         design-choice ablation benchmark.
-    peel_kernel:
-        Support-update kernel used by the range-peel iterations: the shared
-        vectorized ``"batched"`` kernel (default) or the per-vertex
-        ``"reference"`` loop (ablation / equivalence runs).
     workspace:
         Scratch arena + memory policy (wedge budget, int32 narrowing) every
         peel iteration and HUC recount runs on; the calling thread's
@@ -242,7 +237,7 @@ def coarse_grained_decomposition(
                     else:
                         # peel_batch runs DGM itself, after the whole batch.
                         update = peel_batch(adjacency, supports, active_set, lower_bound,
-                                            kernel=peel_kernel, workspace=workspace)
+                                            workspace=workspace)
                         counters.wedges_traversed += update.wedges_traversed
                         counters.peeling_wedges += update.wedges_traversed
                         counters.support_updates += update.support_updates

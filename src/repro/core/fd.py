@@ -18,6 +18,7 @@ share is done, and results are bit-identical across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +29,14 @@ from ..kernels.workspace import resolve_wedge_budget
 from ..obs.trace import current_tracer
 from ..peeling.base import PeelingCounters
 from .cd import CoarseDecompositionResult
-from .scheduling import greedy_schedule, lpt_schedule
+from .scheduling import Schedule, greedy_schedule, lpt_schedule
 
-__all__ = ["SubsetPeelRecord", "FineDecompositionResult", "fine_grained_decomposition"]
+__all__ = [
+    "SubsetPeelRecord",
+    "FineDecompositionResult",
+    "fd_share_schedule",
+    "fine_grained_decomposition",
+]
 
 
 @dataclass(frozen=True)
@@ -73,15 +79,39 @@ class FineDecompositionResult:
         return work
 
 
+def fd_share_schedule(
+    graph: BipartiteGraph,
+    subsets: Sequence[np.ndarray],
+    n_shares: int,
+    *,
+    workload_aware: bool = True,
+) -> tuple[np.ndarray, Schedule]:
+    """Each subset's estimated work and FD's schedule of them into shares.
+
+    A subset's estimated work is the wedges (in ``G``) of its vertices: the
+    paper uses this same proxy because induced-subgraph wedges are unknown
+    until the subgraph is built.  With ``workload_aware`` the shares follow
+    the LPT rule (subsets in decreasing estimated work, each to the
+    least-loaded share); otherwise the subsets are dealt in their original
+    order.  The schedule's makespan bounds what ``n_shares`` workers can
+    achieve, which makes it the cheap projection of a fan-out.
+    """
+    wedge_work = graph.wedge_work_per_vertex("U")
+    estimated_work = np.array(
+        [float(wedge_work[subset].sum()) if subset.size else 0.0 for subset in subsets]
+    )
+    if workload_aware:
+        return estimated_work, lpt_schedule(estimated_work, n_shares)
+    return estimated_work, greedy_schedule(estimated_work, n_shares)
+
+
 def fine_grained_decomposition(
     graph: BipartiteGraph,
     cd_result: CoarseDecompositionResult,
     *,
     engine: EngineBackend | None = None,
     workload_aware: bool = True,
-    peel_kernel: str = "batched",
     wedge_budget: int | None = None,
-    narrow_ids: bool = True,
 ) -> FineDecompositionResult:
     """Compute exact tip numbers from CD's subsets (Alg. 4).
 
@@ -102,18 +132,12 @@ def fine_grained_decomposition(
         work (WaS), each to the least-loaded share.  Disabling it deals the
         subsets in their original order, the "original order" schedule of
         Fig. 3.
-    peel_kernel:
-        Support-update kernel for the share peels (``"batched"`` or
-        ``"reference"``); each round is one
-        :func:`~repro.peeling.update.peel_batch` through the shared kernel
-        layer.
-    wedge_budget, narrow_ids:
-        Memory policy forwarded into every task's per-worker
+    wedge_budget:
+        Wedge budget of every task's per-worker
         :class:`~repro.kernels.workspace.WedgeWorkspace`; the maximum task
-        peak is reported as ``counters.peak_scratch_bytes``.
-        ``wedge_budget`` follows the user-facing convention everywhere in
-        the library: ``None`` means the library default, zero or negative
-        disables chunking.
+        peak is reported as ``counters.peak_scratch_bytes``.  It follows
+        the user-facing convention everywhere in the library: ``None``
+        means the library default, zero or negative disables chunking.
     """
     engine = engine or SerialBackend()
     counters = PeelingCounters()
@@ -123,19 +147,10 @@ def fine_grained_decomposition(
         tip_numbers = np.zeros(graph.n_u, dtype=np.int64)
         records: dict[int, SubsetPeelRecord] = {}
 
-        # Estimated work per subset: wedges (in G) of its vertices.  The paper
-        # uses this same proxy because induced-subgraph wedges are unknown until
-        # the subgraph is built.
-        wedge_work = graph.wedge_work_per_vertex("U")
-        estimated_work = np.array(
-            [float(wedge_work[subset].sum()) if subset.size else 0.0
-             for subset in cd_result.subsets]
-        )
         n_shares = 1 if engine.name == "serial" else engine.n_workers
-        if workload_aware:
-            schedule = lpt_schedule(estimated_work, n_shares)
-        else:
-            schedule = greedy_schedule(estimated_work, n_shares)
+        estimated_work, schedule = fd_share_schedule(
+            graph, cd_result.subsets, n_shares, workload_aware=workload_aware
+        )
 
         # FD work as data: one descriptor per share, ranging into the flat
         # subset array, plus one job holding the heavyweight shared inputs.
@@ -148,9 +163,7 @@ def fine_grained_decomposition(
             graph=graph,
             subsets_flat=subsets_flat,
             init_supports=np.ascontiguousarray(cd_result.init_supports, dtype=np.int64),
-            peel_kernel=peel_kernel,
             wedge_budget=resolve_wedge_budget(wedge_budget),
-            narrow_ids=narrow_ids,
             trace=tracer.recording,
         )
         results = engine.run_fd_tasks(job, tasks)

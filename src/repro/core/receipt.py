@@ -72,11 +72,6 @@ class ReceiptConfig:
         across backends.
     workload_aware_scheduling:
         Sort FD's task queue by decreasing estimated work.
-    peel_kernel:
-        Support-update kernel used by CD's range peeling and FD's subset
-        peeling: the shared vectorized ``"batched"`` kernel (default) or the
-        per-vertex ``"reference"`` loop kept for ablation and equivalence
-        runs (the CLI exposes this as ``--peel-kernel``).
     wedge_budget:
         Wedge endpoints a kernel chunk may materialise at once — the cap on
         the wedge pipeline's peak scratch.  ``None`` (default) uses the
@@ -93,7 +88,6 @@ class ReceiptConfig:
     n_threads: int = 1
     backend: str = "serial"
     workload_aware_scheduling: bool = True
-    peel_kernel: str = "batched"
     wedge_budget: int | None = None
 
     @classmethod
@@ -213,7 +207,6 @@ def receipt_decomposition(
                 enable_dgm=config.enable_dgm,
                 huc_cost_factor=config.huc_cost_factor,
                 adaptive_targets=config.adaptive_range_targets,
-                peel_kernel=config.peel_kernel,
                 workspace=workspace,
             )
             phase_counters["cd"] = cd_result.counters
@@ -228,9 +221,7 @@ def receipt_decomposition(
                 cd_result,
                 engine=engine,
                 workload_aware=config.workload_aware_scheduling,
-                peel_kernel=config.peel_kernel,
                 wedge_budget=config.wedge_budget,
-                narrow_ids=workspace.narrow_ids,
             )
             phase_counters["fd"] = fd_result.counters
             log_phase("fd", fd_result.counters.elapsed_seconds,

@@ -1,17 +1,9 @@
-"""Distributed-memory simulation of RECEIPT CD/FD (paper Sec. 7 extension)."""
+"""Distributed-memory simulation of RECEIPT CD (paper Sec. 7 extension)."""
 
-from .simulation import (
-    DistributedCdReport,
-    FdFanoutReport,
-    partition_vertices,
-    simulate_distributed_cd,
-    simulate_fd_fanout,
-)
+from .simulation import DistributedCdReport, partition_vertices, simulate_distributed_cd
 
 __all__ = [
     "DistributedCdReport",
-    "FdFanoutReport",
     "partition_vertices",
     "simulate_distributed_cd",
-    "simulate_fd_fanout",
 ]

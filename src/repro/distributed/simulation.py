@@ -28,8 +28,7 @@ import numpy as np
 
 from ..butterfly.counting import count_per_vertex
 from ..core.ranges import AdaptiveRangeTargeter, find_range_upper_bound
-from ..core.scheduling import Schedule, greedy_schedule, lpt_schedule
-from ..engine.tasks import FdTask, build_fd_tasks
+from ..core.scheduling import lpt_schedule
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..graph.dynamic import PeelableAdjacency
@@ -39,8 +38,6 @@ __all__ = [
     "partition_vertices",
     "DistributedCdReport",
     "simulate_distributed_cd",
-    "FdFanoutReport",
-    "simulate_fd_fanout",
 ]
 
 
@@ -234,70 +231,3 @@ def simulate_distributed_cd(
         report.bounds.append(int(supports[leftovers].max()) + 1)
 
     return report
-
-
-@dataclass
-class FdFanoutReport:
-    """Projected multi-worker profile of RECEIPT FD's task fan-out.
-
-    Built from the *same* schedule and task descriptors the execution
-    engine dispatches (:func:`repro.engine.tasks.build_fd_tasks`, one task
-    per worker share), so the projection and the real ``process`` backend
-    agree on the shares and their LPT weights.
-    """
-
-    n_workers: int
-    tasks: list[FdTask]
-    schedule: Schedule
-
-    @property
-    def makespan(self) -> float:
-        """Simulated completion time (max per-worker estimated work)."""
-        return float(self.schedule.makespan)
-
-    @property
-    def projected_speedup(self) -> float:
-        """Total estimated work over makespan — the Fig. 10-style bound."""
-        total = float(self.schedule.total_work)
-        return total / self.makespan if self.makespan > 0 else 1.0
-
-    def summary(self) -> dict:
-        return {
-            "n_workers": self.n_workers,
-            "n_tasks": len(self.tasks),
-            "total_estimated_work": float(self.schedule.total_work),
-            "makespan": self.makespan,
-            "projected_speedup": round(self.projected_speedup, 3),
-            "load_imbalance": round(self.schedule.imbalance, 3),
-        }
-
-
-def simulate_fd_fanout(
-    graph: BipartiteGraph,
-    subsets: list[np.ndarray],
-    n_workers: int,
-    *,
-    workload_aware: bool = True,
-) -> FdFanoutReport:
-    """Project FD's task fan-out onto ``n_workers`` without running it.
-
-    Schedules CD's ``subsets`` (weighted by the same wedge-work proxy FD
-    schedules with) into one share per worker — LPT when
-    ``workload_aware``, arrival order otherwise — and builds the engine's
-    task descriptors for those shares.
-    The resulting makespan bounds what the ``process`` backend can achieve
-    on ideal hardware, which makes it the cheap first check before paying
-    for a real multiprocess run.
-    """
-    if n_workers < 1:
-        raise ReproError("n_workers must be at least 1")
-    wedge_work = graph.wedge_work_per_vertex("U")
-    estimated_work = np.array(
-        [float(wedge_work[subset].sum()) if subset.size else 0.0 for subset in subsets]
-    )
-    if workload_aware:
-        schedule = lpt_schedule(estimated_work, n_workers)
-    else:
-        schedule = greedy_schedule(estimated_work, n_workers)
-    _, tasks = build_fd_tasks(subsets, estimated_work, schedule.assignments)
-    return FdFanoutReport(n_workers=int(n_workers), tasks=tasks, schedule=schedule)

@@ -94,9 +94,7 @@ class SharedFdJobSpec:
     v_neighbors: ShmArraySpec
     subsets_flat: ShmArraySpec
     init_supports: ShmArraySpec
-    peel_kernel: str
     wedge_budget: int | None = None
-    narrow_ids: bool = True
     trace: bool = False
 
     def array_specs(self) -> tuple[ShmArraySpec, ...]:
@@ -216,9 +214,7 @@ def share_fd_job(job: FdJob) -> SharedFdJob:
         n_u=job.graph.n_u,
         n_v=job.graph.n_v,
         graph_name=job.graph.name,
-        peel_kernel=str(job.peel_kernel),
         wedge_budget=None if job.wedge_budget is None else int(job.wedge_budget),
-        narrow_ids=bool(job.narrow_ids),
         trace=bool(job.trace),
         **specs,
     )
@@ -256,9 +252,7 @@ def attach_fd_job(spec: SharedFdJobSpec) -> AttachedFdJob:
         graph=graph,
         subsets_flat=arrays["subsets_flat"],
         init_supports=arrays["init_supports"],
-        peel_kernel=spec.peel_kernel,
         wedge_budget=spec.wedge_budget,
-        narrow_ids=spec.narrow_ids,
         trace=spec.trace,
     )
     return AttachedFdJob(job, segments)

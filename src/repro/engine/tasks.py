@@ -108,15 +108,11 @@ class FdJob:
         by range.
     init_supports:
         The ``⋈init`` vector of CD, indexed by parent-graph ``U`` id.
-    peel_kernel:
-        Support-update kernel of the share peels, forwarded to
-        :func:`~repro.peeling.bup.peel_levels`.
-    wedge_budget, narrow_ids:
-        Memory policy of the per-task
-        :class:`~repro.kernels.workspace.WedgeWorkspace`: the wedge budget
-        caps each task's scratch and ``narrow_ids`` enables int32
-        adjacency/key narrowing.  Unlike the user-facing knobs this carries
-        the *resolved* budget (``None`` = unbounded — callers apply
+    wedge_budget:
+        Wedge budget of the per-task
+        :class:`~repro.kernels.workspace.WedgeWorkspace`, which caps each
+        task's scratch.  Unlike the user-facing knob this carries the
+        *resolved* budget (``None`` = unbounded — callers apply
         :func:`~repro.kernels.workspace.resolve_wedge_budget` first).
         Plain data so the job still pickles in O(graph).
     trace:
@@ -127,9 +123,7 @@ class FdJob:
     graph: BipartiteGraph
     subsets_flat: np.ndarray
     init_supports: np.ndarray
-    peel_kernel: str = "batched"
     wedge_budget: int | None = None
-    narrow_ids: bool = True
     trace: bool = False
 
 
@@ -209,12 +203,10 @@ def execute_fd_task(job: FdJob, task: FdTask) -> FdTaskResult:
         # A fresh arena per task keeps peak accounting exact regardless of
         # which worker (thread, process, or the caller itself) runs the task;
         # within the task every round of the share's peel reuses its buffers.
-        workspace = WedgeWorkspace(
-            wedge_budget=job.wedge_budget, narrow_ids=job.narrow_ids
-        )
+        workspace = WedgeWorkspace(wedge_budget=job.wedge_budget)
         tips, counters, _ = peel_levels(
             induced_graph, "U", job.init_supports[share], labels=labels,
-            peel_kernel=job.peel_kernel, workspace=workspace,
+            workspace=workspace,
         )
 
         # Per-subset static counts: a subset's rows are one contiguous run

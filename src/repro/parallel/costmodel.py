@@ -81,18 +81,17 @@ class RegionCost:
         """Maximum per-thread load for the given thread count."""
         if n_threads <= 1 or self.task_work.size == 0:
             return self.total_work
+        # repro.core imports this module, so its scheduler is imported here.
+        from ..core.scheduling import greedy_schedule, lpt_schedule
+
         work = self.task_work
         if self.scheduling == "static":
             chunks = np.array_split(work, n_threads)
             span = max(float(chunk.sum()) for chunk in chunks)
+        elif self.scheduling == "lpt":
+            span = lpt_schedule(work, n_threads).makespan
         else:
-            if self.scheduling == "lpt":
-                work = np.sort(work)[::-1]
-            loads = np.zeros(n_threads, dtype=np.float64)
-            for task in work:
-                lightest = int(np.argmin(loads))
-                loads[lightest] += task
-            span = float(loads.max())
+            span = greedy_schedule(work, n_threads).makespan
         return span + self.sequential_work
 
 

@@ -4,8 +4,7 @@ from .base import PeelingCounters, TipDecompositionResult
 from .bup import bup_decomposition, peel_sequential
 from .minheap import LazyMinHeap
 from .parbutterfly import parbutterfly_decomposition
-from .reference import peel_batch_reference, peel_vertex_reference
-from .update import PEEL_KERNELS, SupportUpdate, peel_batch, peel_vertex
+from .update import SupportUpdate, peel_batch, peel_vertex
 
 __all__ = [
     "PeelingCounters",
@@ -14,10 +13,7 @@ __all__ = [
     "peel_sequential",
     "LazyMinHeap",
     "parbutterfly_decomposition",
-    "PEEL_KERNELS",
     "SupportUpdate",
     "peel_batch",
     "peel_vertex",
-    "peel_batch_reference",
-    "peel_vertex_reference",
 ]

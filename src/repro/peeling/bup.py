@@ -59,7 +59,6 @@ def peel_sequential(
     initial_supports: np.ndarray,
     *,
     counters: PeelingCounters | None = None,
-    peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, PeelingCounters]:
     """Core sequential peeling loop of BUP: one minimum-support vertex per pop.
@@ -74,9 +73,6 @@ def peel_sequential(
         Supports at the start of peeling (butterfly counts for BUP).
     counters:
         Counter object to accumulate into (a fresh one is created if absent).
-    peel_kernel:
-        Support-update kernel: the shared vectorized ``"batched"`` kernel
-        (default) or the per-vertex ``"reference"`` formulation.
     workspace:
         Scratch arena shared by every pop of the loop (a fresh one when
         omitted, so per-run peak accounting stays exact); its high-water
@@ -99,8 +95,7 @@ def peel_sequential(
         counters.vertices_peeled += 1
         counters.synchronization_rounds += 1
 
-        update = peel_vertex(adjacency, supports, vertex, support, kernel=peel_kernel,
-                             workspace=workspace)
+        update = peel_vertex(adjacency, supports, vertex, support, workspace=workspace)
         counters.wedges_traversed += update.wedges_traversed
         counters.peeling_wedges += update.wedges_traversed
         counters.support_updates += update.support_updates
@@ -119,7 +114,6 @@ def peel_levels(
     *,
     labels: np.ndarray | None = None,
     counters: PeelingCounters | None = None,
-    peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[np.ndarray, PeelingCounters, list[tuple[int, int]]]:
     """Bottom-up peeling one support level per round (ParB, FD, streaming repair).
@@ -191,8 +185,7 @@ def peel_levels(
         tip_numbers[batch] = levels[at_level]
         counters.vertices_peeled += int(batch.size)
         counters.synchronization_rounds += 1
-        update = peel_batch(adjacency, supports, batch, floors, kernel=peel_kernel,
-                            workspace=workspace)
+        update = peel_batch(adjacency, supports, batch, floors, workspace=workspace)
         counters.wedges_traversed += update.wedges_traversed
         counters.peeling_wedges += update.wedges_traversed
         counters.support_updates += update.support_updates
@@ -209,7 +202,6 @@ def bup_decomposition(
     side: str = "U",
     *,
     counts: ButterflyCounts | None = None,
-    peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> TipDecompositionResult:
     """Tip decomposition by sequential bottom-up peeling (Alg. 2).
@@ -222,8 +214,6 @@ def bup_decomposition(
         Side to decompose, ``"U"`` by default.
     counts:
         Pre-computed butterfly counts (counted fresh when omitted).
-    peel_kernel:
-        Support-update kernel (``"batched"`` or ``"reference"``).
     workspace:
         Scratch arena + memory policy for counting and peeling (a fresh
         default-policy one per run when omitted).
@@ -246,8 +236,7 @@ def bup_decomposition(
 
         with tracer.span("bup.peel"):
             tip_numbers, counters = peel_sequential(
-                graph, side, initial, counters=counters,
-                peel_kernel=peel_kernel, workspace=workspace,
+                graph, side, initial, counters=counters, workspace=workspace,
             )
     counters.elapsed_seconds = run_span.duration
     if run_span.recording:

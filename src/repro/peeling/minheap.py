@@ -12,7 +12,6 @@ peeling, the first non-stale entry popped is always a true minimum.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
 
 import numpy as np
 
@@ -29,21 +28,15 @@ class LazyMinHeap:
         keeps a reference-independent copy of the *current* support of each
         vertex; :meth:`decrease` must be called whenever a support drops so
         the heap can prioritise the vertex correctly.
-    vertices:
-        Optional subset of vertex ids to manage; defaults to all indices of
-        ``supports``.
     """
 
-    def __init__(self, supports: np.ndarray, vertices: Iterable[int] | None = None):
+    def __init__(self, supports: np.ndarray):
         supports = np.asarray(supports)
-        if vertices is None:
-            vertices = range(supports.shape[0])
-        self._current: dict[int, int] = {int(v): int(supports[int(v)]) for v in vertices}
-        self._removed: set[int] = set()
+        self._current: dict[int, int] = {
+            vertex: int(support) for vertex, support in enumerate(supports.tolist())
+        }
         self._heap: list[tuple[int, int]] = [(support, vertex) for vertex, support in self._current.items()]
         heapq.heapify(self._heap)
-        self.pushes = len(self._heap)
-        self.stale_pops = 0
 
     def __len__(self) -> int:
         return len(self._current)
@@ -51,33 +44,26 @@ class LazyMinHeap:
     def __bool__(self) -> bool:
         return bool(self._current)
 
-    def __contains__(self, vertex: int) -> bool:
-        return int(vertex) in self._current
-
-    def current_support(self, vertex: int) -> int:
-        """Current support of a managed vertex."""
-        return self._current[int(vertex)]
-
     def decrease(self, vertex: int, new_support: int) -> None:
-        """Record a support decrease for ``vertex``.
+        """Record a support decrease for ``vertex`` (ignored once it is popped).
 
         Increases are rejected because bottom-up peeling only ever lowers
         supports; accepting them would break the lazy-deletion invariant.
         """
         vertex = int(vertex)
-        if vertex in self._removed or vertex not in self._current:
+        current = self._current.get(vertex)
+        if current is None:
             return
         new_support = int(new_support)
-        if new_support > self._current[vertex]:
+        if new_support > current:
             raise ValueError(
                 f"support of vertex {vertex} cannot increase "
-                f"({self._current[vertex]} -> {new_support})"
+                f"({current} -> {new_support})"
             )
-        if new_support == self._current[vertex]:
+        if new_support == current:
             return
         self._current[vertex] = new_support
         heapq.heappush(self._heap, (new_support, vertex))
-        self.pushes += 1
 
     def decrease_many(self, vertices: np.ndarray, new_supports: np.ndarray) -> None:
         """Record the support decreases of one batched :class:`SupportUpdate`.
@@ -101,47 +87,10 @@ class LazyMinHeap:
         """
         while self._heap:
             support, vertex = heapq.heappop(self._heap)
-            if vertex in self._removed or vertex not in self._current:
-                self.stale_pops += 1
-                continue
-            if support != self._current[vertex]:
-                self.stale_pops += 1
+            # Stale: the vertex was popped already, or its support dropped
+            # and a newer entry carries it.
+            if self._current.get(vertex) != support:
                 continue
             del self._current[vertex]
-            self._removed.add(vertex)
             return vertex, support
         raise IndexError("pop from an empty LazyMinHeap")
-
-    def peek_min_support(self) -> int:
-        """Minimum current support without removing the vertex."""
-        while self._heap:
-            support, vertex = self._heap[0]
-            if (
-                vertex in self._removed
-                or vertex not in self._current
-                or support != self._current[vertex]
-            ):
-                heapq.heappop(self._heap)
-                self.stale_pops += 1
-                continue
-            return support
-        raise IndexError("peek on an empty LazyMinHeap")
-
-    def pop_all_min(self) -> tuple[list[int], int]:
-        """Remove and return every vertex currently at the minimum support.
-
-        Returns ``(vertices, support)``.  This is the per-round extraction
-        ParButterfly-style peeling performs.
-        """
-        first_vertex, support = self.pop_min()
-        vertices = [first_vertex]
-        while self._current:
-            try:
-                next_support = self.peek_min_support()
-            except IndexError:  # pragma: no cover - defensive, _current said non-empty
-                break
-            if next_support != support:
-                break
-            vertex, _ = self.pop_min()
-            vertices.append(vertex)
-        return vertices, support

@@ -35,7 +35,6 @@ def parbutterfly_decomposition(
     side: str = "U",
     *,
     counts: ButterflyCounts | None = None,
-    peel_kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> TipDecompositionResult:
     """Tip decomposition with level-synchronous parallel peeling (ParB).
@@ -48,8 +47,6 @@ def parbutterfly_decomposition(
         Side to decompose.
     counts:
         Pre-computed butterfly counts (counted fresh when omitted).
-    peel_kernel:
-        Support-update kernel (``"batched"`` or ``"reference"``).
     workspace:
         Scratch arena + memory policy every round's batch peel runs on (a
         fresh default-policy one per run when omitted).
@@ -83,8 +80,7 @@ def parbutterfly_decomposition(
 
         with tracer.span("parb.peel"):
             tip_numbers, counters, rounds = peel_levels(
-                graph, side, initial, counters=counters,
-                peel_kernel=peel_kernel, workspace=workspace,
+                graph, side, initial, counters=counters, workspace=workspace,
             )
 
     counters.elapsed_seconds = run_span.duration

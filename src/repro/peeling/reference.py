@@ -8,13 +8,15 @@ kernels in :mod:`repro.kernels` replaced it as the default because the
 per-vertex loop made interpreter overhead — not wedge traversal — the
 dominant cost of RECEIPT CD's huge batches.
 
-It is kept in-tree for three reasons:
+It is kept in-tree as the oracle of the batched kernel, and nothing in the
+library imports it:
 
-* the property-based equivalence suite asserts the batched kernel matches
-  it bit-for-bit (supports, ``wedges_traversed`` and ``support_updates``);
-* ``--peel-kernel reference`` on the CLI and the ``peel_kernel`` plumbing
-  in :mod:`repro.core` let ablation benchmarks compare both paths without
-  code edits; and
+* the equivalence suites assert the batched kernel matches it bit-for-bit
+  (supports, ``wedges_traversed`` and ``support_updates``), at the kernel
+  level and end to end: the tests, and ``benchmarks/bench_peeling_smoke.py``,
+  rebind the names the algorithms call the kernel by
+  (``repro.core.cd.peel_batch``, ``repro.peeling.bup.peel_batch`` and
+  ``repro.peeling.bup.peel_vertex``) to these functions for one run; and
 * it documents the sequential semantics (per-step threshold clamping,
   Lemma 2 drop-semantics, one DGM check per batch) the kernels must
   honour.

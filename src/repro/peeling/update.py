@@ -44,12 +44,7 @@ __all__ = [
     "SupportUpdate",
     "peel_vertex",
     "peel_batch",
-    "PEEL_KERNELS",
 ]
-
-#: Valid values of the ``kernel`` argument of :func:`peel_batch` /
-#: :func:`peel_vertex` (and of the CLI's ``--peel-kernel`` option).
-PEEL_KERNELS = ("batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -85,19 +80,12 @@ def _empty_update(wedges_traversed: int = 0) -> SupportUpdate:
     )
 
 
-def _validate_kernel(kernel: str) -> str:
-    if kernel not in PEEL_KERNELS:
-        raise ValueError(f"unknown peel kernel {kernel!r}; expected one of {PEEL_KERNELS}")
-    return kernel
-
-
 def peel_vertex(
     adjacency: PeelableAdjacency,
     supports: np.ndarray,
     vertex: int,
     threshold: int,
     *,
-    kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> SupportUpdate:
     """Peel a single vertex and update supports of its 2-hop neighbours.
@@ -114,19 +102,11 @@ def peel_vertex(
     threshold:
         Lower clamp for the updated supports: the tip number θ_u in exact
         peeling, or the range lower bound θ(i) in RECEIPT CD.
-    kernel:
-        ``"batched"`` (default) runs the shared vectorized kernel;
-        ``"reference"`` dispatches to the per-vertex reference formulation.
     workspace:
         Scratch arena the gather and sort temporaries are checked out of;
         sequential peels (BUP, streaming region re-peels) pass one arena
         for the whole run so per-pop allocation churn disappears.
     """
-    if _validate_kernel(kernel) == "reference":
-        from .reference import peel_vertex_reference
-
-        return peel_vertex_reference(adjacency, supports, vertex, threshold)
-
     workspace = workspace_or_default(workspace)
     peel_offsets, peel_neighbors = adjacency.peel_csr()
     center_offsets, center_neighbors = adjacency.center_csr()
@@ -181,7 +161,6 @@ def peel_batch(
     vertices: np.ndarray,
     threshold: int | np.ndarray,
     *,
-    kernel: str = "batched",
     workspace: WedgeWorkspace | None = None,
 ) -> SupportUpdate:
     """Peel a set of vertices "concurrently" (one CD / ParB round).
@@ -206,19 +185,10 @@ def peel_batch(
         (CD's range bound, ParB's round level), or an int64 array of
         per-vertex floors indexed by endpoint id (RECEIPT FD, where every
         subset of a share peels at its own level).
-    kernel:
-        ``"batched"`` (default) or ``"reference"`` (the per-vertex loop kept
-        in :mod:`repro.peeling.reference` for ablations and equivalence
-        tests).
     workspace:
         Scratch arena + memory policy (wedge budget, int32 narrowing); the
         calling thread's default arena when omitted.
     """
-    if _validate_kernel(kernel) == "reference":
-        from .reference import peel_batch_reference
-
-        return peel_batch_reference(adjacency, supports, vertices, threshold)
-
     workspace = workspace_or_default(workspace)
     vertices = np.asarray(vertices, dtype=np.int64)
     adjacency.mark_peeled_many(vertices)

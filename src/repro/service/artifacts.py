@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import ArtifactError, ArtifactMismatchError
 from ..graph.bipartite import BipartiteGraph
-from ..peeling.base import PeelingCounters, TipDecompositionResult
+from ..peeling.base import TipDecompositionResult
 from .index import TipIndex
 
 __all__ = [
@@ -180,34 +180,6 @@ class TipArtifact:
     arrays: dict[str, np.ndarray]
     mmapped: bool = False
 
-    def to_result(self) -> TipDecompositionResult:
-        """Reconstruct the decomposition result the artifact was saved from.
-
-        Tip numbers, initial butterflies, algorithm name, side and the full
-        counter set round-trip bit-identically; the heavyweight ``extra``
-        payload (per-iteration records, parallel regions) is intentionally
-        not persisted.
-        """
-        counter_fields = set(PeelingCounters.__dataclass_fields__)
-        return TipDecompositionResult(
-            tip_numbers=np.asarray(self.arrays["tip_numbers"], dtype=np.int64).copy(),
-            side=self.manifest.decomposition["side"],
-            initial_butterflies=np.asarray(
-                self.arrays["initial_butterflies"], dtype=np.int64
-            ).copy(),
-            algorithm=str(self.manifest.decomposition.get("algorithm", "")),
-            counters=PeelingCounters(**{
-                key: value for key, value in self.manifest.counters.items()
-                if key in counter_fields
-            }),
-            phase_counters={
-                phase: PeelingCounters(**{
-                    key: value for key, value in counters.items() if key in counter_fields
-                })
-                for phase, counters in self.manifest.phase_counters.items()
-            },
-        )
-
 
 # ----------------------------------------------------------------------
 # Saving
@@ -236,9 +208,9 @@ def save_artifact(
     result:
         The decomposition to persist.
     config:
-        Extra decomposition configuration to record in the manifest (peel
-        kernel, execution backend, partition count ...).  Merged over what
-        can be inferred from ``result.extra["config"]``.
+        Extra decomposition configuration to record in the manifest
+        (execution backend, partition count ...).  Merged over what can be
+        inferred from ``result.extra["config"]``.
     overwrite:
         Replace an existing artifact at ``path``.  Without it, an existing
         path raises :class:`~repro.errors.ArtifactError`.
@@ -291,7 +263,7 @@ def save_artifact(
     }
     embedded_config = result.extra.get("config") if isinstance(result.extra, dict) else None
     if embedded_config is not None and hasattr(embedded_config, "__dataclass_fields__"):
-        for key in ("peel_kernel", "backend", "n_partitions", "n_threads"):
+        for key in ("backend", "n_partitions", "n_threads"):
             if hasattr(embedded_config, key):
                 decomposition[key] = getattr(embedded_config, key)
     if config:

@@ -31,7 +31,6 @@ def build_index_artifact(
     *,
     side: str = "U",
     algorithm: str = "receipt",
-    peel_kernel: str = "batched",
     backend: str = "serial",
     n_threads: int = 1,
     n_partitions: int | None = None,
@@ -52,7 +51,7 @@ def build_index_artifact(
     side = validate_side(side)
     workspace = WedgeWorkspace(wedge_budget=resolve_wedge_budget(wedge_budget))
     counts = count_per_vertex(graph, workspace=workspace)
-    kwargs: dict = {"peel_kernel": peel_kernel, "counts": counts}
+    kwargs: dict = {"counts": counts}
     if algorithm.lower().startswith("receipt"):
         kwargs["n_threads"] = n_threads
         kwargs["backend"] = backend
@@ -71,7 +70,6 @@ def build_index_artifact(
         result,
         config={
             "algorithm": result.algorithm,
-            "peel_kernel": peel_kernel,
             "backend": backend,
             "n_threads": n_threads,
             "n_partitions": n_partitions,

@@ -11,8 +11,8 @@ fingerprints rather than paths, which buys two properties for free:
 
 A cheap manifest read resolves path → fingerprint on every request; the
 expensive part (mapping arrays, rebuilding the graph) only runs on a miss.
-All operations are thread-safe — the HTTP server calls into one shared
-cache from many handler threads.
+All operations are thread-safe: the front end calls into one shared cache
+from the event loop and from its executor threads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from ..errors import ArtifactError
-from .artifacts import load_artifact, read_manifest
+from .artifacts import ArtifactManifest, load_artifact, read_manifest
 from .index import TipIndex
 
 __all__ = ["IndexCache"]
@@ -87,6 +87,16 @@ class IndexCache:
     def get_or_load(self, path: str | Path, *, mmap: bool = True) -> TipIndex:
         """Resolve an artifact path to its index, loading on a miss.
 
+        See :meth:`get_or_load_with_manifest`, which also returns the
+        manifest the index was resolved through.
+        """
+        return self.get_or_load_with_manifest(path, mmap=mmap)[0]
+
+    def get_or_load_with_manifest(
+        self, path: str | Path, *, mmap: bool = True
+    ) -> tuple[TipIndex, ArtifactManifest]:
+        """Resolve an artifact path to its index and manifest, loading on a miss.
+
         The manifest is read (cheap) to learn the fingerprint; only a miss
         pays for mapping the arrays and rebuilding the graph.  The load
         happens outside the lock so a slow cold load never blocks hits on
@@ -105,8 +115,11 @@ class IndexCache:
                 time.sleep(_SWAP_RETRY_SECONDS)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _get_or_load_once(self, path: str | Path, *, mmap: bool) -> TipIndex:
-        fingerprint = read_manifest(path).fingerprint
+    def _get_or_load_once(
+        self, path: str | Path, *, mmap: bool
+    ) -> tuple[TipIndex, ArtifactManifest]:
+        manifest = read_manifest(path)
+        fingerprint = manifest.fingerprint
         path_key = str(Path(path).resolve())
         with self._lock:
             previous = self._path_fingerprints.get(path_key)
@@ -115,12 +128,11 @@ class IndexCache:
                     self._evictions += 1
             self._path_fingerprints[path_key] = fingerprint
         index = self.get(fingerprint)
-        if index is not None:
-            return index
-        artifact = load_artifact(path, mmap=mmap, expected_fingerprint=fingerprint)
-        index = TipIndex.from_artifact(artifact)
-        self.put(fingerprint, index)
-        return index
+        if index is None:
+            artifact = load_artifact(path, mmap=mmap, expected_fingerprint=fingerprint)
+            index = TipIndex.from_artifact(artifact)
+            self.put(fingerprint, index)
+        return index, manifest
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop a cached index (e.g. after an in-place streaming refresh).

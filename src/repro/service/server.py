@@ -219,8 +219,9 @@ def metric_route(route: str) -> str:
 MAX_RESPONSE_VERTICES = 100_000
 
 #: Hard cap on the candidate set of a ``/community`` query: component
-#: extraction is quadratic in the level's vertex count, so unboundedly low
-#: ``k`` on a big index would pin a handler thread for minutes.
+#: extraction is quadratic in the level's vertex count, and the route runs
+#: inline on the event loop, so unboundedly low ``k`` on a big index would
+#: stall every connection for minutes.
 MAX_COMMUNITY_VERTICES = 10_000
 
 #: Hard cap on a POST body; generous headroom over the largest JSON
@@ -1017,8 +1018,9 @@ class TipService:
             # touched, so a simulated persistence failure rejects the batch
             # atomically (503) instead of leaving memory and disk torn.
             faults.fire("artifact.save")
-            index = self.cache.get_or_load(path, mmap=self.mmap)
-            manifest = read_manifest(path)
+            # One manifest read: the cache's, so the index and the manifest
+            # this update rewrites come from the same on-disk version.
+            index, manifest = self.cache.get_or_load_with_manifest(path, mmap=self.mmap)
             decomposition = dict(manifest.decomposition)
             algorithm = str(decomposition.get("algorithm") or "receipt").lower()
             config_kwargs["full_algorithm"] = algorithm
@@ -1027,8 +1029,6 @@ class TipService:
                 if decomposition.get("n_partitions") is not None:
                     full_kwargs["n_partitions"] = int(decomposition["n_partitions"])
                 config_kwargs["full_kwargs"] = full_kwargs
-            if decomposition.get("peel_kernel"):
-                config_kwargs["peel_kernel"] = str(decomposition["peel_kernel"])
 
             try:
                 repaired, update = index.apply_delta(

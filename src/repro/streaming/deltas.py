@@ -122,10 +122,8 @@ def validate_batch(graph: BipartiteGraph, batch: EdgeBatch) -> None:
         raise StreamingError(f"delete edge ({int(u)}, {int(v)}) does not exist")
 
 
-def apply_batch(
-    graph: BipartiteGraph, batch: EdgeBatch, *, validate: bool = True
-) -> BipartiteGraph:
-    """Apply a batch as CSR patches and return the updated graph.
+def apply_batch(graph: BipartiteGraph, batch: EdgeBatch) -> BipartiteGraph:
+    """Validate a batch, apply it as CSR patches and return the updated graph.
 
     Deletes are applied before inserts (the two sets are disjoint, so the
     order only matters for intermediate array sizes).  Vertex-set sizes are
@@ -133,8 +131,7 @@ def apply_batch(
     only the rows the batch touches; the one O(E) cost per side and list is
     the copy into the new value array.
     """
-    if validate:
-        validate_batch(graph, batch)
+    validate_batch(graph, batch)
     if batch.is_empty:
         return graph
     u_offsets, u_neighbors = graph.csr("U")

@@ -68,6 +68,11 @@ MODE_CLEAN = "clean"
 MODE_INCREMENTAL = "incremental"
 MODE_FULL = "full"
 
+#: Cap on closure/merge fixpoint rounds before conceding to the full
+#: fallback (each round can only merge floor groups, so the cap is a safety
+#: valve, not a tuning target).
+MAX_GROUP_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -79,29 +84,16 @@ class StreamingConfig:
         Fraction of the graph's total wedge work the re-peel region may
         reach before the repair abandons the closure and falls back to a
         full re-decomposition.
-    peel_kernel:
-        Support-update kernel for the localized re-peel (``"batched"`` or
-        ``"reference"``; both yield identical tip numbers).
     full_algorithm:
         Decomposition algorithm of the full fallback (``"receipt"``,
         ``"bup"`` or ``"parb"``).
     full_kwargs:
         Extra keyword arguments for the fallback (e.g. ``n_partitions``).
-    validate:
-        Validate batches against the graph before applying (disable only
-        when the caller already validated).
-    max_group_rounds:
-        Cap on closure/merge fixpoint rounds before conceding to the full
-        fallback (each round can only merge floor groups, so the cap is a
-        safety valve, not a tuning target).
     """
 
     damage_threshold: float = 0.5
-    peel_kernel: str = "batched"
     full_algorithm: str = "receipt"
     full_kwargs: dict = field(default_factory=dict)
-    validate: bool = True
-    max_group_rounds: int = 8
 
 
 @dataclass
@@ -274,7 +266,6 @@ def _repair_region(
     tip_numbers: np.ndarray,
     work: np.ndarray,
     work_budget: int,
-    max_rounds: int,
     workspace: WedgeWorkspace | None = None,
 ) -> tuple[list[tuple[int, np.ndarray]] | None, int]:
     """Resolve the re-peel regions, or ``None`` when damage exceeds the budget.
@@ -285,7 +276,7 @@ def _repair_region(
     """
     groups = _floor_groups(dirty, floors)
     wedges_total = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_GROUP_ROUNDS):
         regions = []
         union_work = 0
         for level, seeds in groups:
@@ -340,7 +331,6 @@ def _full_redecomposition(
     result = tip_decomposition(
         new_graph, side,
         algorithm=config.full_algorithm,
-        peel_kernel=config.peel_kernel,
         **kwargs,
     )
     if not np.array_equal(result.initial_butterflies, maintained):
@@ -407,7 +397,7 @@ def apply_update(
                 f"expected {n_side})"
             )
 
-        new_graph = apply_batch(graph, batch, validate=config.validate)
+        new_graph = apply_batch(graph, batch)
 
         def _result(mode, new_tips, new_counts, new_center, *, k_seed=0,
                     delta: RegionDelta | None = None, n_repeeled=0, damage=0.0):
@@ -482,7 +472,7 @@ def apply_update(
         with tracer.span("streaming.repair_region"):
             regions, closure_wedges = _repair_region(
                 new_graph, side, dirty, floors, tip_numbers, work, work_budget,
-                config.max_group_rounds, workspace=workspace,
+                workspace=workspace,
             )
         counters.wedges_traversed += closure_wedges
         counters.peeling_wedges += closure_wedges
@@ -511,8 +501,7 @@ def apply_update(
                 counters.wedges_traversed += counts.wedges_traversed
                 counters.counting_wedges += counts.wedges_traversed
                 region_tips, peel_counters, _ = peel_levels(
-                    induced.graph, "U", counts.u_counts,
-                    peel_kernel=config.peel_kernel, workspace=workspace,
+                    induced.graph, "U", counts.u_counts, workspace=workspace,
                 )
                 counters.merge(peel_counters)
             if region_span.recording:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,50 @@ from repro.datasets.generators import (
     random_bipartite,
 )
 from repro.graph.builders import complete_bipartite, empty_graph, from_edge_list, star
+from repro.peeling.reference import peel_batch_reference, peel_vertex_reference
+
+#: The names the decompositions call Alg. 2's ``update`` by — CD's range
+#: peel, the level peel (FD, ParB and streaming repair) and BUP's pops —
+#: and the reference each is rebound to.
+KERNEL_SITES = {
+    "repro.core.cd.peel_batch": peel_batch_reference,
+    "repro.peeling.bup.peel_batch": peel_batch_reference,
+    "repro.peeling.bup.peel_vertex": peel_vertex_reference,
+}
+
+
+@contextmanager
+def _peel_with(kernel: str):
+    """Run the decompositions in the block with the named peel kernel.
+
+    The library peels only with the batched kernel, so ``"batched"``
+    changes nothing.  ``"reference"`` rebinds :data:`KERNEL_SITES` to the
+    per-vertex oracle of :mod:`repro.peeling.reference` (which takes no
+    ``workspace``), in this process only: pooled worker processes keep the
+    batched kernel.  Yields a :class:`~collections.Counter` of reference
+    calls per site, so a test can show the reference ran.
+    """
+    if kernel not in ("batched", "reference"):
+        raise ValueError(f"unknown peel kernel {kernel!r}")
+    calls: Counter = Counter()
+
+    def shim(site, reference):
+        def peel(adjacency, supports, peeled, threshold, *, workspace=None):
+            calls[site] += 1
+            return reference(adjacency, supports, peeled, threshold)
+        return peel
+
+    with ExitStack() as stack:
+        if kernel == "reference":
+            for site, reference in KERNEL_SITES.items():
+                stack.enter_context(mock.patch(site, shim(site, reference)))
+        yield calls
+
+
+@pytest.fixture(scope="session")
+def peel_with():
+    """``with peel_with("reference") as calls:`` — see :func:`_peel_with`."""
+    return _peel_with
 
 
 @pytest.fixture

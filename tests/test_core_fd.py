@@ -5,7 +5,7 @@ import pytest
 
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
-from repro.core.fd import fine_grained_decomposition
+from repro.core.fd import fd_share_schedule, fine_grained_decomposition
 from repro.engine import ThreadBackend
 from repro.peeling.bup import bup_decomposition
 
@@ -91,3 +91,16 @@ class TestScheduling:
         graph, cd, _ = cd_and_reference
         fd = fine_grained_decomposition(graph, cd, workload_aware=False)
         assert fd.schedule_order == list(range(cd.n_subsets))
+
+    @pytest.mark.parametrize("workload_aware", [True, False])
+    def test_share_schedule_is_the_one_fd_runs(self, cd_and_reference, workload_aware):
+        graph, cd, _ = cd_and_reference
+        with ThreadBackend(2) as engine:
+            fd = fine_grained_decomposition(graph, cd, engine=engine,
+                                            workload_aware=workload_aware)
+        work, schedule = fd_share_schedule(graph, cd.subsets, 2,
+                                           workload_aware=workload_aware)
+        wedge_work = graph.wedge_work_per_vertex("U")
+        assert work.tolist() == [float(wedge_work[s].sum()) for s in cd.subsets]
+        assert fd.schedule_order == schedule.order
+        assert schedule.n_threads == 2 and schedule.total_work == work.sum()

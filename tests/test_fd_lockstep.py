@@ -45,16 +45,16 @@ def _cd(graph: BipartiteGraph, n_partitions: int):
     return coarse_grained_decomposition(graph, counts, n_partitions)
 
 
-def _peel_shares(graph, cd, shares, kernel):
+def _peel_shares(graph, cd, shares, kernel, peel_with):
     """θ, per-subset wedges and total support updates of one FD share layout."""
     flat, tasks = build_fd_tasks(cd.subsets, shares=shares)
-    job = FdJob(graph=graph, subsets_flat=flat, init_supports=cd.init_supports,
-                peel_kernel=kernel)
+    job = FdJob(graph=graph, subsets_flat=flat, init_supports=cd.init_supports)
     tips = np.zeros(graph.n_u, dtype=np.int64)
     wedges: dict[int, int] = {}
     support_updates = 0
     for task in tasks:
-        result = execute_fd_task(job, task)
+        with peel_with(kernel):
+            result = execute_fd_task(job, task)
         tips[flat[task.start:task.stop]] = result.tip_numbers
         # FD never compacts: the measured wedges are the static per-subset work.
         assert result.wedges_traversed == int(result.induced_wedge_work.sum())
@@ -63,7 +63,7 @@ def _peel_shares(graph, cd, shares, kernel):
     return tips, wedges, support_updates
 
 
-def _assert_lockstep_exact(graph: BipartiteGraph, share_seed: int) -> None:
+def _assert_lockstep_exact(graph: BipartiteGraph, share_seed: int, peel_with) -> None:
     expected = bup_decomposition(graph, "U").tip_numbers
     rng = np.random.default_rng(share_seed)
     for n_partitions in PARTITIONS:
@@ -75,10 +75,10 @@ def _assert_lockstep_exact(graph: BipartiteGraph, share_seed: int) -> None:
         mixed = [[int(i) for i in rng.permutation(n_subsets) if owners[i] == share]
                  for share in range(3)]
         for kernel in KERNELS:
-            alone = _peel_shares(graph, cd, None, kernel)
+            alone = _peel_shares(graph, cd, None, kernel, peel_with)
             assert np.array_equal(alone[0], expected), (n_partitions, kernel)
             for shares in (one_group, mixed):
-                together = _peel_shares(graph, cd, shares, kernel)
+                together = _peel_shares(graph, cd, shares, kernel, peel_with)
                 assert np.array_equal(together[0], alone[0]), (n_partitions, kernel)
                 assert together[1] == alone[1], (n_partitions, kernel)
                 assert together[2] == alone[2], (n_partitions, kernel)
@@ -102,11 +102,11 @@ def _fd_fingerprint(fd):
 class TestLockstepExactness:
     @settings(max_examples=25, deadline=None)
     @given(edges=edge_lists, share_seed=st.integers(0, 2**16))
-    def test_hypothesis_shares_match_subsets_alone(self, edges, share_seed):
-        _assert_lockstep_exact(BipartiteGraph(20, 12, edges), share_seed)
+    def test_hypothesis_shares_match_subsets_alone(self, edges, share_seed, peel_with):
+        _assert_lockstep_exact(BipartiteGraph(20, 12, edges), share_seed, peel_with)
 
-    def test_community_graph(self, community_graph):
-        _assert_lockstep_exact(community_graph, 5)
+    def test_community_graph(self, community_graph, peel_with):
+        _assert_lockstep_exact(community_graph, 5, peel_with)
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,15 +1,20 @@
 """Equivalence of the batched peel kernel with the per-vertex reference.
 
-The batched kernel (:func:`repro.peeling.peel_batch` with
-``kernel="batched"``) must reproduce the sequential reference
-(:mod:`repro.peeling.reference`) bit-for-bit: identical final supports,
-identical ``wedges_traversed`` (including the stale entries governed by DGM
-compaction timing) and identical ``support_updates``.  This suite checks the
-contract on seeded random graphs, via hypothesis-generated edge lists, and
-end-to-end through the decomposition algorithms' ``peel_kernel`` plumbing.
+The batched kernel (:func:`repro.peeling.peel_batch`) must reproduce the
+sequential reference (:mod:`repro.peeling.reference`) bit-for-bit:
+identical final supports, identical ``wedges_traversed`` (including the
+stale entries governed by DGM compaction timing) and identical
+``support_updates``.  This suite checks the contract on seeded random
+graphs, via hypothesis-generated edge lists, and end-to-end through the
+decomposition algorithms, with the reference rebound in place of the
+kernel (the ``peel_with`` fixture).  The library itself never imports the
+reference, and the rebinding is shown to reach every call site.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +27,12 @@ from repro.datasets.generators import power_law_bipartite, random_bipartite
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.dynamic import PeelableAdjacency
 from repro.kernels.csr import compact_csr, gather_rows, int_bincount, segment_sums
-from repro.peeling.bup import bup_decomposition
+from repro.peeling.bup import bup_decomposition, peel_levels
 from repro.peeling.parbutterfly import parbutterfly_decomposition
+from repro.peeling.reference import peel_batch_reference, peel_vertex_reference
 from repro.peeling.update import peel_batch, peel_vertex
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def _assert_batches_equivalent(graph, *, enable_dgm, compaction_interval, seed):
@@ -45,13 +53,11 @@ def _assert_batches_equivalent(graph, *, enable_dgm, compaction_interval, seed):
         batch = order[position: position + int(rng.integers(1, 9))]
         position += batch.shape[0]
         threshold = int(rng.integers(0, 5))
-        reference = peel_batch(
+        reference = peel_batch_reference(
             adjacency["reference"], supports["reference"], batch, threshold,
-            kernel="reference",
         )
         batched = peel_batch(
             adjacency["batched"], supports["batched"], batch, threshold,
-            kernel="batched",
         )
         assert batched.wedges_traversed == reference.wedges_traversed
         assert batched.support_updates == reference.support_updates
@@ -106,13 +112,11 @@ class TestBatchKernelEquivalence:
         for vertex in np.random.default_rng(7).permutation(graph.n_u):
             for name in supports:
                 adjacency[name].mark_peeled(int(vertex))
-            reference = peel_vertex(
+            reference = peel_vertex_reference(
                 adjacency["reference"], supports["reference"], int(vertex), 1,
-                kernel="reference",
             )
             batched = peel_vertex(
                 adjacency["batched"], supports["batched"], int(vertex), 1,
-                kernel="batched",
             )
             assert batched.wedges_traversed == reference.wedges_traversed
             assert batched.support_updates == reference.support_updates
@@ -137,12 +141,20 @@ class TestBatchKernelEquivalence:
         )
 
 
+def _run(peel_with, kernel, decompose, *args, **kwargs):
+    with peel_with(kernel) as calls:
+        result = decompose(*args, **kwargs)
+    # Every algorithm peels at least once on these graphs, so a reference
+    # run that never called the reference took the batched kernel.
+    assert (sum(calls.values()) > 0) == (kernel == "reference")
+    return result
+
+
 class TestDecompositionEquivalence:
-    def test_receipt_kernels_agree(self, blocks_graph):
+    def test_receipt_kernels_agree(self, blocks_graph, peel_with):
         results = {
-            kernel: receipt_decomposition(
-                blocks_graph, "U", n_partitions=5, peel_kernel=kernel
-            )
+            kernel: _run(peel_with, kernel, receipt_decomposition,
+                         blocks_graph, "U", n_partitions=5)
             for kernel in ("batched", "reference")
         }
         assert np.array_equal(
@@ -154,9 +166,9 @@ class TestDecompositionEquivalence:
                 results["reference"].counters, counter
             ), counter
 
-    def test_bup_kernels_agree(self, community_graph):
+    def test_bup_kernels_agree(self, community_graph, peel_with):
         results = {
-            kernel: bup_decomposition(community_graph, "U", peel_kernel=kernel)
+            kernel: _run(peel_with, kernel, bup_decomposition, community_graph, "U")
             for kernel in ("batched", "reference")
         }
         assert np.array_equal(
@@ -167,9 +179,9 @@ class TestDecompositionEquivalence:
             == results["reference"].counters.wedges_traversed
         )
 
-    def test_parb_kernels_agree(self, blocks_graph):
+    def test_parb_kernels_agree(self, blocks_graph, peel_with):
         results = {
-            kernel: parbutterfly_decomposition(blocks_graph, "U", peel_kernel=kernel)
+            kernel: _run(peel_with, kernel, parbutterfly_decomposition, blocks_graph, "U")
             for kernel in ("batched", "reference")
         }
         assert np.array_equal(
@@ -180,11 +192,66 @@ class TestDecompositionEquivalence:
             == results["reference"].counters.support_updates
         )
 
-    def test_unknown_kernel_rejected(self, blocks_graph):
-        adjacency = PeelableAdjacency(blocks_graph, "U")
-        supports = np.zeros(blocks_graph.n_u, dtype=np.int64)
-        with pytest.raises(ValueError):
-            peel_batch(adjacency, supports, np.array([0]), 0, kernel="nope")
+
+class TestReferenceOracle:
+    """The reference is a test-side oracle, and the rebinding reaches it."""
+
+    def test_library_never_imports_the_reference(self):
+        """Fails on any import of ``repro.peeling.reference`` under ``src/repro``.
+
+        Relative imports are resolved against the importing module's
+        package, so ``from .reference import ...`` inside
+        ``repro.peeling`` counts as well.
+        """
+        imported = []
+        for path in sorted(SRC.rglob("*.py")):
+            package = list(path.relative_to(SRC.parent).parts[:-1])
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[:len(package) - node.level + 1] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                imported += [(path.relative_to(SRC).as_posix(), node.lineno, module)
+                             for module in modules]
+        assert any(module == "repro.peeling.update" for _, _, module in imported), (
+            "the scan resolved no import of the kernel at all"
+        )
+        offenders = [site for site in imported if site[2] == "repro.peeling.reference"]
+        assert not offenders, offenders
+
+    def test_rebinding_reaches_every_call_site(self, medium_random_graph, peel_with):
+        """One reference call per CD peel round, FD lockstep round, ParB
+        round and BUP pop, so a renamed call site cannot turn a
+        batched-vs-reference suite into batched-vs-batched."""
+        graph = medium_random_graph
+        with peel_with("reference") as calls:
+            receipt = receipt_decomposition(graph, "U", n_partitions=8)
+        peel_rounds = sum(not record["recounted"]
+                          for record in receipt.extra["iteration_records"])
+        # CD recounts at least once here, so not every round peels.
+        assert 0 < peel_rounds < receipt.phase_counters["cd"].synchronization_rounds
+        # Serially FD is one share: its lockstep loop runs as many rounds
+        # as the subset with the most levels needs alone.
+        init = receipt.extra["init_supports"]
+        fd_rounds = max(
+            len(peel_levels(graph.induced_on_u_subset(subset).graph, "U", init[subset])[2])
+            for subset in receipt.extra["subsets"]
+        )
+        assert dict(calls) == {"repro.core.cd.peel_batch": peel_rounds,
+                               "repro.peeling.bup.peel_batch": fd_rounds}
+
+        with peel_with("reference") as calls:
+            parb = parbutterfly_decomposition(graph, "U")
+        assert dict(calls) == {"repro.peeling.bup.peel_batch":
+                               parb.counters.synchronization_rounds}
+
+        with peel_with("reference") as calls:
+            bup_decomposition(graph, "U")
+        assert dict(calls) == {"repro.peeling.bup.peel_vertex": graph.n_u}
 
 
 class TestKernelPrimitives:

@@ -19,10 +19,18 @@ from repro.butterfly.counting import count_per_vertex_priority
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.dynamic import PeelableAdjacency
 from repro.kernels.workspace import WedgeWorkspace
+from repro.peeling.reference import peel_batch_reference
 from repro.peeling.update import peel_batch
 
 edge_lists = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 9)),
                       min_size=1, max_size=90, unique=True)
+
+
+def _reference(adjacency, supports, vertices, threshold, *, workspace):
+    return peel_batch_reference(adjacency, supports, vertices, threshold)
+
+
+KERNELS = {"batched": peel_batch, "reference": _reference}
 
 
 def _outcome(update, supports):
@@ -39,8 +47,9 @@ def _outcome(update, supports):
 def _peel_in_batches(graph, seed, budget, runs):
     """Peel the whole U side in random batches, once per named run.
 
-    ``runs`` maps a name to ``(kernel, threshold_of)``; ``threshold_of``
-    turns the batch's random floors into that run's threshold argument.
+    ``runs`` maps a name to ``(kernel, threshold_of)``, the kernel a key
+    of :data:`KERNELS`; ``threshold_of`` turns the batch's random floors
+    into that run's threshold argument.
     Every run must end each batch in the same state.
     """
     rng = np.random.default_rng(seed)
@@ -57,9 +66,9 @@ def _peel_in_batches(graph, seed, budget, runs):
         floors = rng.integers(0, current + 1).astype(np.int64)
         outcomes = {}
         for name, (kernel, threshold_of) in runs.items():
-            update = peel_batch(
+            update = KERNELS[kernel](
                 adjacency[name], supports[name], batch, threshold_of(floors),
-                kernel=kernel, workspace=WedgeWorkspace(wedge_budget=budget),
+                workspace=WedgeWorkspace(wedge_budget=budget),
             )
             outcomes[name] = _outcome(update, supports[name])
         reference = next(iter(outcomes.values()))

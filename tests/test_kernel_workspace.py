@@ -249,14 +249,13 @@ class TestPipelineEquivalence:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=10,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_bup_identical_across_policies_and_kernels(self, seed):
+    def test_bup_identical_across_policies_and_kernels(self, peel_with, seed):
         graph = seeded_graph(seed, n_u=26, n_v=16)
         results = []
         for workspace in (WedgeWorkspace.legacy(), WedgeWorkspace(wedge_budget=3)):
             for kernel in ("batched", "reference"):
-                result = bup_decomposition(graph, "U", peel_kernel=kernel,
-                                           workspace=workspace)
-                results.append(result)
+                with peel_with(kernel):
+                    results.append(bup_decomposition(graph, "U", workspace=workspace))
         for other in results[1:]:
             assert np.array_equal(results[0].tip_numbers, other.tip_numbers)
             assert (results[0].counters.wedges_traversed

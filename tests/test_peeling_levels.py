@@ -26,7 +26,7 @@ KERNEL_COUNTERS = ("wedges_traversed", "peeling_wedges", "support_updates",
                    "synchronization_rounds", "vertices_peeled", "dgm_compactions")
 
 
-def _assert_levels_exact(graph: BipartiteGraph, n_partitions: int) -> None:
+def _assert_levels_exact(graph: BipartiteGraph, n_partitions: int, peel_with) -> None:
     counts = count_per_vertex_priority(graph).u_counts
     cd = coarse_grained_decomposition(graph, counts, n_partitions)
     for subset in cd.subsets:
@@ -34,8 +34,9 @@ def _assert_levels_exact(graph: BipartiteGraph, n_partitions: int) -> None:
         init = cd.init_supports[subset]
         level_counters = {}
         for kernel in KERNELS:
-            expected, sequential = peel_sequential(induced, "U", init, peel_kernel=kernel)
-            tips, counters, rounds = peel_levels(induced, "U", init, peel_kernel=kernel)
+            with peel_with(kernel):
+                expected, sequential = peel_sequential(induced, "U", init)
+                tips, counters, rounds = peel_levels(induced, "U", init)
             assert np.array_equal(tips, expected), kernel
             assert counters.vertices_peeled == subset.size
             assert counters.wedges_traversed == sequential.wedges_traversed
@@ -56,15 +57,15 @@ class TestPeelLevelsExactness:
                        min_size=1, max_size=90, unique=True),
         n_partitions=st.integers(1, 6),
     )
-    def test_hypothesis_cd_subsets(self, edges, n_partitions):
-        _assert_levels_exact(BipartiteGraph(18, 10, edges), n_partitions)
+    def test_hypothesis_cd_subsets(self, edges, n_partitions, peel_with):
+        _assert_levels_exact(BipartiteGraph(18, 10, edges), n_partitions, peel_with)
 
     @pytest.mark.parametrize("n_partitions", [1, 3, 8])
-    def test_community_graph_subsets(self, community_graph, n_partitions):
-        _assert_levels_exact(community_graph, n_partitions)
+    def test_community_graph_subsets(self, community_graph, n_partitions, peel_with):
+        _assert_levels_exact(community_graph, n_partitions, peel_with)
 
-    def test_blocks_graph_subsets(self, blocks_graph):
-        _assert_levels_exact(blocks_graph, 4)
+    def test_blocks_graph_subsets(self, blocks_graph, peel_with):
+        _assert_levels_exact(blocks_graph, 4, peel_with)
 
     def test_rejects_wrong_support_length(self, blocks_graph):
         with pytest.raises(ValueError):

@@ -22,9 +22,11 @@ class TestLazyMinHeap:
 
     def test_decrease_to_same_value_is_noop(self):
         heap = LazyMinHeap(np.array([4, 2]))
-        pushes_before = heap.pushes
+        entries = len(heap._heap)
         heap.decrease(0, 4)
-        assert heap.pushes == pushes_before
+        assert len(heap._heap) == entries  # nothing pushed
+        assert [heap.pop_min() for _ in range(2)] == [(1, 2), (0, 4)]
+        assert not heap
 
     def test_increase_rejected(self):
         heap = LazyMinHeap(np.array([4, 2]))
@@ -39,11 +41,12 @@ class TestLazyMinHeap:
         assert vertex == 1
 
     def test_contains_and_len(self):
+        """``len`` counts the vertices the heap still contains."""
         heap = LazyMinHeap(np.array([1, 2, 3]))
         assert len(heap) == 3
-        assert 1 in heap
+        heap.decrease(2, 0)  # a decrease re-pushes but adds no vertex
+        assert len(heap) == 3
         heap.pop_min()
-        assert 0 not in heap
         assert len(heap) == 2
         assert bool(heap)
 
@@ -52,26 +55,6 @@ class TestLazyMinHeap:
         assert not heap
         with pytest.raises(IndexError):
             heap.pop_min()
-
-    def test_peek_min_support(self):
-        heap = LazyMinHeap(np.array([7, 3, 9]))
-        assert heap.peek_min_support() == 3
-        heap.decrease(2, 1)
-        assert heap.peek_min_support() == 1
-
-    def test_pop_all_min(self):
-        heap = LazyMinHeap(np.array([2, 2, 5, 2]))
-        vertices, support = heap.pop_all_min()
-        assert support == 2
-        assert sorted(vertices) == [0, 1, 3]
-        assert len(heap) == 1
-
-    def test_vertex_subset(self):
-        supports = np.array([9, 1, 8, 2])
-        heap = LazyMinHeap(supports, vertices=[0, 2])
-        assert len(heap) == 2
-        vertex, support = heap.pop_min()
-        assert (vertex, support) == (2, 8)
 
     def test_many_random_operations_match_reference(self):
         rng = np.random.default_rng(11)

@@ -159,7 +159,8 @@ def update_stream(draw, max_u=9, max_v=9, max_batches=4, max_changes=5):
 @settings(max_examples=40, deadline=None)
 @given(stream=update_stream(), damage_threshold=st.sampled_from([0.0, 0.3, 1.0]))
 @pytest.mark.parametrize("peel_kernel", ["batched", "reference"])
-def test_interleaved_batches_match_scratch_peel(stream, damage_threshold, peel_kernel):
+def test_interleaved_batches_match_scratch_peel(stream, damage_threshold, peel_kernel,
+                                                peel_with):
     """The ISSUE-gated property: incremental repair == from-scratch peel.
 
     Every intermediate state of a random insert/delete interleaving must
@@ -170,22 +171,19 @@ def test_interleaved_batches_match_scratch_peel(stream, damage_threshold, peel_k
     n_u, n_v, start_edges, batches = stream
     graph = BipartiteGraph(n_u, n_v, start_edges)
     tips, butterflies, center = _decomposed(graph)
-    config = StreamingConfig(
-        damage_threshold=damage_threshold,
-        peel_kernel=peel_kernel,
-        full_algorithm="bup",
-    )
+    config = StreamingConfig(damage_threshold=damage_threshold, full_algorithm="bup")
     for inserts, deletes in batches:
         batch = EdgeBatch.from_lists(inserts or None, deletes or None)
-        result = apply_update(graph, "U", tips, butterflies, batch,
-                              center_butterflies=center, config=config)
+        with peel_with(peel_kernel):
+            result = apply_update(graph, "U", tips, butterflies, batch,
+                                  center_butterflies=center, config=config)
         graph = result.graph
         tips, butterflies, center = (
             result.tip_numbers, result.butterflies, result.center_butterflies,
         )
         fresh_counts = count_per_vertex(graph)
-        fresh = bup_decomposition(graph, "U", counts=fresh_counts,
-                                  peel_kernel=peel_kernel)
+        with peel_with(peel_kernel):
+            fresh = bup_decomposition(graph, "U", counts=fresh_counts)
         assert np.array_equal(tips, fresh.tip_numbers)
         assert np.array_equal(butterflies, fresh.initial_butterflies)
         assert np.array_equal(center, fresh_counts.v_counts)

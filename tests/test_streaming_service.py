@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.butterfly.counting import count_per_vertex
 from repro.cli import main as cli_main
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
@@ -127,6 +128,32 @@ class TestUpdateEndpointOffline:
             )
             fresh = _fresh(current)
             assert np.asarray(served["thetas"]).tolist() == fresh.tip_numbers.tolist()
+
+    def test_update_reads_the_manifest_once(self, artifact, monkeypatch):
+        """One manifest read per update (the cache's), and the cache's
+        hit/miss/eviction counts over reads and updates as before."""
+        from repro.service import artifacts, cache, server
+
+        reads = []
+        original = artifacts.read_manifest
+
+        def counting(path):
+            reads.append(path)
+            return original(path)
+
+        for module in (artifacts, cache, server):
+            monkeypatch.setattr(module, "read_manifest", counting)
+        service = TipService([artifact])
+        theta = ("/theta", {"vertex": "0"}, None)
+        for route, params, body in (theta, ("/update", {}, {"insert": [[39, 29]]}),
+                                    theta, ("/update", {}, {"delete": [[39, 29]]}), theta):
+            reads.clear()
+            service.handle(route, params, body)
+            if route == "/update":
+                assert len(reads) == 1
+        stats = service.cache.stats()
+        # The first read misses; each update hits, then drops the old entry.
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (4, 1, 2)
 
     def test_update_requires_body_and_edges(self, artifact):
         service = TipService([artifact])
@@ -257,6 +284,42 @@ def test_update_saves_what_a_scratch_save_writes(case):
             elif body["damage_threshold"] == 0.0:
                 assert mode in ("clean", "full")
             _assert_saved_like_scratch(path, service, Path(tmp) / "scratch.tipidx")
+
+
+def _plain(payload):
+    return json.loads(json.dumps(payload, default=lambda value: np.asarray(value).tolist()))
+
+
+def test_recorded_peel_kernel_is_ignored(graph, tmp_path):
+    """An artifact whose manifest still names a peel kernel (older builds
+    wrote ``decomposition.peel_kernel``) loads, answers and takes clean and
+    incremental updates exactly as the same artifact without the key."""
+    result = _fresh(graph)
+    center = count_per_vertex(graph).v_counts
+    paths = {name: tmp_path / f"{name}.tipidx" for name in ("plain", "recorded")}
+    save_artifact(paths["plain"], graph, result, center_butterflies=center)
+    save_artifact(paths["recorded"], graph, result, center_butterflies=center,
+                  config={"peel_kernel": "reference"})
+    assert read_manifest(paths["recorded"]).decomposition["peel_kernel"] == "reference"
+    services = {name: TipService([path]) for name, path in paths.items()}
+    reads = [("/theta/batch", {"vertices": ",".join(map(str, range(graph.n_u)))}),
+             ("/top-k", {"k": "5"}), ("/k-tip", {"k": "1"}), ("/community", {"k": "1"})]
+    kept = ("mode", "inserted", "deleted", "k_seed", "dirty_vertices",
+            "repeeled_vertices", "damage_ratio", "wedges_traversed", "n_edges")
+    modes = []
+    for body in (None, {"insert": [[39, 29]]},
+                 {**_repairing_delete(graph), "damage_threshold": 1.0}):
+        seen = {}
+        for name, service in services.items():
+            update = {}
+            if body is not None:
+                update = service.handle("/update", {}, body)
+                update = {key: update[key] for key in kept}
+            answers = [_plain(service.handle(route, params)) for route, params in reads]
+            seen[name] = (update, answers, _npz_members(paths[name]))
+        assert seen["recorded"] == seen["plain"]
+        modes.append(seen["plain"][0].get("mode"))
+    assert modes == [None, "clean", "incremental"]
 
 
 def test_write_path_modes_all_save_like_scratch(artifact, graph, tmp_path):
