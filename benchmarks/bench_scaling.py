@@ -10,8 +10,8 @@ and RECEIPT CD once, then re-runs the FD phase — the embarrassingly
 parallel part of RECEIPT — through the execution engine:
 
 * ``serial`` backend (reference semantics, also the correctness oracle),
-* ``process`` backend at each requested worker count, over the
-  shared-memory graph store with a pre-warmed persistent pool, and
+* ``process`` backend at each requested worker count, on a pre-warmed
+  persistent pool (each task carries its share's rows of the graph), and
 * ``thread`` backend at the largest worker count, for the GIL comparison.
 
 Every run is checked for bit-identical tip numbers, ``wedges_traversed``

@@ -11,9 +11,8 @@ decomposition of Bipartite Graphs* (Lakhotia, Kannan, Prasanna, De Rose):
   baselines (:mod:`repro.peeling`),
 * the RECEIPT algorithm itself — coarse- and fine-grained decomposition
   with the HUC and DGM optimizations (:mod:`repro.core`),
-* a multiprocess execution engine — shared-memory graph store plus
-  pluggable serial / thread / process backends for the FD task fan-out
-  (:mod:`repro.engine`),
+* a multiprocess execution engine — self-contained FD tasks run by
+  pluggable serial / thread / process backends (:mod:`repro.engine`),
 * synthetic stand-ins for the paper's evaluation datasets
   (:mod:`repro.datasets`),
 * hierarchy / distribution analysis and correctness verification

@@ -47,10 +47,10 @@ and ``--log-level`` sets their threshold.
 
 ``decompose``, ``compare`` and ``build-index`` accept ``--backend
 {serial,thread,process}`` to pick the execution engine
-(:mod:`repro.engine`) for RECEIPT FD's task fan-out: ``process`` places
-the graph in shared memory and gives each of ``--threads`` worker
-processes one share of the subset peels (bit-identical results, real
-wall-clock scaling on multicore hardware), ``thread`` gives each share to
+(:mod:`repro.engine`) for RECEIPT FD's task fan-out: ``process`` sends
+each of ``--threads`` worker processes one share of the subset peels with
+that share's rows of the graph (bit-identical results, real wall-clock
+scaling on multicore hardware), ``thread`` gives each share to
 one of ``--threads`` pool threads, and ``serial`` is the single-process
 default.  Counting and CD run on the calling thread under every backend.
 ``compare`` forwards the same ``--partitions`` / ``--threads`` /
@@ -112,8 +112,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="serial", choices=list(BACKEND_NAMES),
                         help="execution engine for RECEIPT FD's task fan-out: "
                              "in-process serial (default), a thread pool, or a "
-                             "multiprocess worker pool over a shared-memory "
-                             "graph store (bit-identical results)")
+                             "multiprocess worker pool (bit-identical results)")
     parser.add_argument("--wedge-budget", type=int, default=None,
                         help="wedge endpoints a kernel chunk may materialise at "
                              "once — caps the wedge pipeline's peak scratch "

@@ -5,14 +5,15 @@ computes exact tip numbers.  Subsets are independent (Lemma 2): a subset's
 peel only needs the subgraph induced on it (plus the whole ``V`` side) and
 its supports from the ``⋈init`` snapshot.  FD splits the subsets into one
 share per worker — an LPT schedule of their estimated work, one share on
-the serial backend — and each share is one picklable task descriptor
-(:mod:`repro.engine.tasks`) handed to an execution backend
+the serial backend — and each share is one picklable task
+(:mod:`repro.engine.tasks`) carrying the share's rows of ``G`` and its
+``⋈init`` slice, handed to an execution backend
 (:mod:`repro.engine.backends`): serial, thread pool, or a multiprocess
-worker pool over a shared-memory graph store.  A task peels all its
-subsets in one lockstep level loop (:func:`~repro.peeling.bup.peel_levels`):
-every round, each subset peels its alive vertices at its own minimum
-support, and the round is one batch.  Workers synchronise once, when every
-share is done, and results are bit-identical across backends.
+worker pool.  A task peels all its subsets in one lockstep level loop
+(:func:`~repro.peeling.bup.peel_levels`): every round, each subset peels
+its alive vertices at its own minimum support, and the round is one batch.
+Workers synchronise once, when every share is done, and results are
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.backends import EngineBackend, SerialBackend
-from ..engine.tasks import FdJob, build_fd_tasks
+from ..engine.tasks import build_fd_tasks
 from ..graph.bipartite import BipartiteGraph
 from ..kernels.workspace import resolve_wedge_budget
 from ..obs.trace import current_tracer
@@ -53,7 +54,6 @@ class SubsetPeelRecord:
     subset_index: int
     n_vertices: int
     induced_edges: int
-    induced_wedge_work: int
     wedges_traversed: int
     elapsed_seconds: float
 
@@ -148,28 +148,22 @@ def fine_grained_decomposition(
         records: dict[int, SubsetPeelRecord] = {}
 
         n_shares = 1 if engine.name == "serial" else engine.n_workers
-        estimated_work, schedule = fd_share_schedule(
+        _, schedule = fd_share_schedule(
             graph, cd_result.subsets, n_shares, workload_aware=workload_aware
         )
 
-        # FD work as data: one descriptor per share, ranging into the flat
-        # subset array, plus one job holding the heavyweight shared inputs.
-        # The process backend exports the job to shared memory; descriptors
-        # pickle in O(subsets per share).
-        subsets_flat, tasks = build_fd_tasks(
-            cd_result.subsets, estimated_work, schedule.assignments
-        )
-        job = FdJob(
-            graph=graph,
-            subsets_flat=subsets_flat,
-            init_supports=np.ascontiguousarray(cd_result.init_supports, dtype=np.int64),
+        # FD work as data: one self-contained task per share, carrying the
+        # share's rows of the graph and its ⋈init slice (Lemma 2), so it
+        # pickles in O(share edges).
+        share_vertices, tasks = build_fd_tasks(
+            graph, cd_result.subsets, cd_result.init_supports, schedule.assignments,
             wedge_budget=resolve_wedge_budget(wedge_budget),
             trace=tracer.recording,
         )
-        results = engine.run_fd_tasks(job, tasks)
+        results = engine.run_fd_tasks(tasks)
 
-        for task, result in zip(tasks, results):
-            tip_numbers[subsets_flat[task.start:task.stop]] = result.tip_numbers
+        for vertices, task, result in zip(share_vertices, tasks, results):
+            tip_numbers[vertices] = result.tip_numbers
             weights = result.induced_wedge_work.astype(np.float64)
             if not weights.sum():
                 weights = np.ones_like(weights)
@@ -179,7 +173,6 @@ def fine_grained_decomposition(
                     subset_index=subset_index,
                     n_vertices=task.boundaries[k + 1] - task.boundaries[k],
                     induced_edges=int(result.induced_edges[k]),
-                    induced_wedge_work=int(result.induced_wedge_work[k]),
                     wedges_traversed=int(result.induced_wedge_work[k]),
                     elapsed_seconds=float(seconds[k]),
                 )

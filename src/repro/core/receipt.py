@@ -66,10 +66,9 @@ class ReceiptConfig:
         ``thread`` and ``process`` backends).
     backend:
         Execution backend for FD's task fan-out: ``"serial"`` (default),
-        ``"thread"``, or ``"process"`` — the multiprocess engine that puts
-        the graph in shared memory and dispatches task descriptors to a
-        worker pool (:mod:`repro.engine`).  Results are bit-identical
-        across backends.
+        ``"thread"``, or ``"process"`` — the multiprocess engine that
+        dispatches self-contained tasks to a worker pool
+        (:mod:`repro.engine`).  Results are bit-identical across backends.
     workload_aware_scheduling:
         Sort FD's task queue by decreasing estimated work.
     wedge_budget:

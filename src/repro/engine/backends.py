@@ -14,12 +14,13 @@ Three interchangeable implementations of :class:`EngineBackend` run the same
     as the cheap middle rung and for API parity with the paper's
     shared-memory threading.
 ``process``
-    A persistent ``ProcessPoolExecutor`` whose workers attach to the job's
-    shared-memory graph store (:mod:`repro.engine.shm`) zero-copy.  Tasks
-    cross the boundary as picklable :class:`~repro.engine.tasks.FdTask`
-    descriptors plus a small job spec; results return through the pool.
-    This is the backend that produces real wall-clock scaling on multicore
-    hardware (Fig. 10 of the paper).
+    A persistent ``ProcessPoolExecutor``.  Each
+    :class:`~repro.engine.tasks.FdTask` carries its share's rows of the
+    graph and its ``⋈init`` slice, so it crosses the boundary as one pickle
+    of O(share edges) and the result returns through the pool; workers hold
+    no state between tasks.  The pool forks on Linux when the parent has
+    one thread and spawns otherwise.  This is the backend that produces
+    real wall-clock scaling on multicore hardware (Fig. 10 of the paper).
 
 Because every backend runs the identical task body on identical inputs and
 the caller merges results in task order, tip numbers and work counters are
@@ -34,14 +35,12 @@ which is also a context manager that shuts its pool down on exit.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from ..errors import ReproError
-from .shm import AttachedFdJob, SharedFdJobSpec, attach_fd_job, share_fd_job
-from .tasks import FdJob, FdTask, FdTaskResult, execute_fd_task
+from .tasks import FdTask, FdTaskResult, execute_fd_task
 
 __all__ = [
     "BACKEND_NAMES",
@@ -54,11 +53,6 @@ __all__ = [
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
-#: Environment override for the multiprocessing start method ("fork",
-#: "spawn" or "forkserver"); the default prefers fork on Linux for its
-#: near-zero pool startup cost.
-START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
 
 class EngineBackend:
     """Interface every execution backend implements."""
@@ -70,7 +64,7 @@ class EngineBackend:
             raise ReproError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
 
-    def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
+    def run_fd_tasks(self, tasks: list[FdTask]) -> list[FdTaskResult]:
         """Execute the tasks and return results in task order."""
         raise NotImplementedError
 
@@ -92,8 +86,8 @@ class SerialBackend(EngineBackend):
 
     name = "serial"
 
-    def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
-        return [execute_fd_task(job, task) for task in tasks]
+    def run_fd_tasks(self, tasks: list[FdTask]) -> list[FdTaskResult]:
+        return [execute_fd_task(task) for task in tasks]
 
 
 class ThreadBackend(EngineBackend):
@@ -110,11 +104,11 @@ class ThreadBackend(EngineBackend):
             self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
         return self._executor
 
-    def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
+    def run_fd_tasks(self, tasks: list[FdTask]) -> list[FdTaskResult]:
         if self.n_workers == 1 or len(tasks) <= 1:
-            return [execute_fd_task(job, task) for task in tasks]
+            return [execute_fd_task(task) for task in tasks]
         executor = self._ensure_executor()
-        futures = [executor.submit(execute_fd_task, job, task) for task in tasks]
+        futures = [executor.submit(execute_fd_task, task) for task in tasks]
         return [future.result() for future in futures]
 
     def warmup(self) -> None:
@@ -126,122 +120,47 @@ class ThreadBackend(EngineBackend):
             self._executor = None
 
 
-# ----------------------------------------------------------------------
-# Process backend: worker-side machinery
-# ----------------------------------------------------------------------
-# One attached job is cached per worker process; FD dispatches typically
-# send many tasks against the same job, so each worker attaches to the
-# shared-memory store once and reuses the mapping zero-copy.
-_WORKER_ATTACHMENT: dict[str, AttachedFdJob] = {}
-
-
-def _attached_job(spec: SharedFdJobSpec) -> FdJob:
-    cached = _WORKER_ATTACHMENT.get(spec.token)
-    if cached is None:
-        for stale in _WORKER_ATTACHMENT.values():
-            stale.close()
-        _WORKER_ATTACHMENT.clear()
-        cached = attach_fd_job(spec)
-        _WORKER_ATTACHMENT[spec.token] = cached
-    return cached.job
-
-
-def _run_shared_fd_task(payload: tuple[SharedFdJobSpec, FdTask]) -> FdTaskResult:
-    """Worker entry point: attach (cached) and execute one descriptor."""
-    spec, task = payload
-    return execute_fd_task(_attached_job(spec), task)
-
-
 def _worker_noop(_index: int) -> int:
     return 0
 
 
-def default_start_method() -> str:
-    """Start method for worker processes (env-overridable).
-
-    ``fork`` on Linux: pool startup in milliseconds and no re-import cost.
-    ``spawn`` elsewhere (and on platforms without fork), trading startup
-    time for not inheriting arbitrary parent state.  The usual
-    multiprocessing caveat applies to spawn: the caller's ``__main__`` must
-    be importable (a real script guarded by ``if __name__ == "__main__"``,
-    not stdin).
-    """
-    override = os.environ.get(START_METHOD_ENV, "").strip().lower()
-    available = multiprocessing.get_all_start_methods()
-    if override:
-        if override not in available:
-            raise ReproError(
-                f"{START_METHOD_ENV}={override!r} is not available here; "
-                f"choose one of {available}"
-            )
-        return override
-    if sys.platform.startswith("linux") and "fork" in available:
-        return "fork"
-    return "spawn"
-
-
 class ProcessBackend(EngineBackend):
-    """Fan-out across a persistent process pool over a shared-memory store.
+    """Fan-out across a persistent process pool.
 
     The pool is created lazily and survives across dispatches, so repeated
     FD runs (benchmark rounds, successive decompositions) pay worker
-    startup once.  Each dispatch exports the job to shared memory, ships
-    ``(job spec, task)`` pairs — a few hundred bytes each — and tears the
-    segments down after the final barrier.
+    startup once.  Each task carries its own rows, so a dispatch is one
+    pickle per task each way and leaves nothing behind.
     """
 
     name = "process"
 
-    def __init__(self, n_workers: int = 1, *, start_method: str | None = None):
+    def __init__(self, n_workers: int = 1):
         super().__init__(n_workers)
-        # Remember whether the method was chosen by the caller/environment
-        # (pinned) or defaulted — only a defaulted "fork" may be demoted to
-        # "spawn" when forking would be unsafe.
-        pinned = start_method or os.environ.get(START_METHOD_ENV, "").strip().lower()
-        self.start_method = start_method or default_start_method()
-        self._start_method_pinned = bool(pinned)
         self._executor: ProcessPoolExecutor | None = None
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            # Start the parent's shared-memory resource tracker BEFORE
-            # forking workers: children then inherit it and their attach
-            # registrations deduplicate against the parent's, instead of
-            # each worker spawning a private tracker that later "cleans up"
-            # (and warns about) segments the parent already unlinked.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:
-                pass
-            method = self.start_method
-            if (method == "fork" and not self._start_method_pinned
-                    and threading.active_count() > 1):
-                # Forking a multi-threaded parent (e.g. a serving process, or
-                # one that also runs a thread backend) can deadlock the child
-                # on locks held by parent threads; prefer the safe start
-                # method unless the caller explicitly pinned fork.
-                method = "spawn"
-            context = multiprocessing.get_context(method)
+            # Fork starts a worker in milliseconds with nothing to re-import,
+            # but a child forked from a multi-threaded parent (a serving
+            # process, or one that also runs a thread backend) can deadlock
+            # on locks held by the parent's other threads; spawn otherwise.
+            # The usual caveat applies to spawn: the caller's ``__main__``
+            # must be importable (a real script, not stdin).
+            fork = sys.platform.startswith("linux") and threading.active_count() == 1
+            context = multiprocessing.get_context("fork" if fork else "spawn")
             self._executor = ProcessPoolExecutor(
                 max_workers=self.n_workers, mp_context=context
             )
         return self._executor
 
-    def run_fd_tasks(self, job: FdJob, tasks: list[FdTask]) -> list[FdTaskResult]:
+    def run_fd_tasks(self, tasks: list[FdTask]) -> list[FdTaskResult]:
         if not tasks:
             return []
-        executor = self._ensure_executor()
-        shared = share_fd_job(job)
-        try:
-            payloads = [(shared.spec, task) for task in tasks]
-            # One descriptor per worker share: the caller's LPT schedule
-            # already balanced the shares (Sec. 3.2.1), so chunksize=1 just
-            # hands each idle worker the next one.
-            return list(executor.map(_run_shared_fd_task, payloads, chunksize=1))
-        finally:
-            shared.destroy()
+        # One task per worker share: the caller's LPT schedule already
+        # balanced the shares (Sec. 3.2.1), so chunksize=1 just hands each
+        # idle worker the next one.
+        return list(self._ensure_executor().map(execute_fd_task, tasks, chunksize=1))
 
     def warmup(self) -> None:
         executor = self._ensure_executor()
@@ -260,11 +179,11 @@ _BACKENDS = {
 }
 
 
-def create_backend(name: str, *, n_workers: int = 1, **options) -> EngineBackend:
+def create_backend(name: str, *, n_workers: int = 1) -> EngineBackend:
     """Instantiate a backend by name (``serial`` / ``thread`` / ``process``)."""
     key = str(name).lower()
     if key not in _BACKENDS:
         raise ReproError(
             f"unknown execution backend {name!r}; expected one of {BACKEND_NAMES}"
         )
-    return _BACKENDS[key](n_workers, **options)
+    return _BACKENDS[key](n_workers)

@@ -228,9 +228,8 @@ class BipartiteGraph:
 
         Returns the four internal arrays keyed ``u_offsets`` / ``u_neighbors``
         / ``v_offsets`` / ``v_neighbors``.  This is the serialization surface
-        used by the execution engine to place a graph into shared memory
-        (:mod:`repro.engine.shm`); callers must treat the arrays as
-        read-only.
+        used to save and replicate a graph; callers must treat the arrays
+        as read-only.
         """
         return {
             "u_offsets": self._u_adj.offsets,
@@ -254,11 +253,10 @@ class BipartiteGraph:
         """Reconstruct a graph directly from its dual-CSR arrays.
 
         The inverse of :meth:`csr_arrays`: no edge validation, sorting or
-        copying is performed, so a worker process can wrap shared-memory
-        buffers into a fully functional (read-only) graph in O(1).  The
-        arrays must describe the same edge set in both directions with
-        sorted neighbor lists — exactly what :meth:`csr_arrays` of a live
-        graph yields.
+        copying is performed, so loaded or patched arrays become a fully
+        functional (read-only) graph in O(1).  The arrays must describe the
+        same edge set in both directions with sorted neighbor lists —
+        exactly what :meth:`csr_arrays` of a live graph yields.
         """
         u_offsets = np.asarray(u_offsets, dtype=np.int64)
         u_neighbors = np.asarray(u_neighbors, dtype=np.int64)
@@ -366,20 +364,10 @@ class BipartiteGraph:
         The ``V`` side keeps its original id space (the paper induces on the
         full ``V``), while the selected ``U`` vertices are renumbered densely
         so that the induced subgraph is a standalone :class:`BipartiteGraph`.
-
-        ``labels`` (one per selected vertex, non-decreasing along
-        ``u_vertices``) induces several subsets at once: each ``V`` vertex
-        becomes one center per label among its selected neighbours, numbered
-        densely in (label, ``V`` id) order, so no wedge joins two labels and
-        each label's part is its own induced subgraph up to center ids.
-        FD peels a worker's whole share of subsets on one such graph.
-
-        Both CSR directions are built straight from this graph's (already
-        valid, sorted) ``U`` rows: the selected rows are gathered in subset
-        order, and one sort of ``(center, new U id)`` keys yields the center
-        rows with their new ``U`` ids ascending — the same arrays the validating
-        constructor would build from the filtered edge list, in time linear
-        in the subset's edges plus one sort.
+        The selected rows are gathered in subset order and handed to
+        :meth:`from_u_rows`, with ``labels`` (one per selected vertex,
+        non-decreasing along ``u_vertices``) to induce several subsets at
+        once.
 
         Returns
         -------
@@ -399,34 +387,67 @@ class BipartiteGraph:
             raise GraphConstructionError("induced subset contains duplicate U vertices")
 
         u_neighbors, u_degrees = gather_rows(self._u_adj.offsets, self._u_adj.neighbors, selected)
+        subgraph = BipartiteGraph.from_u_rows(
+            u_neighbors, u_degrees, self._n_v, labels,
+            name=f"{self.name}/induced" if self.name else "induced",
+        )
+        return InducedSubgraph(graph=subgraph, u_old_of_new=selected.copy(), u_new_of_old=new_of_old)
+
+    @classmethod
+    def from_u_rows(
+        cls,
+        u_neighbors: np.ndarray,
+        u_degrees: np.ndarray,
+        n_v: int,
+        labels: Sequence[int] | np.ndarray | None = None,
+        *,
+        name: str = "",
+    ) -> "BipartiteGraph":
+        """Build a graph from ``U`` rows gathered out of a valid graph.
+
+        ``u_neighbors`` concatenates the rows and ``u_degrees`` holds their
+        lengths, as :func:`~repro.kernels.csr.gather_rows` returns them; row
+        ``i`` becomes ``U`` vertex ``i`` and its neighbours keep their ids
+        below ``n_v``.  The rows must be sorted, as every graph's are.
+
+        ``labels`` (one per row, non-decreasing) splits the centers: each
+        ``V`` vertex becomes one center per label among its rows, numbered
+        densely in (label, ``V`` id) order, so no wedge joins two labels and
+        each label's part is its own induced subgraph up to center ids.  FD
+        peels a worker's whole share of subsets on one such graph.
+
+        One sort of ``(center, U id)`` keys yields the center rows with their
+        ``U`` ids ascending — the same arrays the validating constructor
+        would build from the rows' edge list, in time linear in the rows'
+        edges plus one sort.
+        """
         if labels is None:
-            centers, n_centers = u_neighbors, self._n_v
+            centers, n_centers = u_neighbors, n_v
         else:
             labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != selected.shape:
+            if labels.shape != u_degrees.shape:
                 raise GraphConstructionError("induced subset needs one label per U vertex")
             if labels.size > 1 and bool(np.any(labels[1:] < labels[:-1])):
                 raise GraphConstructionError("induced subset labels must be non-decreasing")
             # Labels never decrease along the rows, so numbering the (label, V)
             # keys in sorted order keeps every row's centers ascending.
-            keys = np.repeat(labels, u_degrees) * self._n_v + u_neighbors
+            keys = np.repeat(labels, u_degrees) * n_v + u_neighbors
             unique_keys, centers = np.unique(keys, return_inverse=True)
             n_centers = unique_keys.size
-        # (center, new U id) keys are distinct and sort into the center rows,
+        # (center, U id) keys are distinct and sort into the center rows,
         # each with its U ids ascending.
-        n_rows = max(selected.size, 1)
+        n_rows = max(u_degrees.size, 1)
         center_rows = centers * np.int64(n_rows) + segment_ids(u_degrees)
         center_rows.sort()
-        subgraph = BipartiteGraph.from_csr_arrays(
-            selected.size,
+        return cls.from_csr_arrays(
+            u_degrees.size,
             n_centers,
             segment_offsets(u_degrees),
             centers,
             segment_offsets(np.bincount(centers, minlength=n_centers)),
             center_rows % n_rows,
-            name=f"{self.name}/induced" if self.name else "induced",
+            name=name,
         )
-        return InducedSubgraph(graph=subgraph, u_old_of_new=selected.copy(), u_new_of_old=new_of_old)
 
     # ------------------------------------------------------------------
     # Dunder methods

@@ -29,8 +29,8 @@ Modules
     ``GET /debug/profile``).
 ``memory``
     Unified memory telemetry joining RSS, tracemalloc, wedge-workspace
-    arenas, owned shared-memory segments and artifact memmaps into one
-    snapshot (``GET /debug/memory``, ``repro_memory_*`` gauges).
+    arenas and artifact memmaps into one snapshot (``GET /debug/memory``,
+    ``repro_memory_*`` gauges).
 ``slo``
     Declarative latency/availability/staleness objectives evaluated by
     rolling burn rate over the existing metrics (``GET /slo``, the

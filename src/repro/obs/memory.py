@@ -1,7 +1,7 @@
 """Unified memory telemetry: one payload joining every residency source.
 
-A long-lived process in this library holds memory in four distinct places
-that previously had to be inspected with four different tools:
+A long-lived process in this library holds memory in three distinct places
+that previously had to be inspected with three different tools:
 
 * **process residency** — RSS and its high-water mark, read from
   ``/proc/self`` (with a ``resource.getrusage`` fallback off Linux);
@@ -11,9 +11,7 @@ that previously had to be inspected with four different tools:
 * **wedge scratch arenas** — every live
   :class:`~repro.kernels.workspace.WedgeWorkspace` registers in a weak
   set; :func:`~repro.kernels.workspace.live_workspace_stats` sums held
-  buffer capacity and the largest per-run high-water mark;
-* **shared memory** — segments the process backend currently owns
-  (:func:`~repro.engine.shm.live_segment_stats`).
+  buffer capacity and the largest per-run high-water mark.
 
 :func:`memory_snapshot` is the transport-free join; the serving layer adds
 per-artifact memmap sizes and exposes the result as ``GET /debug/memory``
@@ -110,10 +108,9 @@ def memory_snapshot(*, top: int = 10, extra: Optional[Dict[str, Any]] = None) ->
 
     ``extra`` lets a caller graft in sources only it can see (the serving
     layer adds per-artifact memmap bytes); it is merged at the top level.
-    The workspace/shm imports are lazy so importing :mod:`repro.obs` never
-    drags in numpy-heavy kernel modules.
+    The workspace import is lazy so importing :mod:`repro.obs` never drags
+    in numpy-heavy kernel modules.
     """
-    from ..engine.shm import live_segment_stats
     from ..kernels.workspace import live_workspace_stats
 
     payload: Dict[str, Any] = {
@@ -123,7 +120,6 @@ def memory_snapshot(*, top: int = 10, extra: Optional[Dict[str, Any]] = None) ->
         },
         "tracemalloc": tracemalloc_stats(top=top),
         "workspaces": live_workspace_stats(),
-        "shm": live_segment_stats(),
     }
     if extra:
         payload.update(extra)

@@ -4,12 +4,12 @@ backend) and persist in one step.
 This is the write path of the serving layer and the body of the
 ``repro build-index`` command.  The decomposition itself delegates to
 :func:`repro.core.receipt.tip_decomposition`, so RECEIPT builds run on any
-of the execution-engine backends (serial / thread / multiprocess
-shared-memory pool) from :mod:`repro.engine`.  Butterfly counts are
-computed once up front and both sides are persisted: the decomposed side as
-the index's ``initial_butterflies``, the other side as
-``center_butterflies`` so streaming updates (:mod:`repro.streaming`) can
-maintain both incrementally and skip global re-counts.
+of the execution-engine backends (serial / thread / multiprocess pool)
+from :mod:`repro.engine`.  Butterfly counts are computed once up front and
+both sides are persisted: the decomposed side as the index's
+``initial_butterflies``, the other side as ``center_butterflies`` so
+streaming updates (:mod:`repro.streaming`) can maintain both incrementally
+and skip global re-counts.
 """
 
 from __future__ import annotations

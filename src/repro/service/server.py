@@ -70,7 +70,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engine.shm import live_segment_stats
 from ..errors import (
     DeadlineExceededError,
     ReproError,
@@ -191,7 +190,6 @@ DOCUMENTED_METRICS = (
     "repro_memory_rss_bytes",
     "repro_memory_tracemalloc_bytes",
     "repro_memory_workspace_bytes",
-    "repro_memory_shm_bytes",
     "repro_memory_artifact_bytes",
     "repro_slo_burn_rate",
     "repro_slo_ok",
@@ -572,8 +570,6 @@ class TipService:
              "Python heap bytes currently traced by tracemalloc (0 when off)."),
             ("workspace_bytes", "repro_memory_workspace_bytes",
              "Bytes currently held by live wedge-workspace scratch arenas."),
-            ("shm_bytes", "repro_memory_shm_bytes",
-             "Bytes of shared-memory segments this process currently owns."),
             ("artifact_bytes", "repro_memory_artifact_bytes",
              "On-disk bytes of served artifact arrays (memmapped when loaded)."),
         ))
@@ -680,7 +676,6 @@ class TipService:
             "tracemalloc_bytes":
                 tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else 0,
             "workspace_bytes": live_workspace_stats()["current_bytes"],
-            "shm_bytes": live_segment_stats()["bytes"],
             "artifact_bytes": sum(map(self._array_bytes, self._artifacts.values())),
         }
 

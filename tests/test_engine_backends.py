@@ -1,4 +1,4 @@
-"""Execution-engine tests: backend equivalence, descriptors, shared memory.
+"""Execution-engine tests: backend equivalence, task descriptors, the pool.
 
 The engine's contract is that ``serial`` / ``thread`` / ``process`` backends
 produce bit-identical results — tip numbers and the paper's work counters
@@ -12,7 +12,11 @@ stays fast.
 from __future__ import annotations
 
 import ast
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +27,11 @@ from hypothesis import strategies as st
 from repro.core.receipt import receipt_decomposition
 from repro.datasets.generators import random_bipartite
 from repro.engine import (
-    FdJob,
-    FdTask,
     FdTaskResult,
     ProcessBackend,
-    attach_fd_job,
     build_fd_tasks,
     create_backend,
     execute_fd_task,
-    share_fd_job,
 )
 from repro.errors import ReproError
 from repro.graph.bipartite import BipartiteGraph
@@ -123,18 +123,47 @@ class TestBackendLifecycle:
 
 
 class TestTaskDescriptors:
-    def test_build_fd_tasks_ranges_cover_subsets(self):
+    def test_build_fd_tasks_ranges_cover_subsets(self, blocks_graph):
         subsets = [np.array([3, 1]), np.zeros(0, dtype=np.int64), np.array([0, 2, 4])]
-        flat, tasks = build_fd_tasks(subsets, np.array([10.0, 0.0, 7.0]))
-        assert flat.tolist() == [3, 1, 0, 2, 4]
-        assert [(task.start, task.stop) for task in tasks] == [(0, 2), (2, 2), (2, 5)]
-        assert [task.estimated_work for task in tasks] == [10.0, 0.0, 7.0]
+        supports = np.arange(blocks_graph.n_u, dtype=np.int64) * 10
+        vertices, tasks = build_fd_tasks(blocks_graph, subsets, supports)
+        assert [share.tolist() for share in vertices] == [[3, 1], [], [0, 2, 4]]
+        assert [task.subset_ids for task in tasks] == [(0,), (1,), (2,)]
+        assert [task.boundaries for task in tasks] == [(0, 2), (0, 0), (0, 3)]
         assert [task.n_vertices for task in tasks] == [2, 0, 3]
+        offsets, neighbors = blocks_graph.csr("U")
+        for share, task in zip(vertices, tasks):
+            # Each task carries its own rows, supports and |V|: nothing else
+            # of the graph.
+            rows = [neighbors[offsets[u]:offsets[u + 1]] for u in share]
+            assert task.u_degrees.tolist() == [row.size for row in rows]
+            assert task.u_neighbors.tolist() == [int(v) for row in rows for v in row]
+            assert np.array_equal(task.init_supports, supports[share])
+            assert task.n_v == blocks_graph.n_v
 
-    def test_task_pickle_round_trip(self):
-        task = FdTask(subset_index=5, start=16, stop=48, estimated_work=123.5)
+    def test_task_pickle_round_trip(self, blocks_graph):
+        subsets = [np.array([5, 7, 9]), np.array([2])]
+        supports = np.arange(blocks_graph.n_u, dtype=np.int64)
+        _, (task,) = build_fd_tasks(blocks_graph, subsets, supports, [[1, 0]],
+                                    wedge_budget=123, trace=True)
         clone = pickle.loads(pickle.dumps(task))
-        assert clone == task
+        assert (clone.subset_ids, clone.boundaries, clone.n_v) == ((1, 0), (0, 1, 4),
+                                                                   blocks_graph.n_v)
+        assert (clone.wedge_budget, clone.trace) == (123, True)
+        for name in ("u_neighbors", "u_degrees", "init_supports"):
+            assert np.array_equal(getattr(clone, name), getattr(task, name)), name
+        assert np.array_equal(execute_fd_task(clone).tip_numbers,
+                              execute_fd_task(task).tip_numbers)
+
+    def test_task_pickle_grows_with_its_share_not_the_graph(self):
+        graph = random_bipartite(3000, 2000, 30000, seed=4)
+        subset = np.arange(0, 40, 2, dtype=np.int64)
+        _, (task,) = build_fd_tasks(graph, [subset], np.zeros(graph.n_u, dtype=np.int64))
+        k, e = subset.size, int(task.u_degrees.sum())
+        assert 0 < e < graph.n_edges // 100
+        # Rows (e ids), degrees (k) and supports (k), eight bytes each, plus
+        # the pickle's fixed framing.
+        assert len(pickle.dumps(task)) <= 8 * (2 * k + e) + 1024
 
     def test_result_pickle_round_trip(self):
         result = FdTaskResult(
@@ -153,67 +182,68 @@ class TestTaskDescriptors:
 
         counts = count_per_vertex_priority(blocks_graph).u_counts
         cd = coarse_grained_decomposition(blocks_graph, counts, 3)
-        flat, tasks = build_fd_tasks(cd.subsets)
-        job = FdJob(graph=blocks_graph, subsets_flat=flat,
-                    init_supports=cd.init_supports)
-        results = [execute_fd_task(job, task) for task in tasks]
+        vertices, tasks = build_fd_tasks(blocks_graph, cd.subsets, cd.init_supports)
+        results = [execute_fd_task(task) for task in tasks]
         assert sum(result.n_vertices for result in results) == blocks_graph.n_u
         tip_numbers = np.zeros(blocks_graph.n_u, dtype=np.int64)
-        for result, subset in zip(results, cd.subsets):
-            tip_numbers[subset] = result.tip_numbers
+        for result, share in zip(results, vertices):
+            tip_numbers[share] = result.tip_numbers
         from repro.peeling.bup import bup_decomposition
 
         assert np.array_equal(tip_numbers, bup_decomposition(blocks_graph, "U").tip_numbers)
 
 
-class TestSharedMemoryStore:
-    def test_share_attach_round_trip(self, blocks_graph):
-        flat = np.arange(blocks_graph.n_u, dtype=np.int64)
-        supports = np.arange(blocks_graph.n_u, dtype=np.int64) * 3
-        job = FdJob(graph=blocks_graph, subsets_flat=flat, init_supports=supports,
-                    wedge_budget=7, trace=True)
-        shared = share_fd_job(job)
-        try:
-            attached = attach_fd_job(shared.spec)
-            try:
-                assert attached.job.graph == blocks_graph
-                assert attached.job.graph.n_edges == blocks_graph.n_edges
-                assert np.array_equal(attached.job.subsets_flat, flat)
-                assert np.array_equal(attached.job.init_supports, supports)
-                assert (attached.job.wedge_budget, attached.job.trace) == (7, True)
-                # The store is write-once: attached views must be read-only.
-                assert not attached.job.subsets_flat.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            shared.destroy()
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter (one thread, no pool) and return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    completed = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                               capture_output=True, text=True, timeout=120, env=env)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.strip()
 
-    def test_share_empty_graph(self, empty):
-        job = FdJob(graph=empty, subsets_flat=np.zeros(0, dtype=np.int64),
-                    init_supports=np.zeros(empty.n_u, dtype=np.int64))
-        shared = share_fd_job(job)
-        try:
-            attached = attach_fd_job(shared.spec)
-            try:
-                assert attached.job.graph.n_edges == 0
-                assert attached.job.subsets_flat.size == 0
-            finally:
-                attached.close()
-        finally:
-            shared.destroy()
 
-    def test_spec_is_picklable_and_small(self, blocks_graph):
-        job = FdJob(graph=blocks_graph, subsets_flat=np.zeros(1, dtype=np.int64),
-                    init_supports=np.zeros(blocks_graph.n_u, dtype=np.int64))
-        shared = share_fd_job(job)
-        try:
-            payload = pickle.dumps(shared.spec)
-            # The whole point: what crosses the process boundary is a spec,
-            # not the graph.
-            assert len(payload) < 2048
-            assert pickle.loads(payload) == shared.spec
-        finally:
-            shared.destroy()
+class TestProcessPool:
+    def test_start_method_follows_the_thread_count(self):
+        """Fork on Linux while the parent has one thread, spawn otherwise.
+
+        Creating the executor starts no worker: that waits for the first
+        submit, so checking the rule costs no process.
+        """
+        output = _run_python("""
+            import multiprocessing, threading
+            from repro.engine import ProcessBackend
+            stop = threading.Event()
+            for extra_thread in (False, True):
+                if extra_thread:
+                    threading.Thread(target=stop.wait).start()
+                engine = ProcessBackend(2)
+                executor = engine._ensure_executor()
+                assert not executor._processes and not multiprocessing.active_children()
+                print(executor._mp_context.get_start_method())
+                engine.shutdown()
+            stop.set()
+        """)
+        single = "fork" if sys.platform.startswith("linux") else "spawn"
+        assert output.split() == [single, "spawn"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the pool forks only on Linux; a spawn pool's "
+                               "locks start the resource tracker")
+    def test_a_process_run_leaves_no_helper_process(self):
+        output = _run_python("""
+            import multiprocessing
+            from multiprocessing import resource_tracker
+            from repro.core.receipt import receipt_decomposition
+            from repro.datasets.generators import random_bipartite
+            graph = random_bipartite(40, 30, 240, seed=3)
+            result = receipt_decomposition(graph, "U", backend="process", n_threads=2)
+            assert len(result.extra["subset_records"]) > 1
+            print(multiprocessing.active_children(),
+                  resource_tracker._resource_tracker._pid)
+        """)
+        assert output == "[] None"
 
 
 class TestCsrArraysSurface:

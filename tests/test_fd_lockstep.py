@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.butterfly.counting import count_per_vertex_priority
 from repro.core.cd import coarse_grained_decomposition
 from repro.core.fd import fine_grained_decomposition
-from repro.engine import FdJob, ProcessBackend, ThreadBackend, build_fd_tasks, execute_fd_task
+from repro.engine import ProcessBackend, ThreadBackend, build_fd_tasks, execute_fd_task
 from repro.errors import GraphConstructionError
 from repro.graph.bipartite import BipartiteGraph
 from repro.peeling.bup import bup_decomposition, peel_levels
@@ -47,15 +47,14 @@ def _cd(graph: BipartiteGraph, n_partitions: int):
 
 def _peel_shares(graph, cd, shares, kernel, peel_with):
     """θ, per-subset wedges and total support updates of one FD share layout."""
-    flat, tasks = build_fd_tasks(cd.subsets, shares=shares)
-    job = FdJob(graph=graph, subsets_flat=flat, init_supports=cd.init_supports)
+    vertices, tasks = build_fd_tasks(graph, cd.subsets, cd.init_supports, shares)
     tips = np.zeros(graph.n_u, dtype=np.int64)
     wedges: dict[int, int] = {}
     support_updates = 0
-    for task in tasks:
+    for share, task in zip(vertices, tasks):
         with peel_with(kernel):
-            result = execute_fd_task(job, task)
-        tips[flat[task.start:task.stop]] = result.tip_numbers
+            result = execute_fd_task(task)
+        tips[share] = result.tip_numbers
         # FD never compacts: the measured wedges are the static per-subset work.
         assert result.wedges_traversed == int(result.induced_wedge_work.sum())
         wedges.update(zip(task.subset_ids, result.induced_wedge_work.tolist()))
@@ -94,8 +93,8 @@ def _fd_fingerprint(fd):
         fd.counters.wedges_traversed,
         fd.counters.support_updates,
         fd.counters.vertices_peeled,
-        [(r.subset_index, r.n_vertices, r.induced_edges, r.induced_wedge_work,
-          r.wedges_traversed) for r in records],
+        [(r.subset_index, r.n_vertices, r.induced_edges, r.wedges_traversed)
+         for r in records],
     )
 
 
@@ -131,9 +130,9 @@ class TestShares:
         dispatched = []
 
         class CountingBackend(ThreadBackend):
-            def run_fd_tasks(self, job, tasks):
+            def run_fd_tasks(self, tasks):
                 dispatched.append(len(tasks))
-                return super().run_fd_tasks(job, tasks)
+                return super().run_fd_tasks(tasks)
 
         with CountingBackend(3) as engine:
             fd = fine_grained_decomposition(community_graph, cd, engine=engine)
@@ -158,22 +157,26 @@ class TestShares:
             assert record.elapsed_seconds == pytest.approx(
                 total * record.wedges_traversed / wedges)
 
-    def test_build_fd_tasks_lays_out_shares(self):
+    def test_build_fd_tasks_lays_out_shares(self, blocks_graph):
         subsets = [np.array([3, 1]), np.zeros(0, dtype=np.int64), np.array([0, 2, 4])]
-        flat, tasks = build_fd_tasks(subsets, np.array([10.0, 0.0, 7.0]),
-                                     shares=[[2, 0], [], [1]])
-        assert flat.tolist() == [0, 2, 4, 3, 1]
-        assert [(task.start, task.stop) for task in tasks] == [(0, 5), (5, 5)]
+        supports = np.arange(blocks_graph.n_u, dtype=np.int64) * 10
+        vertices, tasks = build_fd_tasks(blocks_graph, subsets, supports,
+                                         shares=[[2, 0], [], [1]])
+        assert [share.tolist() for share in vertices] == [[0, 2, 4, 3, 1], []]
         assert [task.subset_ids for task in tasks] == [(2, 0), (1,)]
         assert [task.boundaries for task in tasks] == [(0, 3, 5), (0, 0)]
-        assert [task.estimated_work for task in tasks] == [17.0, 0.0]
+        assert tasks[0].init_supports.tolist() == [0, 20, 40, 30, 10]
+        degrees = blocks_graph.degrees_u()
+        assert tasks[0].u_degrees.tolist() == degrees[[0, 2, 4, 3, 1]].tolist()
+        assert tasks[1].u_neighbors.size == 0
 
-    def test_build_fd_tasks_rejects_incomplete_shares(self):
+    def test_build_fd_tasks_rejects_incomplete_shares(self, blocks_graph):
         subsets = [np.array([0]), np.array([1])]
+        supports = np.zeros(blocks_graph.n_u, dtype=np.int64)
         with pytest.raises(ValueError):
-            build_fd_tasks(subsets, shares=[[0]])
+            build_fd_tasks(blocks_graph, subsets, supports, shares=[[0]])
         with pytest.raises(ValueError):
-            build_fd_tasks(subsets, shares=[[0, 1], [1]])
+            build_fd_tasks(blocks_graph, subsets, supports, shares=[[0, 1], [1]])
 
 
 class TestSplitInducedGraph:

@@ -1,4 +1,4 @@
-"""Memory telemetry: RSS readers, tracemalloc join, workspace/shm registries."""
+"""Memory telemetry: RSS readers, tracemalloc join, workspace registry."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.datasets.generators import random_bipartite
-from repro.engine.shm import live_segment_stats, share_fd_job
-from repro.engine.tasks import FdJob
 from repro.kernels.workspace import WedgeWorkspace, live_workspace_stats
 from repro.obs.memory import (
     memory_snapshot,
@@ -91,54 +88,16 @@ class TestWorkspaceRegistry:
         assert workspace._buffers == {}
 
 
-class TestShmRegistry:
-    def test_shared_job_segments_are_counted_until_destroyed(self):
-        graph = random_bipartite(30, 20, 120, seed=9)
-        job = FdJob(
-            graph=graph,
-            subsets_flat=np.arange(graph.n_u, dtype=np.int64),
-            init_supports=np.zeros(graph.n_u, dtype=np.int64),
-        )
-        before = live_segment_stats()
-        shared = share_fd_job(job)
-        try:
-            during = live_segment_stats()
-            # The job exports the CSR arrays plus the task slices: several
-            # owned segments, totalling at least the supports vector.
-            assert during["segments"] > before["segments"]
-            assert during["bytes"] >= before["bytes"] + job.init_supports.nbytes
-        finally:
-            shared.destroy()
-        after = live_segment_stats()
-        assert after["segments"] == before["segments"]
-        assert after["bytes"] == before["bytes"]
-
-    def test_destroy_is_idempotent_in_the_registry(self):
-        graph = random_bipartite(10, 8, 30, seed=2)
-        job = FdJob(
-            graph=graph,
-            subsets_flat=np.arange(graph.n_u, dtype=np.int64),
-            init_supports=np.zeros(graph.n_u, dtype=np.int64),
-        )
-        baseline = live_segment_stats()
-        shared = share_fd_job(job)
-        shared.destroy()
-        shared.destroy()  # second destroy must not drive counts negative
-        assert live_segment_stats() == baseline
-
-
 class TestSnapshot:
     def test_joins_every_source(self):
         workspace = WedgeWorkspace()
         workspace.take("scratch", 10_000, np.int64)
         snapshot = memory_snapshot(top=3)
-        assert set(snapshot) == {"process", "tracemalloc", "workspaces", "shm"}
+        assert set(snapshot) == {"process", "tracemalloc", "workspaces"}
         assert snapshot["process"]["rss_bytes"] > 0
         assert snapshot["process"]["peak_rss_bytes"] > 0
         assert snapshot["tracemalloc"]["tracing"] in (True, False)
         assert snapshot["workspaces"]["current_bytes"] >= 80_000
-        assert set(snapshot["shm"]) == {"segments", "bytes"}
-        assert snapshot["shm"]["segments"] >= 0
 
     def test_extra_merges_at_top_level(self):
         snapshot = memory_snapshot(extra={"artifacts": {"a": {"array_bytes": 7}}})

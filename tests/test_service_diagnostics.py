@@ -131,8 +131,7 @@ class TestSloScope:
 class TestMemoryEndpoint:
     def test_payload_joins_sources_and_artifacts(self, service):
         payload = service.handle("/debug/memory")
-        assert set(payload) == {"process", "tracemalloc", "workspaces",
-                                "shm", "artifacts"}
+        assert set(payload) == {"process", "tracemalloc", "workspaces", "artifacts"}
         assert payload["process"]["rss_bytes"] > 0
         entry = payload["artifacts"][service.artifact_names[0]]
         assert entry["array_bytes"] > 0
@@ -204,8 +203,7 @@ class TestRouting:
     def test_slo_and_memory_metric_families_documented(self):
         for name in ("repro_slo_burn_rate", "repro_slo_ok",
                      "repro_memory_rss_bytes", "repro_memory_workspace_bytes",
-                     "repro_memory_shm_bytes", "repro_memory_artifact_bytes",
-                     "repro_memory_tracemalloc_bytes"):
+                     "repro_memory_artifact_bytes", "repro_memory_tracemalloc_bytes"):
             assert name in DOCUMENTED_METRICS, name
 
     def test_metrics_scrape_carries_slo_and_memory_gauges(self, service):
