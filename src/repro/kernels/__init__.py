@@ -2,10 +2,10 @@
 
 Every wedge-heavy primitive in this library — batch peeling, per-vertex and
 per-edge butterfly counting, HUC re-count cost accounting, streaming
-support maintenance — reduces to the same building blocks, collected here
-so the algorithm layers above (``butterfly``, ``peeling``, ``core``,
-``streaming``) share one implementation instead of reimplementing ad-hoc
-variants:
+support maintenance, k-tip component extraction — reduces to the same
+building blocks, collected here so the algorithm layers above
+(``butterfly``, ``peeling``, ``core``, ``streaming``, ``analysis``) share
+one implementation instead of reimplementing ad-hoc variants:
 
 * **flat-CSR gathering** (:mod:`repro.kernels.csr`): concatenating many CSR
   rows in a single indexed load, segment arithmetic, and one-pass CSR

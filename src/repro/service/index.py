@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis.hierarchy import butterfly_connected_components, level_wedge_work
 from ..errors import ServiceError
 from ..graph.bipartite import BipartiteGraph, validate_side
 from ..peeling.base import TipDecompositionResult
@@ -251,23 +252,35 @@ class TipIndex:
         """Butterfly-connected components of the level-``k`` vertex set.
 
         These are the individual k-tips of Definition 1 — the paper's spam
-        groups / research communities.  With ``vertex`` given, only the
+        groups / research communities — found by the wedge kernels' pair
+        count over the level's induced subgraph
+        (:func:`~repro.analysis.hierarchy.butterfly_connected_components`).
+        Components come in order of their smallest member, each holding its
+        members as ascending ids.  With ``vertex`` given, only the
         component containing that vertex is returned (empty list when the
         vertex is below level ``k``).
         """
+        components = butterfly_connected_components(
+            self._community_graph(), self.k_tip_members(k), self.side
+        )
+        if vertex is None:
+            return components
+        vertex = int(self._validate_vertices([vertex])[0])
+        return [component for component in components if vertex in component]
+
+    def community_wedge_work(self, k: int) -> int:
+        """Wedge endpoints :meth:`communities` gathers at level ``k``
+        (:func:`~repro.analysis.hierarchy.level_wedge_work`), known before
+        any pair is enumerated."""
+        return level_wedge_work(self._community_graph(), self.k_tip_members(k), self.side)
+
+    def _community_graph(self) -> BipartiteGraph:
         if self.graph is None:
             raise ServiceError(
                 "this index was built without graph arrays; "
                 "community queries require them", status=404,
             )
-        members = self.k_tip_members(k)
-        from ..analysis.hierarchy import butterfly_connected_components
-
-        components = butterfly_connected_components(self.graph, members, self.side)
-        if vertex is None:
-            return components
-        vertex = int(self._validate_vertices([vertex])[0])
-        return [component for component in components if vertex in component]
+        return self.graph
 
     # ------------------------------------------------------------------
     # Streaming updates

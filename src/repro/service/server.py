@@ -216,11 +216,14 @@ def metric_route(route: str) -> str:
 #: smaller ``limit``.
 MAX_RESPONSE_VERTICES = 100_000
 
-#: Hard cap on the candidate set of a ``/community`` query: component
-#: extraction is quadratic in the level's vertex count, and the route runs
-#: inline on the event loop, so unboundedly low ``k`` on a big index would
+#: Hard cap on the wedge work of a ``/community`` query, in wedge endpoints:
+#: the sum over the level's centres of their degree within the level,
+#: squared (:func:`repro.analysis.hierarchy.level_wedge_work`).  Component
+#: extraction takes time in proportion to it (tr x2's level k=5: 9,918
+#: vertices, 68.6M endpoints, about 0.8 s on one core), and the route runs
+#: inline on the event loop, so a low ``k`` on a dense graph would otherwise
 #: stall every connection for minutes.
-MAX_COMMUNITY_VERTICES = 10_000
+MAX_COMMUNITY_WEDGES = 2**27
 
 #: Hard cap on a POST body; generous headroom over the largest JSON
 #: encoding of a MAX_RESPONSE_VERTICES-sized batch.
@@ -1371,10 +1374,16 @@ class TipService:
         k = self._int_param(params, "k")
         vertex = self._int_param(params, "vertex") if "vertex" in params else None
         candidates = index.k_tip_size(k)
-        if candidates > MAX_COMMUNITY_VERTICES:
+        if candidates > MAX_RESPONSE_VERTICES:
             raise ServiceError(
-                f"level {k} has {candidates} vertices; community extraction "
-                f"is capped at {MAX_COMMUNITY_VERTICES} — query a higher k"
+                f"level {k} has {candidates} vertices; a community response "
+                f"is capped at {MAX_RESPONSE_VERTICES} — query a higher k"
+            )
+        work = index.community_wedge_work(k)
+        if work > MAX_COMMUNITY_WEDGES:
+            raise ServiceError(
+                f"level {k} has {work} wedge endpoints; community extraction "
+                f"is capped at {MAX_COMMUNITY_WEDGES} — query a higher k"
             )
         components = index.communities(k, vertex=vertex)
         return {

@@ -524,12 +524,19 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def communities(self, k: int, *, vertex: int | None = None):
         """Community extraction; delegated to the base index when present."""
-        if self.base is not None:
-            return self.base.communities(k, vertex=vertex)
-        raise ServiceError(
-            "this shard plan carries no graph arrays; community queries "
-            "require the unsharded artifact", status=404,
-        )
+        return self._community_base().communities(k, vertex=vertex)
+
+    def community_wedge_work(self, k: int) -> int:
+        """A community query's wedge work; delegated like :meth:`communities`."""
+        return self._community_base().community_wedge_work(k)
+
+    def _community_base(self) -> TipIndex:
+        if self.base is None:
+            raise ServiceError(
+                "this shard plan carries no graph arrays; community queries "
+                "require the unsharded artifact", status=404,
+            )
+        return self.base
 
     def apply_delta(self, inserts=None, deletes=None, *, config=None):
         """Reject writes: shards are derived read replicas of an artifact."""

@@ -63,6 +63,49 @@ def peel_with():
     return _peel_with
 
 
+def _oracle_components(graph, side: str):
+    """The butterfly-connected components oracle for one graph side.
+
+    Returns ``components_of(vertices)``: breadth-first search over the
+    member pairs that share at least two neighbours (``pair_wedge_count(graph,
+    a, b, side) >= 2``, read off one dense biadjacency product so that whole
+    hierarchies of a graph stay cheap), components in order of their first
+    vertex in ``vertices``, members ascending.  Shares no code with the
+    kernels behind :func:`repro.analysis.hierarchy.butterfly_connected_components`.
+    """
+    offsets, neighbors = graph.csr(side)
+    size = offsets.shape[0] - 1
+    dense = np.zeros((size, graph.side_size("V" if side == "U" else "U")))
+    dense[np.repeat(np.arange(size), np.diff(offsets)), neighbors] = 1.0
+    adjacent = dense @ dense.T >= 2
+
+    def components_of(vertices) -> list[list[int]]:
+        vertices = [int(vertex) for vertex in vertices]
+        among = adjacent[np.ix_(vertices, vertices)]
+        unseen = np.ones(len(vertices), dtype=bool)
+        components = []
+        for start in range(len(vertices)):
+            if not unseen[start]:
+                continue
+            unseen[start] = False
+            frontier, members = [start], [vertices[start]]
+            while frontier:
+                reached = np.flatnonzero(among[frontier.pop()] & unseen)
+                unseen[reached] = False
+                frontier.extend(reached.tolist())
+                members.extend(vertices[position] for position in reached)
+            components.append(sorted(members))
+        return components
+
+    return components_of
+
+
+@pytest.fixture(scope="session")
+def community_oracle():
+    """``community_oracle(graph, side)(vertices)`` — see :func:`_oracle_components`."""
+    return _oracle_components
+
+
 @pytest.fixture
 def tiny_graph():
     """A small hand-constructed 8x7 graph in the style of the paper's Fig. 2.

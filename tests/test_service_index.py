@@ -108,19 +108,20 @@ class TestValidationAndErrors:
         index, _ = _index_for([1, 2, 3])
         with pytest.raises(ServiceError, match="without graph"):
             index.communities(1)
+        with pytest.raises(ServiceError, match="without graph"):
+            index.community_wedge_work(1)
 
 
 class TestCommunities:
-    def test_matches_hierarchy_components(self, blocks_graph):
+    def test_matches_hierarchy_components(self, blocks_graph, community_oracle):
         result = tip_decomposition(blocks_graph, "U", algorithm="bup")
         index = TipIndex.from_result(result, graph=blocks_graph)
         k = max(1, result.max_tip_number // 2)
-        expected = butterfly_connected_components(
-            blocks_graph, result.vertices_with_tip_at_least(k), "U"
-        )
-        got = index.communities(k)
-        as_sets = lambda comps: sorted(tuple(c.tolist()) for c in comps)
-        assert as_sets(got) == as_sets(expected)
+        members = result.vertices_with_tip_at_least(k)
+        expected = butterfly_connected_components(blocks_graph, members, "U")
+        got = [c.tolist() for c in index.communities(k)]
+        assert got == [c.tolist() for c in expected]
+        assert got == community_oracle(blocks_graph, "U")(members)
 
     def test_vertex_filter_returns_only_its_component(self, blocks_graph):
         result = tip_decomposition(blocks_graph, "U", algorithm="bup")

@@ -19,6 +19,7 @@ import pytest
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
 from repro.errors import ServiceError
+from repro.kernels import get_workspace
 from repro.service.artifacts import load_artifact, save_artifact
 from repro.service.index import TipIndex
 from repro.service.aserver import start_server_thread
@@ -40,6 +41,10 @@ def base_url(artifact):
     handle = start_server_thread([path])
     yield handle.base_url
     handle.stop()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a capped /community query counted pairs")
 
 
 def _get(base_url, path):
@@ -257,13 +262,41 @@ class TestServiceConstruction:
             TipService([])
 
     def test_community_candidate_cap(self, artifact, monkeypatch):
+        """A level past the wedge cap is refused before any pair is counted;
+        one at the cap is answered, and a response holds at most
+        MAX_RESPONSE_VERTICES vertices."""
+        import repro.analysis.hierarchy as hierarchy_module
         import repro.service.server as server_module
 
-        path, _ = artifact
+        path, result = artifact
         service = TipService([path])
-        monkeypatch.setattr(server_module, "MAX_COMMUNITY_VERTICES", 2)
-        with pytest.raises(ServiceError, match="capped"):
+        work = service.index_for().community_wedge_work(0)
+        monkeypatch.setattr(server_module, "MAX_COMMUNITY_WEDGES", work - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(hierarchy_module, "count_pair_wedges", _never_called)
+            with pytest.raises(ServiceError, match=(
+                    f"level 0 has {work} wedge endpoints; community extraction "
+                    f"is capped at {work - 1}")) as excinfo:
+                service.handle("/community", {"k": "0"})
+        assert excinfo.value.status == 400
+        monkeypatch.setattr(server_module, "MAX_COMMUNITY_WEDGES", work)
+        payload = service.handle("/community", {"k": "0"})
+        assert sum(len(c) for c in payload["communities"]) == result.tip_numbers.size
+        monkeypatch.setattr(server_module, "MAX_RESPONSE_VERTICES", 2)
+        with pytest.raises(ServiceError, match="community response is capped at 2"):
             service.handle("/community", {"k": "0"})
+
+    def test_community_leaves_the_default_arena_alone(self, artifact):
+        path, result = artifact
+        service = TipService([path])
+        arena = get_workspace()
+        before = ({name: buffer.nbytes for name, buffer in arena._buffers.items()},
+                  arena.peak_scratch_bytes)
+        payload = service.handle("/community", {"k": str(result.max_tip_number)})
+        assert max(len(c) for c in payload["communities"]) >= 2  # pairs were counted
+        after = ({name: buffer.nbytes for name, buffer in arena._buffers.items()},
+                 arena.peak_scratch_bytes)
+        assert after == before
 
     def test_stats_histogram_flag_parsing(self, artifact):
         path, _ = artifact

@@ -129,16 +129,18 @@ class TestPersistedPlan:
         out = tmp_path / "blocks.tipshards"
         write_shard_plan(artifact, out, 2)
         router = ShardRouter.load(out)
-        with pytest.raises(ServiceError) as excinfo:
-            router.communities(1)
-        assert excinfo.value.status == 404
+        for query in (lambda: router.communities(1), lambda: router.community_wedge_work(1)):
+            with pytest.raises(ServiceError) as excinfo:
+                query()
+            assert excinfo.value.status == 404
 
     def test_in_memory_plan_keeps_the_graph(self, artifact, index):
         router = plan_shards(artifact, 2)
         k = index.max_tip_number
-        got = [sorted(c.tolist()) for c in router.communities(k)]
-        want = [sorted(c.tolist()) for c in index.communities(k)]
+        got = [c.tolist() for c in router.communities(k)]
+        want = [c.tolist() for c in index.communities(k)]
         assert got == want
+        assert router.community_wedge_work(k) == index.community_wedge_work(k)
 
 
 class TestServedSharding:
