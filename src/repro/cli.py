@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -679,7 +680,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_bench_history(args: argparse.Namespace) -> int:
     import glob
-    import os
     import time
 
     from .obs.history import (
@@ -779,6 +779,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.log_format, args.log_level)
+    try:
+        status = _run_command(parser, args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (`repro query ... | head`).  Point stdout at
+        # os.devnull so the exit-time flush cannot raise again, and exit 1
+        # as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         if args.command == "datasets":
             return _command_datasets()

@@ -59,6 +59,7 @@ __all__ = [
     "graph_fingerprint",
     "save_artifact",
     "load_artifact",
+    "manifest_stamp",
     "read_manifest",
 ]
 
@@ -341,19 +342,38 @@ def save_artifact(
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def read_manifest(path: str | Path) -> ArtifactManifest:
-    """Read and validate only the manifest of an artifact (cheap)."""
+def manifest_stamp(status: os.stat_result) -> tuple[int, int, int, int, int]:
+    """Device, inode, size, mtime and ctime of a manifest file.
+
+    ``save_artifact`` writes every version's manifest as a new file while
+    the live one still exists, so two versions on one device never share an
+    inode, and the ctime moves on a copy that keeps the old mtime.
+    """
+    return (status.st_dev, status.st_ino, status.st_size,
+            status.st_mtime_ns, status.st_ctime_ns)
+
+
+def read_manifest(path: str | Path, *, stamped: bool = False):
+    """Read and validate only the manifest of an artifact (cheap).
+
+    With ``stamped=True`` returns ``(stamp, manifest)``, the
+    :func:`manifest_stamp` taken with ``os.fstat`` on the descriptor the
+    content was read from, so both describe the same version of the file.
+    """
     path = Path(path)
     manifest_path = path / MANIFEST_FILENAME
     try:
-        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with open(manifest_path, "rb") as handle:
+            stamp = manifest_stamp(os.fstat(handle.fileno()))
+            payload = json.loads(handle.read().decode("utf-8"))
     except FileNotFoundError as exc:
         raise ArtifactError(f"no artifact at {path} (missing {MANIFEST_FILENAME})") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ArtifactError(f"cannot read artifact manifest {manifest_path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactError(f"artifact manifest {manifest_path} is not a JSON object")
-    return ArtifactManifest.from_dict(payload, source=str(path))
+    manifest = ArtifactManifest.from_dict(payload, source=str(path))
+    return (stamp, manifest) if stamped else manifest
 
 
 def _npz_member_offsets(path: Path) -> dict[str, tuple[int, tuple, np.dtype, bool]]:

@@ -5,25 +5,36 @@ currently hitting"; everything else should stay on disk.  Keys are manifest
 fingerprints rather than paths, which buys two properties for free:
 
 * rebuilding an artifact in place (new fingerprint) naturally invalidates
-  the cached index — no TTLs, no mtime heuristics;
+  the cached index — no TTLs;
 * the same index reached through two paths (copies, symlinks, bind
   mounts) occupies one cache slot.
 
-A cheap manifest read resolves path → fingerprint on every request; the
-expensive part (mapping arrays, rebuilding the graph) only runs on a miss.
+The cache is also the one place a path resolves to its manifest: it keeps
+each path's parsed manifest with the file's
+:func:`~repro.service.artifacts.manifest_stamp`, a request runs one
+``os.stat``, and only a changed stamp re-reads the file, so a swap by this
+process or another one is seen by the next request.  The expensive part
+(mapping arrays, rebuilding the graph) only runs on a fingerprint miss.
 All operations are thread-safe: the front end calls into one shared cache
 from the event loop and from its executor threads.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
 
 from ..errors import ArtifactError
-from .artifacts import ArtifactManifest, load_artifact, read_manifest
+from .artifacts import (
+    MANIFEST_FILENAME,
+    ArtifactManifest,
+    load_artifact,
+    manifest_stamp,
+    read_manifest,
+)
 from .index import TipIndex
 
 __all__ = ["IndexCache"]
@@ -44,7 +55,8 @@ class IndexCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
         self._entries: "OrderedDict[str, TipIndex]" = OrderedDict()
-        self._path_fingerprints: dict[str, str] = {}
+        # Path as given -> (stamp, manifest) of the manifest last read there.
+        self._manifests: dict[str, tuple[tuple, ArtifactManifest]] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -97,36 +109,64 @@ class IndexCache:
     ) -> tuple[TipIndex, ArtifactManifest]:
         """Resolve an artifact path to its index and manifest, loading on a miss.
 
-        The manifest is read (cheap) to learn the fingerprint; only a miss
-        pays for mapping the arrays and rebuilding the graph.  The load
-        happens outside the lock so a slow cold load never blocks hits on
-        other artifacts.  Reads racing an in-place rebuild retry briefly;
-        once the path resolves to a new fingerprint, the entry cached for
-        the path's previous fingerprint is dropped immediately (its mmaps
-        would otherwise pin the replaced arrays on disk until LRU
-        pressure).
+        The path resolves to its manifest through :meth:`manifest`; only a
+        fingerprint miss pays for mapping the arrays and rebuilding the
+        graph.  The load happens outside the lock so a slow cold load never
+        blocks hits on other artifacts.  The manifest returned is the
+        cached one: callers must treat it as read-only.
         """
+        return self._across_swaps(self._get_or_load_once, path, mmap)
+
+    def manifest(self, path: str | Path) -> ArtifactManifest:
+        """The current manifest of an artifact path, without loading its index.
+
+        One ``os.stat`` of the manifest file; the file is re-read only when
+        its stamp differs from the one cached for the path.  A re-read that
+        finds a new fingerprint drops the entry cached under the path's
+        previous fingerprint at once (its mmaps would otherwise pin the
+        replaced arrays on disk until LRU pressure).  Reads racing an
+        in-place rebuild retry briefly.  The manifest is shared: treat it as
+        read-only.
+        """
+        return self._across_swaps(self._manifest_once, path)
+
+    @staticmethod
+    def _across_swaps(read, *args):
         for attempt in range(_SWAP_RETRIES):
             try:
-                return self._get_or_load_once(path, mmap=mmap)
+                return read(*args)
             except ArtifactError:
                 if attempt == _SWAP_RETRIES - 1:
                     raise
                 time.sleep(_SWAP_RETRY_SECONDS)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _get_or_load_once(
-        self, path: str | Path, *, mmap: bool
-    ) -> tuple[TipIndex, ArtifactManifest]:
-        manifest = read_manifest(path)
-        fingerprint = manifest.fingerprint
-        path_key = str(Path(path).resolve())
+    def _manifest_once(self, path: str | Path) -> ArtifactManifest:
+        key = os.fspath(path)
+        try:
+            stamp = manifest_stamp(os.stat(os.path.join(key, MANIFEST_FILENAME)))
+        except OSError:
+            stamp = None  # the read below raises the ArtifactError
         with self._lock:
-            previous = self._path_fingerprints.get(path_key)
-            if previous is not None and previous != fingerprint:
-                if self._entries.pop(previous, None) is not None:
+            known = self._manifests.get(key)
+        if known is not None and known[0] == stamp:
+            return known[1]
+        # Stamp and content come from one open file, so a swap between the
+        # stat above and this read cannot pair two versions.
+        stamp, manifest = read_manifest(path, stamped=True)
+        with self._lock:
+            previous = self._manifests.get(key)
+            if previous is not None and previous[1].fingerprint != manifest.fingerprint:
+                if self._entries.pop(previous[1].fingerprint, None) is not None:
                     self._evictions += 1
-            self._path_fingerprints[path_key] = fingerprint
+            self._manifests[key] = (stamp, manifest)
+        return manifest
+
+    def _get_or_load_once(
+        self, path: str | Path, mmap: bool
+    ) -> tuple[TipIndex, ArtifactManifest]:
+        manifest = self._manifest_once(path)
+        fingerprint = manifest.fingerprint
         index = self.get(fingerprint)
         if index is None:
             artifact = load_artifact(path, mmap=mmap, expected_fingerprint=fingerprint)
@@ -137,9 +177,9 @@ class IndexCache:
     def invalidate(self, fingerprint: str) -> bool:
         """Drop a cached index (e.g. after an in-place streaming refresh).
 
-        Returns whether an entry was evicted.  The path → fingerprint map
-        is left alone: the next ``get_or_load`` of the path re-reads the
-        manifest and records the successor fingerprint.
+        Returns whether an entry was evicted.  The path → manifest map is
+        left alone: a path's manifest is re-read only once its file changes,
+        and that re-read records the successor fingerprint.
         """
         with self._lock:
             if self._entries.pop(fingerprint, None) is not None:
@@ -151,7 +191,7 @@ class IndexCache:
         """Drop every cached index (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._path_fingerprints.clear()
+            self._manifests.clear()
 
     def stats(self) -> dict:
         """Hit/miss/eviction metrics plus current occupancy."""

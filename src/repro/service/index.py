@@ -258,14 +258,16 @@ class TipIndex:
         Components come in order of their smallest member, each holding its
         members as ascending ids.  With ``vertex`` given, only the
         component containing that vertex is returned (empty list when the
-        vertex is below level ``k``).
+        vertex is below level ``k``); the vertex is checked before anything
+        is extracted.
         """
+        if vertex is not None and self.theta(vertex) < k:
+            return []
         components = butterfly_connected_components(
             self._community_graph(), self.k_tip_members(k), self.side
         )
         if vertex is None:
             return components
-        vertex = int(self._validate_vertices([vertex])[0])
         return [component for component in components if vertex in component]
 
     def community_wedge_work(self, k: int) -> int:

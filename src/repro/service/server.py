@@ -87,7 +87,7 @@ from ..obs.profile import (
 )
 from ..obs.slo import DEFAULT_OBJECTIVES, SloMonitor, breaker_open_objective
 from . import faults
-from .artifacts import ARRAYS_FILENAME, read_manifest, save_artifact
+from .artifacts import ARRAYS_FILENAME, save_artifact
 from .cache import IndexCache
 from .index import TipIndex
 from .resilience import CircuitBreakerRegistry, Deadline
@@ -394,7 +394,7 @@ class TipService:
                 router = ShardRouter.load(path, mmap=self.mmap)
                 name = router.name or path.name
             else:
-                manifest = read_manifest(path)  # validates eagerly: fail at startup
+                manifest = self.cache.manifest(path)  # validates eagerly: fail at startup
                 name = manifest.name
                 router = None
             if name in self._artifacts:
@@ -734,7 +734,7 @@ class TipService:
         freshness = {}
         for name, path in self._artifacts.items():
             try:
-                manifest = self._read_manifest_retrying(path)
+                manifest = self.cache.manifest(path)
             except ReproError:
                 continue  # mid-swap or corrupt; skip this artifact, not the scrape
             streaming = manifest.streaming
@@ -753,7 +753,7 @@ class TipService:
             entry: dict = {"array_bytes": self._array_bytes(path), "loaded": False,
                            "peak_scratch_bytes": None}
             try:
-                manifest = self._read_manifest_retrying(path)
+                manifest = self.cache.manifest(path)
             except ReproError:
                 pass
             else:
@@ -816,27 +816,6 @@ class TipService:
         self.http_request_seconds.labels(transport=transport, route=label).observe(seconds)
         log_request(transport, route, int(status), seconds, quiet=quiet)
 
-    @staticmethod
-    def _read_manifest_retrying(path: Path):
-        """Manifest read that tolerates an in-flight artifact swap.
-
-        ``save_artifact(overwrite=True)`` — the ``/update`` write path —
-        swaps the artifact directory with two renames, leaving a
-        microsecond window with no directory at the path.  The index cache
-        already retries its reads across that window; manifest-only reads
-        (``/stats`` polls) need the same treatment.
-        """
-        from ..errors import ArtifactError
-
-        for attempt in range(3):
-            try:
-                return read_manifest(path)
-            except ArtifactError:
-                if attempt == 2:
-                    raise
-                time.sleep(0.05)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _plan_summary(self, name: str, path: Path) -> dict:
         """Per-shard-plan /stats summary (parallel to `_manifest_summary`)."""
         router = self._routers[name]
@@ -869,7 +848,7 @@ class TipService:
         name, path = self._resolve(name)
         if name in self._routers:
             return self._plan_summary(name, path)
-        manifest = self._read_manifest_retrying(path)
+        manifest = self.cache.manifest(path)
         streaming = manifest.streaming
         summary = {
             "side": manifest.decomposition.get("side"),
@@ -1016,8 +995,9 @@ class TipService:
             # touched, so a simulated persistence failure rejects the batch
             # atomically (503) instead of leaving memory and disk torn.
             faults.fire("artifact.save")
-            # One manifest read: the cache's, so the index and the manifest
-            # this update rewrites come from the same on-disk version.
+            # The cache resolves the path (one stat; a re-read only when the
+            # manifest file changed), so the index and the manifest this
+            # update rewrites come from the same on-disk version.
             index, manifest = self.cache.get_or_load_with_manifest(path, mmap=self.mmap)
             decomposition = dict(manifest.decomposition)
             algorithm = str(decomposition.get("algorithm") or "receipt").lower()
@@ -1373,6 +1353,8 @@ class TipService:
         index = self.index_for(artifact)
         k = self._int_param(params, "k")
         vertex = self._int_param(params, "vertex") if "vertex" in params else None
+        if vertex is not None:
+            index.theta(vertex)  # an out-of-range vertex answers 400 before any level work
         candidates = index.k_tip_size(k)
         if candidates > MAX_RESPONSE_VERTICES:
             raise ServiceError(

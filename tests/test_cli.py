@@ -197,3 +197,26 @@ class TestEntryPoints:
         )
         assert completed.returncode == 2
         assert "error" in completed.stderr
+
+    def test_query_into_a_closed_pipe_exits_without_a_traceback(self, graph_file, tmp_path,
+                                                               capsys):
+        artifact = tmp_path / "graph.tipidx"
+        assert main(["build-index", "--path", str(graph_file), "--partitions", "2",
+                     "--output", str(artifact)]) == 0
+        capsys.readouterr()
+        # The reader closes before the query writes a byte: `repro query | head`
+        # with the earliest possible close.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "query", str(artifact),
+                 "--op", "community", "--k", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=self._module_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        assert "BrokenPipeError" not in completed.stderr

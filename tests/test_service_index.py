@@ -137,3 +137,25 @@ class TestCommunities:
         below = np.flatnonzero(result.tip_numbers < k)
         if below.size:
             assert index.communities(k, vertex=int(below[0])) == []
+
+    def test_vertex_is_checked_before_extraction(self, blocks_graph, monkeypatch):
+        """An out-of-range vertex raises, and a vertex below level k answers
+        ``[]``, without extracting a component (sharded views delegate)."""
+        import repro.service.index as index_module
+        from repro.service.sharding import ShardRouter
+
+        result = tip_decomposition(blocks_graph, "U", algorithm="bup")
+        index = TipIndex.from_result(result, graph=blocks_graph)
+        k = max(1, result.max_tip_number // 2)
+        below = int(np.flatnonzero(result.tip_numbers < k)[0])
+        calls = []
+        monkeypatch.setattr(index_module, "butterfly_connected_components",
+                            lambda *args: calls.append(args) or [])
+        for engine in (index, ShardRouter.from_index(index, 2)):
+            for vertex in (-1, index.n_vertices):
+                with pytest.raises(ServiceError, match=(
+                        f"^vertex {vertex} out of range for side 'U' with "
+                        f"{index.n_vertices} vertices$")):
+                    engine.communities(k, vertex=vertex)
+            assert engine.communities(k, vertex=below) == []
+        assert calls == []

@@ -286,6 +286,20 @@ class TestServiceConstruction:
         with pytest.raises(ServiceError, match="community response is capped at 2"):
             service.handle("/community", {"k": "0"})
 
+    def test_community_checks_the_vertex_before_level_work(self, artifact, monkeypatch):
+        import repro.service.index as index_module
+
+        path, result = artifact
+        service = TipService([path])
+        monkeypatch.setattr(index_module, "level_wedge_work", _never_called)
+        monkeypatch.setattr(index_module, "butterfly_connected_components", _never_called)
+        n = result.tip_numbers.size
+        for vertex in (-1, n):
+            with pytest.raises(ServiceError, match=(
+                    f"^vertex {vertex} out of range for side 'U' with {n} vertices$")) as excinfo:
+                service.handle("/community", {"k": "0", "vertex": str(vertex)})
+            assert excinfo.value.status == 400
+
     def test_community_leaves_the_default_arena_alone(self, artifact):
         path, result = artifact
         service = TipService([path])

@@ -130,30 +130,41 @@ class TestUpdateEndpointOffline:
             assert np.asarray(served["thetas"]).tolist() == fresh.tip_numbers.tolist()
 
     def test_update_reads_the_manifest_once(self, artifact, monkeypatch):
-        """One manifest read per update (the cache's), and the cache's
-        hit/miss/eviction counts over reads and updates as before."""
-        from repro.service import artifacts, cache, server
+        """Each update costs one manifest read, on the first read after it:
+        steady reads and an update of an already-resolved path read none,
+        and the cache's hit/miss/eviction counts follow."""
+        from repro.service import artifacts, cache
 
         reads = []
         original = artifacts.read_manifest
 
-        def counting(path):
+        def counting(path, **kwargs):
             reads.append(path)
-            return original(path)
+            return original(path, **kwargs)
 
-        for module in (artifacts, cache, server):
+        for module in (artifacts, cache):
             monkeypatch.setattr(module, "read_manifest", counting)
         service = TipService([artifact])
+        assert len(reads) == 1  # the eager validation resolves the path
         theta = ("/theta", {"vertex": "0"}, None)
-        for route, params, body in (theta, ("/update", {}, {"insert": [[39, 29]]}),
-                                    theta, ("/update", {}, {"delete": [[39, 29]]}), theta):
+        steps = [
+            (theta, 1),  # cold: load_artifact checks the manifest it maps
+            (theta, 0),
+            (("/update", {}, {"insert": [[39, 29]]}), 0),
+            (theta, 1),  # the update wrote a new manifest file
+            (theta, 0),
+            (("/update", {}, {"delete": [[39, 29]]}), 0),
+            (theta, 1),
+            (theta, 0),
+        ]
+        for (route, params, body), expected in steps:
             reads.clear()
             service.handle(route, params, body)
-            if route == "/update":
-                assert len(reads) == 1
+            assert len(reads) == expected, route
         stats = service.cache.stats()
-        # The first read misses; each update hits, then drops the old entry.
-        assert (stats["hits"], stats["misses"], stats["evictions"]) == (4, 1, 2)
+        # The first read misses; every later read and update hits, and each
+        # update drops the entry of the fingerprint it replaced.
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (7, 1, 2)
 
     def test_update_requires_body_and_edges(self, artifact):
         service = TipService([artifact])
