@@ -69,6 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -444,11 +445,12 @@ def _command_decompose(args: argparse.Namespace) -> int:
     with _maybe_profile(args), _maybe_trace(args.trace_out):
         result = tip_decomposition(graph, args.side.upper(),
                                    algorithm=args.algorithm, **kwargs)
-    print(json.dumps(result.summary(), indent=2))
-    if args.output:
+    if args.output:  # written before printing, so a closed stdout cannot lose it
         with open(args.output, "wt", encoding="utf-8") as handle:
             json.dump({"side": result.side,
                        "tip_numbers": [int(value) for value in result.tip_numbers]}, handle)
+    print(json.dumps(result.summary(), indent=2))
+    if args.output:
         print(f"tip numbers written to {args.output}")
     return 0
 
@@ -783,12 +785,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = _run_command(parser, args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:
-        # The reader went away (`repro query ... | head`).  Point stdout at
-        # os.devnull so the exit-time flush cannot raise again, and exit 1
-        # as Python does on EPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not _stdout_reader_gone():
+            raise  # a pipe other than stdout broke: not the reader going away
+        # The reader of stdout went away (`repro query ... | head`).  Point
+        # the dead stdout at os.devnull so the exit-time flush cannot raise
+        # again, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return status
+
+
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe or socket whose reading end is closed."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError, ValueError):  # no poll(), or no descriptor
+        return False
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
 
 
 def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

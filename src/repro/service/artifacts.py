@@ -353,13 +353,15 @@ def manifest_stamp(status: os.stat_result) -> tuple[int, int, int, int, int]:
             status.st_mtime_ns, status.st_ctime_ns)
 
 
-def read_manifest(path: str | Path, *, stamped: bool = False):
-    """Read and validate only the manifest of an artifact (cheap).
+def read_manifest(path: str | Path) -> ArtifactManifest:
+    """Read and validate only the manifest of an artifact (cheap)."""
+    return _read_manifest_stamped(path)[1]
 
-    With ``stamped=True`` returns ``(stamp, manifest)``, the
-    :func:`manifest_stamp` taken with ``os.fstat`` on the descriptor the
-    content was read from, so both describe the same version of the file.
-    """
+
+def _read_manifest_stamped(path: str | Path) -> tuple[tuple, ArtifactManifest]:
+    """The manifest with its :func:`manifest_stamp`, taken with ``os.fstat``
+    on the descriptor the content is read from, so both describe the same
+    version of the file."""
     path = Path(path)
     manifest_path = path / MANIFEST_FILENAME
     try:
@@ -372,8 +374,7 @@ def read_manifest(path: str | Path, *, stamped: bool = False):
         raise ArtifactError(f"cannot read artifact manifest {manifest_path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactError(f"artifact manifest {manifest_path} is not a JSON object")
-    manifest = ArtifactManifest.from_dict(payload, source=str(path))
-    return (stamp, manifest) if stamped else manifest
+    return stamp, ArtifactManifest.from_dict(payload, source=str(path))
 
 
 def _npz_member_offsets(path: Path) -> dict[str, tuple[int, tuple, np.dtype, bool]]:

@@ -31,9 +31,9 @@ from ..errors import ArtifactError
 from .artifacts import (
     MANIFEST_FILENAME,
     ArtifactManifest,
+    _read_manifest_stamped,
     load_artifact,
     manifest_stamp,
-    read_manifest,
 )
 from .index import TipIndex
 
@@ -153,7 +153,7 @@ class IndexCache:
             return known[1]
         # Stamp and content come from one open file, so a swap between the
         # stat above and this read cannot pair two versions.
-        stamp, manifest = read_manifest(path, stamped=True)
+        stamp, manifest = _read_manifest_stamped(path)
         with self._lock:
             previous = self._manifests.get(key)
             if previous is not None and previous[1].fingerprint != manifest.fingerprint:

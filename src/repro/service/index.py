@@ -261,11 +261,10 @@ class TipIndex:
         vertex is below level ``k``); the vertex is checked before anything
         is extracted.
         """
+        graph = self._community_graph()
         if vertex is not None and self.theta(vertex) < k:
             return []
-        components = butterfly_connected_components(
-            self._community_graph(), self.k_tip_members(k), self.side
-        )
+        components = butterfly_connected_components(graph, self.k_tip_members(k), self.side)
         if vertex is None:
             return components
         return [component for component in components if vertex in component]

@@ -1353,20 +1353,22 @@ class TipService:
         index = self.index_for(artifact)
         k = self._int_param(params, "k")
         vertex = self._int_param(params, "vertex") if "vertex" in params else None
-        if vertex is not None:
-            index.theta(vertex)  # an out-of-range vertex answers 400 before any level work
-        candidates = index.k_tip_size(k)
-        if candidates > MAX_RESPONSE_VERTICES:
-            raise ServiceError(
-                f"level {k} has {candidates} vertices; a community response "
-                f"is capped at {MAX_RESPONSE_VERTICES} — query a higher k"
-            )
-        work = index.community_wedge_work(k)
-        if work > MAX_COMMUNITY_WEDGES:
-            raise ServiceError(
-                f"level {k} has {work} wedge endpoints; community extraction "
-                f"is capped at {MAX_COMMUNITY_WEDGES} — query a higher k"
-            )
+        # The vertex is checked first: out of range answers 400, and below
+        # level k the answer is [] (or the 404 of an index without graph
+        # arrays) with no level work.
+        if vertex is None or index.theta(vertex) >= k:
+            candidates = index.k_tip_size(k)
+            if candidates > MAX_RESPONSE_VERTICES:
+                raise ServiceError(
+                    f"level {k} has {candidates} vertices; a community response "
+                    f"is capped at {MAX_RESPONSE_VERTICES} — query a higher k"
+                )
+            work = index.community_wedge_work(k)
+            if work > MAX_COMMUNITY_WEDGES:
+                raise ServiceError(
+                    f"level {k} has {work} wedge endpoints; community extraction "
+                    f"is capped at {MAX_COMMUNITY_WEDGES} — query a higher k"
+                )
         components = index.communities(k, vertex=vertex)
         return {
             "k": k,

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -220,3 +221,40 @@ class TestEntryPoints:
         assert completed.returncode == 1
         assert "Traceback" not in completed.stderr
         assert "BrokenPipeError" not in completed.stderr
+
+    def test_a_print_larger_than_the_buffer_into_a_closed_pipe(self, monkeypatch):
+        """The print itself fails; only the dead pipe is pointed at
+        os.devnull, never the process's own fd 1."""
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_command_datasets", lambda: print("x" * 200_000) or 0)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        own_stdout = os.fstat(1)
+        with os.fdopen(write_end, "w") as dead:
+            monkeypatch.setattr(sys, "stdout", dead)
+            assert main(["datasets"]) == 1
+            assert os.path.samestat(os.fstat(dead.fileno()), os.stat(os.devnull))
+        assert os.path.samestat(os.fstat(1), own_stdout)
+
+    def test_a_broken_pipe_other_than_stdout_propagates(self, monkeypatch):
+        import repro.cli as cli
+
+        def broken():
+            raise BrokenPipeError("a worker's pipe")
+
+        monkeypatch.setattr(cli, "_command_datasets", broken)
+        with pytest.raises(BrokenPipeError, match="a worker's pipe"):
+            main(["datasets"])
+
+    def test_decompose_writes_its_output_before_printing(self, graph_file, tmp_path,
+                                                          monkeypatch):
+        class ClosedStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError("the reader went away")
+
+        output_file = tmp_path / "tips.json"
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        with pytest.raises(BrokenPipeError):
+            main(["decompose", "--path", str(graph_file), "--output", str(output_file)])
+        assert len(json.loads(output_file.read_text())["tip_numbers"]) == 4

@@ -125,16 +125,17 @@ class TestLru:
 
 @pytest.fixture
 def manifest_reads(monkeypatch):
-    """Paths of every ``read_manifest`` call, wherever it is looked up."""
+    """Paths of every manifest parse: ``read_manifest`` and the cache share
+    one parser, patched wherever it is looked up."""
     reads = []
-    original = artifacts_module.read_manifest
+    original = artifacts_module._read_manifest_stamped
 
-    def counting(path, **kwargs):
+    def counting(path):
         reads.append(os.fspath(path))
-        return original(path, **kwargs)
+        return original(path)
 
     for module in (artifacts_module, cache_module):
-        monkeypatch.setattr(module, "read_manifest", counting)
+        monkeypatch.setattr(module, "_read_manifest_stamped", counting)
     return reads
 
 

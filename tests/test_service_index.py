@@ -108,6 +108,11 @@ class TestValidationAndErrors:
         index, _ = _index_for([1, 2, 3])
         with pytest.raises(ServiceError, match="without graph"):
             index.communities(1)
+        # Whatever the vertex: below k, at or above it, or out of range.
+        for vertex in (0, 2, -1):
+            with pytest.raises(ServiceError, match="without graph") as excinfo:
+                index.communities(2, vertex=vertex)
+            assert excinfo.value.status == 404
         with pytest.raises(ServiceError, match="without graph"):
             index.community_wedge_work(1)
 

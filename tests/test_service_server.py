@@ -293,12 +293,17 @@ class TestServiceConstruction:
         service = TipService([path])
         monkeypatch.setattr(index_module, "level_wedge_work", _never_called)
         monkeypatch.setattr(index_module, "butterfly_connected_components", _never_called)
+        monkeypatch.setattr(TipIndex, "k_tip_size", _never_called)
         n = result.tip_numbers.size
         for vertex in (-1, n):
             with pytest.raises(ServiceError, match=(
                     f"^vertex {vertex} out of range for side 'U' with {n} vertices$")) as excinfo:
                 service.handle("/community", {"k": "0", "vertex": str(vertex)})
             assert excinfo.value.status == 400
+        k = result.max_tip_number
+        below = int(np.flatnonzero(result.tip_numbers < k)[0])
+        payload = service.handle("/community", {"k": str(k), "vertex": str(below)})
+        assert (payload["n_communities"], payload["communities"]) == (0, [])
 
     def test_community_leaves_the_default_arena_alone(self, artifact):
         path, result = artifact

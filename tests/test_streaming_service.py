@@ -136,14 +136,14 @@ class TestUpdateEndpointOffline:
         from repro.service import artifacts, cache
 
         reads = []
-        original = artifacts.read_manifest
+        original = artifacts._read_manifest_stamped
 
-        def counting(path, **kwargs):
+        def counting(path):  # the one manifest parser, wherever it is looked up
             reads.append(path)
-            return original(path, **kwargs)
+            return original(path)
 
         for module in (artifacts, cache):
-            monkeypatch.setattr(module, "read_manifest", counting)
+            monkeypatch.setattr(module, "_read_manifest_stamped", counting)
         service = TipService([artifact])
         assert len(reads) == 1  # the eager validation resolves the path
         theta = ("/theta", {"vertex": "0"}, None)
