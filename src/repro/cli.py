@@ -791,8 +791,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the dead stdout at os.devnull so the exit-time flush cannot raise
         # again, and exit 1 as Python does on EPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     return status
 
