@@ -6,10 +6,12 @@ line (``ts``, ``level``, ``logger``, ``message`` plus any ``extra``
 fields passed at the call site).  Text mode keeps a conventional
 human-readable line but still appends the structured fields.
 
-Request logging is shared by both serving transports: every request is
-logged at DEBUG, requests slower than the slow-query threshold
-(``REPRO_SLOW_QUERY_MS``, default 250 ms) are logged at WARNING, and
-non-quiet servers log at INFO.
+Request logging (:func:`log_request`, called for every served request
+by ``TipService.observe_request``) writes a request at DEBUG, so at the
+default level a fast request that is not 5xx writes no line; the request
+metrics count every request.  A request slower than the slow-query
+threshold (``REPRO_SLOW_QUERY_MS``, default 250 ms) or answered 5xx is
+logged at WARNING.  ``--log-level DEBUG`` prints one line per request.
 """
 
 from __future__ import annotations
@@ -112,13 +114,24 @@ def configure_logging(
 
 
 def slow_query_threshold_seconds() -> float:
-    """Slow-request threshold from ``REPRO_SLOW_QUERY_MS`` (default 250 ms)."""
+    """Slow-request threshold from ``REPRO_SLOW_QUERY_MS`` (default 250 ms).
+
+    Read per call.  A value that is not a number, is negative or is NaN
+    falls back to the default; ``0`` marks every request slow and ``inf``
+    none.
+    """
     raw = os.environ.get(SLOW_QUERY_ENV, "")
     try:
         millis = float(raw) if raw else DEFAULT_SLOW_QUERY_MS
     except ValueError:
         millis = DEFAULT_SLOW_QUERY_MS
+    if not millis >= 0.0:  # negative or NaN
+        millis = DEFAULT_SLOW_QUERY_MS
     return millis / 1000.0
+
+
+#: Looked up once: ``logging.getLogger`` takes the logging module's lock.
+_REQUEST_LOGGER = get_logger("service")
 
 
 def log_request(
@@ -126,22 +139,19 @@ def log_request(
     route: str,
     status: int,
     seconds: float,
-    *,
-    quiet: bool = True,
     **fields: Any,
 ) -> None:
-    """Log one served request with latency + status."""
-    logger = get_logger("service")
+    """Log one served request with its latency and status.
+
+    DEBUG ("request") for a request answered under 500 within the
+    slow-query threshold; WARNING for one answered 5xx ("request") or
+    slower than the threshold ("slow query", ``"slow": true``).
+    """
     slow = seconds > slow_query_threshold_seconds()
-    if slow:
-        level = logging.WARNING
-    elif not quiet:
-        level = logging.INFO
-    else:
-        level = logging.DEBUG
-    if not logger.isEnabledFor(level):
+    level = logging.WARNING if slow or status >= 500 else logging.DEBUG
+    if not _REQUEST_LOGGER.isEnabledFor(level):
         return
-    logger.log(
+    _REQUEST_LOGGER.log(
         level,
         "slow query" if slow else "request",
         extra={

@@ -191,6 +191,8 @@ class AsyncTipServer:
         self.service = service
         self.host = host
         self.port = int(port)
+        # Gates only the startup banner of repro serve; request lines
+        # follow the log level (repro.obs.log.log_request).
         self.quiet = quiet
         self.stats_cache_seconds = float(stats_cache_seconds)
         self.coalescer = ThetaCoalescer(
@@ -311,7 +313,7 @@ class AsyncTipServer:
                     # to observe; counted all the same, so oversized bodies
                     # and scanners show up in the request metrics.
                     self.service.observe_request(
-                        "async", error.route, error.status, 0.0, quiet=self.quiet)
+                        "async", error.route, error.status, 0.0)
                     reader.pending += 1
                     await queue.put((self._render_error(error, close=True), True))
                     break
@@ -464,8 +466,7 @@ class AsyncTipServer:
         # Rendered responses lead with b"HTTP/1.1 NNN ..."; slicing the
         # status back out beats threading it through every return site.
         self.service.observe_request(
-            "async", route, int(response[9:12]),
-            time.perf_counter() - started, quiet=self.quiet)
+            "async", route, int(response[9:12]), time.perf_counter() - started)
 
     async def _observed(self, item, route: str, started: float) -> bytes:
         response = await item
@@ -622,8 +623,9 @@ async def _serve_until_stopped(server: AsyncTipServer) -> None:
     host, port = server.address
     if not server.quiet:
         names = server.service.artifact_names
+        # Flushed: whoever started the server reads its address from here.
         print(f"serving {len(names)} artifact(s) ({', '.join(names)}) "
-              f"on http://{host}:{port} [transport=async]")
+              f"on http://{host}:{port} [transport=async]", flush=True)
     try:
         await server.serve_forever()
     finally:

@@ -524,6 +524,8 @@ class TipService:
             "End-to-end request latency in seconds, by transport and route.",
             labelnames=("transport", "route"),
         )
+        # (transport, route label, status) -> (counter child, histogram child)
+        self._request_children: dict[tuple[str, str, int], tuple] = {}
         self.coalesce_batch_size = registry.histogram(
             "repro_coalesce_batch_size",
             "Point-theta requests coalesced into one vectorized gather.",
@@ -808,13 +810,27 @@ class TipService:
         return payload
 
     def observe_request(self, transport: str, route: str, status: int,
-                        seconds: float, *, quiet: bool = True) -> None:
-        """Record one served request: latency histogram, counter, log line."""
+                        seconds: float) -> None:
+        """Record one served request: counter, latency histogram, log line.
+
+        The counter and histogram children are bound once per (transport,
+        route label, status).  :func:`log_request` writes the line at DEBUG,
+        or at WARNING for a slow or 5xx request.
+        """
+        status = int(status)
         label = metric_route(route)
-        self.http_requests_total.labels(
-            transport=transport, route=label, status=str(int(status))).inc()
-        self.http_request_seconds.labels(transport=transport, route=label).observe(seconds)
-        log_request(transport, route, int(status), seconds, quiet=quiet)
+        key = (transport, label, status)
+        children = self._request_children.get(key)
+        if children is None:
+            children = self._request_children[key] = (
+                self.http_requests_total.labels(
+                    transport=transport, route=label, status=str(status)),
+                self.http_request_seconds.labels(transport=transport, route=label),
+            )
+        counter, latency = children
+        counter.inc()
+        latency.observe(seconds)
+        log_request(transport, route, status, seconds)
 
     def _plan_summary(self, name: str, path: Path) -> dict:
         """Per-shard-plan /stats summary (parallel to `_manifest_summary`)."""

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
 import shutil
 import socket
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -15,6 +18,7 @@ import pytest
 from repro.cli import main
 from repro.core.receipt import tip_decomposition
 from repro.datasets.generators import planted_blocks
+from repro.obs.log import configure_logging
 from repro.service.aserver import start_server_thread
 from repro.service.artifacts import save_artifact
 from repro.service.server import (
@@ -184,6 +188,110 @@ class TestAsyncMetrics:
                 reply += chunk
         assert reply.startswith(f"HTTP/1.1 {status} ".encode())
         assert count() == before + 1
+
+
+def _request_counts(text: str) -> tuple[dict, dict]:
+    """From a scrape: async requests per (route, status) and latency
+    observations per route."""
+    counted, timed = {}, {}
+    for key, value in _parse_samples(text).items():
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', key))
+        if labels.get("transport") != "async":
+            continue
+        if key.startswith("repro_http_requests_total{"):
+            counted[labels["route"], labels["status"]] = int(float(value))
+        elif key.startswith("repro_http_request_seconds_count{"):
+            timed[labels["route"]] = int(float(value))
+    return counted, timed
+
+
+def _expected_counts(observed) -> tuple[dict, dict]:
+    """What ``_request_counts`` must read after ``observed`` (route label,
+    status) requests."""
+    counted, timed = {}, {}
+    for route, status in observed:
+        counted[route, str(status)] = counted.get((route, str(status)), 0) + 1
+        timed[route] = timed.get(route, 0) + 1
+    return counted, timed
+
+
+#: Log levels the request counts must not depend on.
+_LEVELS = ["DEBUG", "INFO", "WARNING", "ERROR"]
+
+
+class TestRequestMetricChildren:
+    """observe_request binds its counter and histogram children once per
+    (transport, route label, status): every request still lands on its
+    own series, whatever the log level."""
+
+    @pytest.mark.parametrize("level", _LEVELS)
+    def test_served_requests_count_exactly(self, artifact, level):
+        configure_logging("json", level=level, stream=io.StringIO())
+        handle = start_server_thread([artifact])
+        observed = []
+        try:
+            # /theta answers 200, then a status first seen mid-run, then 200
+            # again; two unknown paths share the <unknown> label.
+            for target in ("/theta?vertex=1", "/theta?vertex=2", "/theta?vertex=-1",
+                           "/theta?vertex=3", "/nope", "/healthz", "/x/y/z",
+                           "/theta?vertex=1"):
+                try:
+                    with urllib.request.urlopen(handle.base_url + target,
+                                                timeout=10) as response:
+                        status = response.status
+                except urllib.error.HTTPError as error:
+                    status = error.code
+                observed.append((metric_route(target.split("?")[0]), status))
+            text = _get_text(f"{handle.base_url}/metrics")[2]
+        finally:
+            handle.stop()
+        statuses = [status for route, status in observed if route == "/theta"]
+        assert statuses[:2] == [200, 200] and statuses[2] != 200
+        assert ("<unknown>", 404) in observed
+        assert _request_counts(text) == _expected_counts(observed)
+
+    @pytest.mark.parametrize("level", _LEVELS)
+    def test_slow_and_5xx_requests_count_exactly(self, artifact, level, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "100")
+        configure_logging("text", level=level, stream=io.StringIO())
+        service = TipService([artifact])
+        requests = [("/theta", 200, 0.001), ("/theta", 503, 0.001),
+                    ("/theta", 200, 0.5), ("/nope", 500, 0.5), ("/theta", 503, 0.001),
+                    ("/top-k", 200, 0.001), ("/admin", 404, 0.001)]
+        for route, status, seconds in requests:
+            service.observe_request("async", route, status, seconds)
+        text = service.metrics_text()
+        assert _request_counts(text) == _expected_counts(
+            (metric_route(route), status) for route, status, _ in requests)
+        total = 'repro_http_request_seconds_sum{transport="async",route="/theta"}'
+        assert float(_parse_samples(text)[total]) == pytest.approx(0.503)
+
+    def test_concurrent_observers_count_exactly(self, artifact):
+        # More threads than cores and a short switch interval, each thread
+        # meeting every (route, status) key for the first time together.
+        service = TipService([artifact])
+        keys = [(route, status) for route in ("/theta", "/top-k", "/nope")
+                for status in (200, 400, 404, 503)]
+        rounds = 200
+
+        def observe():
+            for _ in range(rounds):
+                for route, status in keys:
+                    service.observe_request("async", route, status, 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=observe) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _request_counts(service.metrics_text()) == _expected_counts(
+            [(metric_route(route), status) for route, status in keys] * rounds * 4)
 
 
 class TestOfflineService:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
-import select
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -328,33 +329,118 @@ class TestServiceConstruction:
             assert "histogram" not in payload["artifacts"][name]
 
 
+@contextlib.contextmanager
+def _repro_serve(path, workdir, *options, **env):
+    """Run ``repro [options] serve PATH --port 0`` with its output in a file.
+
+    ``env`` adds to the environment, where ``REPRO_SLOW_QUERY_MS`` is
+    otherwise unset.  Yields the server's URL once the startup banner
+    names it, then stops the server with SIGINT and checks that it exits
+    0.  The output stays in ``workdir / "serve.log"``; tests read it after
+    the server exited, so an undrained pipe cannot stall its event loop.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    environment = {key: value for key, value in os.environ.items()
+                   if key != "REPRO_SLOW_QUERY_MS"}
+    environment.update(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    log = workdir / "serve.log"
+    with open(log, "wb") as sink:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *options, "serve", str(path), "--port", "0"],
+            stdout=sink, stderr=subprocess.STDOUT, cwd=workdir, env=environment)
+    try:
+        deadline = time.monotonic() + 30
+        while not (match := re.search(r"http://[0-9.]+:[0-9]+", log.read_text())):
+            assert process.poll() is None, log.read_text()
+            assert time.monotonic() < deadline, "repro serve printed no address within 30 s"
+            time.sleep(0.02)
+        yield match.group(0)
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=15) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=15)
+
+
+def _request_records(log: Path) -> list[dict]:
+    """The request lines of a ``repro serve`` output, in order, as fields.
+
+    JSON lines as written; a text line as its level, message and ``k=v``
+    fields (values stay strings).
+    """
+    records = []
+    for line in log.read_text().splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+        elif " repro.service " in line:
+            head, _, tail = line.partition(" repro.service ")
+            message, _, fields = tail.partition(" event=")
+            record = {"level": head.split()[-1], "message": message,
+                      **dict(item.split("=", 1) for item in f"event={fields}".split())}
+        else:
+            continue
+        if record.get("event") == "request":
+            records.append(record)
+    return records
+
+
+#: Fast reads of the test artifact, each answered 200.
+_SERVE_READS = ("/theta?vertex=1", "/theta?vertex=2", "/top-k?k=2", "/healthz")
+_BANNER = re.compile(r"serving 1 artifact\(s\) \(planted-blocks\.U\) "
+                     r"on http://127\.0\.0\.1:[0-9]+ \[transport=async\]")
+
+
 class TestServeCommand:
-    """``repro serve`` itself, as a process: it binds, answers, and exits on SIGINT."""
+    """``repro serve`` itself, as a process: it binds, answers, logs requests
+    by level, and exits on SIGINT."""
 
     def test_serve_answers_and_exits_cleanly_on_sigint(self, artifact, tmp_path):
         path, _ = artifact
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(path), "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=tmp_path, env=env)
-        try:
-            ready, _, _ = select.select([process.stdout], [], [], 30)
-            assert ready, "repro serve printed no address within 30 s"
-            banner = process.stdout.readline().decode()
-            match = re.search(r"http://[0-9.]+:[0-9]+", banner)
-            assert match, banner
-            url = match.group(0)
+        with _repro_serve(path, tmp_path) as url:
             status, payload = _get(url, "/healthz")
             assert status == 200 and payload["status"] == "ok"
             with urllib.request.urlopen(url + "/metrics", timeout=10) as response:
                 text = response.read().decode()
             assert "# TYPE repro_http_requests_total counter" in text
-            process.send_signal(signal.SIGINT)
-            assert process.wait(timeout=15) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=15)
-            process.stdout.close()
+
+    def test_default_level_writes_no_request_line(self, artifact, tmp_path):
+        path, _ = artifact
+        with _repro_serve(path, tmp_path) as url:
+            for target in _SERVE_READS:
+                assert _get(url, target)[0] == 200
+        output = (tmp_path / "serve.log").read_text()
+        assert _BANNER.fullmatch(output.splitlines()[0]), output
+        assert _request_records(tmp_path / "serve.log") == [], output
+
+    def test_every_slow_read_logs_one_warning(self, artifact, tmp_path):
+        path, _ = artifact
+        with _repro_serve(path, tmp_path, REPRO_SLOW_QUERY_MS="0") as url:
+            for target in _SERVE_READS:
+                assert _get(url, target)[0] == 200
+        records = _request_records(tmp_path / "serve.log")
+        assert [record["route"] for record in records] == [
+            target.split("?")[0] for target in _SERVE_READS]
+        for record in records:
+            assert record["level"] == "WARNING"
+            assert record["message"] == "slow query"
+            assert (record["status"], record["slow"]) == ("200", "True")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_debug_level_writes_one_line_per_request(self, artifact, tmp_path, fmt):
+        path, _ = artifact
+        with _repro_serve(path, tmp_path, "--log-level", "DEBUG",
+                          "--log-format", fmt) as url:
+            for target in _SERVE_READS:
+                assert _get(url, target)[0] == 200
+        records = _request_records(tmp_path / "serve.log")
+        assert [record["route"] for record in records] == [
+            target.split("?")[0] for target in _SERVE_READS]
+        for record in records:
+            assert record["level"] == "DEBUG"
+            assert record["message"] == "request"
+            assert record["transport"] == "async"
+            assert str(record["status"]) == "200"
+            assert str(record["slow"]) == "False"
+            assert float(record["latency_ms"]) >= 0.0
